@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-faults bench-crash bench-chaos bench-delta bench-tiers bench-json bench-decisions metrics-lint fmt-check staticcheck trace-smoke scrub-sweep
+.PHONY: build vet test race verify bench-selftest bench-perf bench-faults bench-crash bench-chaos bench-delta bench-tiers bench-json bench-decisions metrics-lint fmt-check staticcheck trace-smoke scrub-sweep
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,16 @@ race:
 # The CI gate: everything must compile, pass vet, and pass the full test
 # suite under the race detector.
 verify: build vet race
+
+# The benchmark lives in its own module (bench/go.mod), so `build`, `vet`
+# and `test` above never compile it: bench-selftest is what catches a core
+# API change that breaks it (toy sizes, a few seconds). bench-perf is the
+# benchmark itself — all four BENCHMARK.json workloads, about 2.5 minutes.
+bench-selftest:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+bench-perf:
+	$(GO) run -C bench ./perf
 
 bench-faults:
 	$(GO) run ./cmd/pccheck-bench -faults

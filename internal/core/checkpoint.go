@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"math"
 	"runtime"
 	"sync"
@@ -121,15 +122,19 @@ type Checkpointer struct {
 	// chain holds the pinned keyframe→delta slots, keyframe first, with the
 	// tip also published through checkAddr; those slots stay out of the
 	// free queue until the next keyframe supersedes the whole chain. hashes
-	// is the per-chunk hash state of the tip (nil forces the next save to
+	// is the per-granule hash state of the tip (nil forces the next save to
 	// be a keyframe, e.g. right after Open), lastSize the tip's logical
-	// size, saveSeq the DeltaEvery cadence counter.
+	// size, saveSeq the DeltaEvery cadence counter (published saves only),
+	// dense whether the tip would not have won as a delta, and pass the
+	// reusable hash/diff stage, whose next array double-buffers hashes.
 	deltaMu     sync.Mutex
 	chain       []checkMeta
 	deltasSince int
 	hashes      []uint64
 	lastSize    int64
 	saveSeq     uint64
+	dense       bool
+	pass        deltaPass
 	tracker     *DirtyTracker
 
 	stats Stats
@@ -284,15 +289,8 @@ func New(dev storage.Device, cfg Config) (*Checkpointer, error) {
 // Deterministic (no clock or randomness), never 0 (the legacy value), and
 // guaranteed to differ from every epoch the old image's slot headers carry.
 func nextEpoch(dev storage.Device) uint64 {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err == nil {
-		if old, err := decodeSuperblock(head); err == nil {
-			e := old.epoch + 1
-			if e == 0 {
-				e = 1
-			}
-			return e
-		}
+	if old, err := readSuperblock(dev); err == nil && old.epoch+1 != 0 {
+		return old.epoch + 1
 	}
 	return 1
 }
@@ -301,11 +299,7 @@ func nextEpoch(dev storage.Device) uint64 {
 // persisted checkpoint pointer (§4.2). The returned engine continues the
 // counter sequence past the recovered checkpoint.
 func Open(dev storage.Device, cfg Config) (*Checkpointer, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +317,13 @@ func Open(dev storage.Device, cfg Config) (*Checkpointer, error) {
 }
 
 func attach(dev storage.Device, cfg Config, sb superblock, latest *checkMeta, latestLoc int) (*Checkpointer, error) {
-	pool, err := chunkpool.ForBudget(cfg.DRAMBudget, int64(cfg.ChunkBytes))
+	chunkBytes := int64(cfg.ChunkBytes)
+	gran := int64(deltaGranularity(sb.slotBytes))
+	if sb.deltaKeyframe > 0 {
+		// The delta stage works on whole granules inside one pooled chunk.
+		chunkBytes = max(gran, chunkBytes/gran*gran)
+	}
+	pool, err := chunkpool.ForBudget(cfg.DRAMBudget, chunkBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -366,6 +366,7 @@ func attach(dev storage.Device, cfg Config, sb superblock, latest *checkMeta, la
 		// hashes stays nil: the first save after attach is always a keyframe
 		// (there is no in-memory hash state to diff against).
 		c.tracker = &DirtyTracker{}
+		c.pass = deltaPass{seed: maphash.MakeSeed(), gran: int(gran)}
 	}
 	if latest != nil {
 		c.checkAddr.Store(latest)
@@ -466,45 +467,24 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 	// Line 5: order this checkpoint.
 	counter := c.gCounter.Add(1)
 
-	// Lines 6–11: obtain a free slot, spinning like the paper's deq loop.
-	slot, waited, err := c.acquireSlot(ctx)
+	// Lines 6–11: obtain a free slot.
+	slot, err := c.claimSlot(ctx, counter, start, obsStart)
 	if err != nil {
-		c.stats.FailedSaves.Add(1)
-		c.instant(obs.PhaseSaveFailed, counter, -1, 0, 0)
 		return 0, err
 	}
-	if waited {
-		c.stats.SlotWaits.Add(1)
-		if c.dec != nil {
-			c.recordSlotWait(counter, time.Since(start))
-		}
-	}
-	var didWait int64
-	if waited {
-		didWait = 1
-	}
-	c.span(obs.PhaseSlotWait, obsStart, counter, slot, 0, didWait)
-	c.slotSeq[slot].Add(1) // odd: slot contents unstable
 
 	// Lines 12–15: move the payload through DRAM chunks to the device with
 	// p parallel writers, then make it durable.
-	payloadCRC, err := c.writePayload(ctx, slot, src, counter)
+	_, payloadCRC, err := c.writePayload(ctx, slot, src, counter, nil)
 	if err != nil {
 		c.failSlot(slot, counter)
 		return 0, err
 	}
 
 	// Lines 16–18: persist this slot's header before publishing.
-	hdrStart := c.obsNow()
-	hdr := slotHeader{counter: counter, size: size, payloadCRC: payloadCRC, hasCRC: c.cfg.VerifyPayload, epoch: c.sb.epoch}
-	if err := c.retryIO(ctx, func() error {
-		return c.dev.Persist(encodeSlotHeader(hdr), slotBase(c.sb, slot))
-	}); err != nil {
-		c.failSlot(slot, counter)
+	if err := c.sealSlot(ctx, slot, slotHeader{counter: counter, size: size, payloadCRC: payloadCRC}); err != nil {
 		return 0, err
 	}
-	c.span(obs.PhaseHeader, hdrStart, counter, slot, slotHeaderSize, 0)
-	c.slotSeq[slot].Add(1) // even: slot stable until recycled
 
 	// Lines 19–34: publish via CAS on CHECK_ADDR.
 	cur := &checkMeta{slot: slot, counter: counter, size: size}
@@ -530,11 +510,7 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 				return 0, err
 			}
 			c.stats.Checkpoints.Add(1)
-			c.stats.BytesWritten.Add(size)
-			c.stats.BytesPersisted.Add(size)
-			c.stats.PersistNanos.Add(int64(time.Since(start)))
-			c.instant(obs.PhasePublish, counter, slot, size, size)
-			c.span(obs.PhaseSave, obsStart, counter, slot, size, 0)
+			c.saveDone(obs.PhasePublish, start, obsStart, counter, slot, size, size)
 			return counter, nil
 		}
 		check := c.checkAddr.Load()
@@ -560,13 +536,56 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 		c.span(obs.PhaseBarrier, barrierStart, counter, slot, 0, 0)
 		c.freeSpace.Enq(slot)
 		c.stats.Obsolete.Add(1)
-		c.stats.BytesWritten.Add(size)
-		c.stats.BytesPersisted.Add(size)
-		c.stats.PersistNanos.Add(int64(time.Since(start)))
-		c.instant(obs.PhaseObsolete, counter, slot, size, size)
-		c.span(obs.PhaseSave, obsStart, counter, slot, size, 0)
+		c.saveDone(obs.PhaseObsolete, start, obsStart, counter, slot, size, size)
 		return counter, nil
 	}
+}
+
+// claimSlot is lines 6–11 of Listing 1: dequeue a free slot, spinning like
+// the paper's deq loop, account the wait and open the slot's seqlock.
+func (c *Checkpointer) claimSlot(ctx context.Context, counter uint64, start time.Time, obsStart int64) (int, error) {
+	slot, waited, err := c.acquireSlot(ctx)
+	if err != nil {
+		c.stats.FailedSaves.Add(1)
+		c.instant(obs.PhaseSaveFailed, counter, -1, 0, 0)
+		return 0, err
+	}
+	var didWait int64
+	if waited {
+		didWait = 1
+		c.stats.SlotWaits.Add(1)
+		if c.dec != nil {
+			c.recordSlotWait(counter, time.Since(start))
+		}
+	}
+	c.span(obs.PhaseSlotWait, obsStart, counter, slot, 0, didWait)
+	c.slotSeq[slot].Add(1) // odd: slot contents unstable
+	return slot, nil
+}
+
+// sealSlot is lines 16–18: persist the slot header over a durable payload
+// and close the seqlock. On failure the slot is abandoned (failSlot).
+func (c *Checkpointer) sealSlot(ctx context.Context, slot int, hdr slotHeader) error {
+	hdrStart := c.obsNow()
+	hdr.hasCRC, hdr.epoch = c.cfg.VerifyPayload, c.sb.epoch
+	if err := c.retryIO(ctx, func() error {
+		return c.dev.Persist(encodeSlotHeader(hdr), slotBase(c.sb, slot))
+	}); err != nil {
+		c.failSlot(slot, hdr.counter)
+		return err
+	}
+	c.span(obs.PhaseHeader, hdrStart, hdr.counter, slot, slotHeaderSize, 0)
+	c.slotSeq[slot].Add(1) // even: slot stable until recycled
+	return nil
+}
+
+// saveDone accounts a published or obsolete save of size logical bytes.
+func (c *Checkpointer) saveDone(outcome obs.Phase, start time.Time, obsStart int64, counter uint64, slot int, stored, size int64) {
+	c.stats.BytesWritten.Add(size)
+	c.stats.BytesPersisted.Add(stored)
+	c.stats.PersistNanos.Add(int64(time.Since(start)))
+	c.instant(outcome, counter, slot, stored, size)
+	c.span(obs.PhaseSave, obsStart, counter, slot, stored, 0)
 }
 
 // failSlot abandons an unpublished slot after a persist failure: the seqlock
@@ -638,20 +657,31 @@ func (c *Checkpointer) redriveRecord(ctx context.Context) error {
 
 // writePayload streams src into the slot's payload area through the DRAM
 // chunk pool, persisting with the configured number of writer goroutines,
-// and returns the payload CRC (0 when verification is disabled).
+// and returns the bytes stored and their CRC (0 when verification is off).
 //
 // Pipelining (§4.1 "Pipelining and Using Chunks"): the source fill of chunk
 // k+1 overlaps the device persist of chunk k, bounded by pool capacity — a
 // full pool is exactly the "checkpoint waits for free chunks in DRAM"
 // condition of §3.2. The producer fills chunks in payload order, so the
 // payload CRC folds incrementally there, off the device critical path.
-func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, counter uint64) (uint32, error) {
+//
+// A non-nil dp turns the delta stage on (see deltaPass): each filled chunk
+// is hashed and diffed, and with dp.filter only its dirty granules are
+// queued, at the running offset of a delta record whose header ‖ bitmap is
+// written last. The pass returns errDenseDelta as soon as the record stops
+// being smaller than the payload.
+func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, counter uint64, dp *deltaPass) (int64, uint32, error) {
 	size := src.Size()
 	base := payloadBase(c.sb, slot)
+	if dp != nil {
+		if dp.begin(size); dp.filter && dp.recLen >= size {
+			return 0, 0, errDenseDelta // the bare header ‖ bitmap already loses
+		}
+	}
 
 	type task struct {
 		chunk *chunkpool.Chunk
-		off   int64 // offset within the payload
+		off   int64 // offset within the slot's payload area
 		n     int
 	}
 
@@ -682,16 +712,7 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 				// hardware — not the series of the two.
 				laneDeadline := lane.Reserve(t.n)
 				persistStart := c.obsNow()
-				err := c.retryIO(ctx, func() error {
-					if err := c.dev.WriteAt(t.chunk.Bytes()[:t.n], base+t.off); err != nil {
-						return err
-					}
-					if c.dev.Kind() == storage.KindPMEM {
-						// PMEM path: each writer fences its own stores (§4.1).
-						return c.dev.Sync(base+t.off, int64(t.n))
-					}
-					return nil
-				})
+				err := c.writeRange(ctx, t.chunk.Bytes()[:t.n], base+t.off)
 				if c.obsv != nil {
 					c.obsv.Emit(obs.Event{
 						TS: persistStart, Dur: time.Now().UnixNano() - persistStart,
@@ -716,9 +737,10 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 		}(int32(w))
 	}
 
-	crc := crc32.NewIEEE()
+	var crc uint32
+	var queued int64 // bytes handed to the writers
 	var produceErr error
-	for off := int64(0); off < size; {
+	for off := int64(0); off < size && produceErr == nil; {
 		if failed.Load() {
 			// A writer already failed past its retry budget; producing
 			// more chunks would only burn device bandwidth. errCh carries
@@ -738,47 +760,87 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 		}
 		// The paper's step ③: the copy engine moves the range into the DRAM
 		// chunk (for a GPU source this is the paced D2H copy).
+		buf, wOff := chunk.Bytes()[:n], off
 		copyStart := c.obsNow()
-		if err := src.ReadInto(chunk.Bytes()[:n], off); err != nil {
+		read, err := dp.fill(src, buf, off)
+		if err != nil {
 			c.pool.Release(chunk)
 			produceErr = err
 			break
 		}
-		if c.cfg.VerifyPayload {
-			crc.Write(chunk.Bytes()[:n]) //nolint:errcheck // hash.Write never fails
+		c.span(obs.PhaseCopy, copyStart, counter, slot, int64(read), off)
+		if dp != nil {
+			if dp.filter {
+				wOff = dp.recLen // the record so far ends where these granules land
+			}
+			encStart := c.obsNow()
+			buf = buf[:dp.encode(buf, off)]
+			dp.encNS += c.obsNow() - encStart
+			if dp.filter && dp.recLen >= size {
+				produceErr = errDenseDelta
+			}
 		}
-		c.span(obs.PhaseCopy, copyStart, counter, slot, int64(n), off)
-		tasks <- task{chunk: chunk, off: off, n: n}
+		if c.cfg.VerifyPayload {
+			crc = crc32.Update(crc, crc32.IEEETable, buf)
+		}
 		off += int64(n)
+		if len(buf) == 0 || produceErr != nil {
+			c.pool.Release(chunk) // nothing here is dirty, or the pass is over
+			continue
+		}
+		tasks <- task{chunk: chunk, off: wOff, n: len(buf)}
+		queued += int64(len(buf))
 	}
 	close(tasks)
 	wg.Wait()
 
 	select {
 	case err := <-errCh:
-		return 0, err
+		return 0, 0, err
 	default:
 	}
 	if produceErr != nil {
-		return 0, produceErr
+		return 0, 0, produceErr
 	}
-	if got := persisted.Load(); got != size {
-		return 0, fmt.Errorf("core: persisted %d of %d bytes", got, size)
+	if got := persisted.Load(); got != queued {
+		return 0, 0, fmt.Errorf("core: persisted %d of %d bytes", got, queued)
+	}
+	stored := size
+	if dp != nil && dp.filter {
+		head := dp.finish(size)
+		if err := c.writeRange(ctx, head, base); err != nil {
+			return 0, 0, err
+		}
+		if c.cfg.VerifyPayload {
+			crc = crc32Combine(crc32.ChecksumIEEE(head), crc, queued)
+		}
+		stored = dp.recLen
 	}
 
 	// SSD path: a single sync covers all writers' chunks (§4.1: "the main
 	// thread can call a single msync"). PMEM writers already fenced.
 	if c.dev.Kind() != storage.KindPMEM {
 		syncStart := c.obsNow()
-		if err := c.retryIO(ctx, func() error { return c.dev.Sync(base, size) }); err != nil {
-			return 0, err
+		if err := c.retryIO(ctx, func() error { return c.dev.Sync(base, stored) }); err != nil {
+			return 0, 0, err
 		}
-		c.span(obs.PhaseSync, syncStart, counter, slot, size, 0)
+		c.span(obs.PhaseSync, syncStart, counter, slot, stored, 0)
 	}
-	if !c.cfg.VerifyPayload {
-		return 0, nil
-	}
-	return crc.Sum32(), nil
+	return stored, crc, nil
+}
+
+// writeRange writes p at device offset off under the retry policy; on PMEM
+// each writer fences its own stores (§4.1).
+func (c *Checkpointer) writeRange(ctx context.Context, p []byte, off int64) error {
+	return c.retryIO(ctx, func() error {
+		if err := c.dev.WriteAt(p, off); err != nil {
+			return err
+		}
+		if c.dev.Kind() == storage.KindPMEM {
+			return c.dev.Sync(off, int64(len(p)))
+		}
+		return nil
+	})
 }
 
 // persistRecord durably writes the pointer record for meta. Records are
@@ -937,7 +999,7 @@ func (c *Checkpointer) ReadVersion(counter uint64) ([]byte, error) {
 		for i := range c.slotSeq {
 			seqs[i] = c.slotSeq[i].Load()
 		}
-		payload, slot, err := recoverVersionSlot(c.dev, counter)
+		payload, slot, err := recoverVersionSlot(c.dev, c.sb, counter)
 		if err != nil {
 			return nil, err
 		}

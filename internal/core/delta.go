@@ -34,8 +34,10 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"sync"
@@ -77,39 +79,6 @@ func deltaGranularity(slotBytes int64) int {
 // ceilDiv returns ceil(a/b) for positive b.
 func ceilDiv(a int64, b int) int {
 	return int((a + int64(b) - 1) / int64(b))
-}
-
-// chunkHashes returns the FNV-1a 64 hash of each granularity-sized chunk
-// of p (the last chunk may be short). FNV is not collision-proof; a silent
-// collision would drop a changed chunk from a delta. The crash sweep's
-// byte-equality oracle bounds that risk in testing, and trainers that
-// cannot tolerate it feed the DirtyTracker instead (explicit marks never
-// consult hashes).
-func chunkHashes(p []byte, gran int) []uint64 {
-	n := ceilDiv(int64(len(p)), gran)
-	hs := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		lo := i * gran
-		hi := lo + gran
-		if hi > len(p) {
-			hi = len(p)
-		}
-		hs[i] = fnv64a(p[lo:hi])
-	}
-	return hs
-}
-
-func fnv64a(p []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
 }
 
 // DirtyTracker accumulates the byte ranges a trainer touched since the
@@ -197,151 +166,173 @@ func (t *DirtyTracker) restore(ranges [][2]int64, all, fed bool) {
 	t.ranges = append(t.ranges, ranges...)
 }
 
-// dirtySet is one save's diff decision: which chunks to persist and the
-// refreshed per-chunk hash state.
-type dirtySet struct {
-	dirty  []bool
-	hashes []uint64
-	ndirty int
+// errDenseDelta ends a delta pass whose record would not beat the payload.
+var errDenseDelta = errors.New("core: delta record would not be smaller than the payload")
+
+// deltaPass is the hash/diff stage writePayload runs in delta mode, one
+// pooled chunk at a time: hash the chunk's granules, diff them against the
+// tip's hashes and, with filter on, compact the dirty ones to the front of
+// the chunk so only they reach the writers. With filter off (a keyframe) the
+// same pass collects the hashes while the whole payload streams and counts
+// what a delta would have persisted. The engine reuses one deltaPass under
+// deltaMu, so a save allocates nothing here.
+//
+// Hashes are hash/maphash under a per-engine random seed; they live only in
+// DRAM (an attach starts with a keyframe), so they need not be stable. A
+// 64-bit collision (2^-64 per compared granule) would drop a changed granule
+// from a delta; trainers that cannot accept that feed the DirtyTracker,
+// whose marks never consult hashes.
+type deltaPass struct {
+	seed maphash.Seed
+	gran int
+
+	filter   bool       // persist a delta record; off = keyframe
+	base     uint64     // chain predecessor the record is diffed against
+	old      []uint64   // the tip's granule hashes; nil = nothing to diff against
+	lastSize int64      // the tip's logical size
+	marks    [][2]int64 // tracker marks, trusted when trust is set
+	all      bool       // MarkAll: every granule is dirty
+	trust    bool       // fed tracker: only marked granules are dirty (or even read)
+
+	next   []uint64 // this save's hashes; swapped with the engine's at publish
+	head   []byte   // record header ‖ bitmap; bits accumulate as chunks pass
+	recLen int64    // record length so far (what a delta would persist)
+	encNS  int64    // summed hash+diff+compact time, for PhaseDeltaEncode
 }
 
-// computeDirty decides which chunks of buf changed since the previous
-// checkpoint (whose size was lastSize and whose chunk hashes are
-// oldHashes). With a fed tracker the marks are trusted and only marked
-// chunks are rehashed; otherwise every chunk is hashed and diffed.
-//
-// Boundary rule: when the payload length changed, every chunk from
-// min(size, lastSize)/gran onward is dirty regardless of marks or hashes.
-// Growth appends bytes no mark covers (the old image simply ended), and
-// shrinkage re-shapes the final partial chunk; both tails must travel with
-// the delta for apply to reconstruct the exact new length.
-func computeDirty(buf []byte, gran int, lastSize int64, oldHashes []uint64, marks [][2]int64, all, fed bool) dirtySet {
-	size := int64(len(buf))
-	nchunk := ceilDiv(size, gran)
-	dirty := make([]bool, nchunk)
-
-	if size != lastSize {
-		from := min(size, lastSize) / int64(gran)
-		for i := int(from); i < nchunk; i++ {
-			dirty[i] = true
+// begin resets the pass for a size-byte payload and presets the bitmap bits
+// no hash can clear: everything when there is nothing to diff against, the
+// trusted marks, and the boundary rule — when the payload length changed,
+// every granule from min(size, lastSize)/gran onward is dirty (growth appends
+// bytes no mark covers, shrinkage reshapes the final partial granule; both
+// tails must travel for apply to rebuild the exact new length).
+func (dp *deltaPass) begin(size int64) {
+	n := ceilDiv(size, dp.gran)
+	dp.head = append(dp.head[:0], make([]byte, deltaHdrSize+(n+7)/8)...)
+	dp.next = append(dp.next[:0], make([]uint64, n)...)
+	dp.recLen, dp.encNS = int64(len(dp.head)), 0
+	from := 0
+	if dp.old != nil && !dp.all {
+		from = n
+		if size != dp.lastSize {
+			from = int(min(size, dp.lastSize) / int64(dp.gran))
 		}
 	}
+	for i := from; i < n; i++ {
+		dp.mark(i)
+	}
+	if !dp.trust {
+		return
+	}
+	for _, r := range dp.marks {
+		lo, hi := max(r[0], 0), min(r[0]+r[1], size)
+		for i := int(lo / int64(dp.gran)); int64(i)*int64(dp.gran) < hi; i++ {
+			dp.mark(i)
+		}
+	}
+}
 
-	var hashes []uint64
-	if fed && !all {
-		for _, r := range marks {
-			off, n := r[0], r[1]
-			if off < 0 {
-				n += off
-				off = 0
+func (dp *deltaPass) mark(i int)        { dp.head[deltaHdrSize+i/8] |= 1 << (i % 8) }
+func (dp *deltaPass) marked(i int) bool { return dp.head[deltaHdrSize+i/8]&(1<<(i%8)) != 0 }
+
+// skipsClean: a delta against trusted marks reads only the marked granules.
+func (dp *deltaPass) skipsClean() bool { return dp.filter && dp.trust }
+
+// fill is writePayload's source read of payload[off, off+len(buf)) and
+// returns the bytes read: all of buf, except that a pass that skipsClean
+// reads only the marked granules, one source read per run, compacted to the
+// front of buf. A nil pass (full mode) is the plain read.
+func (dp *deltaPass) fill(src Source, buf []byte, off int64) (int, error) {
+	if dp == nil || !dp.skipsClean() {
+		return len(buf), src.ReadInto(buf, off)
+	}
+	w, first := 0, int(off/int64(dp.gran))
+	for lo := 0; lo < len(buf); {
+		hi := lo
+		for hi < len(buf) && dp.marked(first+hi/dp.gran) {
+			hi = min(hi+dp.gran, len(buf))
+		}
+		if hi > lo {
+			if err := src.ReadInto(buf[w:w+hi-lo], off+int64(lo)); err != nil {
+				return 0, err
 			}
-			if n <= 0 || off >= size {
+			w += hi - lo
+		}
+		lo = hi + dp.gran
+	}
+	return w, nil
+}
+
+// encode hashes and diffs the granules of payload[off, off+len(buf)) held in
+// buf and returns how many leading bytes of buf go to the device: all of
+// them for a keyframe, the compacted dirty granules for a delta.
+func (dp *deltaPass) encode(buf []byte, off int64) int {
+	w, first := 0, int(off/int64(dp.gran))
+	for lo := 0; lo < len(buf); lo += dp.gran {
+		i, l := first+lo/dp.gran, min(dp.gran, len(buf)-lo)
+		dirty := dp.marked(i)
+		g := buf[lo : lo+l]
+		if dp.skipsClean() {
+			if !dirty {
+				dp.next[i] = dp.old[i]
 				continue
 			}
-			end := off + n
-			if end > size {
-				end = size
-			}
-			for i := int(off / int64(gran)); i < nchunk && int64(i)*int64(gran) < end; i++ {
-				dirty[i] = true
-			}
+			g = buf[w : w+l] // where fill left it
 		}
-		// Refresh hash state only for the chunks being persisted; clean
-		// chunks keep their prior hashes (trusted-marks mode is documented
-		// as such on DirtyTracker).
-		hashes = make([]uint64, nchunk)
-		copy(hashes, oldHashes)
-		for i, d := range dirty {
-			if d {
-				lo := i * gran
-				hi := min(lo+gran, int(size))
-				hashes[i] = fnv64a(buf[lo:hi])
-			}
-		}
-	} else {
-		hashes = chunkHashes(buf, gran)
-		for i := range dirty {
-			if all || i >= len(oldHashes) || hashes[i] != oldHashes[i] {
-				dirty[i] = true
-			}
-		}
-	}
-
-	nd := 0
-	for _, d := range dirty {
-		if d {
-			nd++
-		}
-	}
-	return dirtySet{dirty: dirty, hashes: hashes, ndirty: nd}
-}
-
-// encodeDelta serializes a delta record for payload against the
-// checkpoint baseCounter.
-func encodeDelta(payload []byte, baseCounter uint64, gran int, ds dirtySet) []byte {
-	nchunk := len(ds.dirty)
-	bmLen := (nchunk + 7) / 8
-	total := deltaHdrSize + bmLen
-	for i, d := range ds.dirty {
-		if d {
-			total += chunkLen(int64(len(payload)), gran, i)
-		}
-	}
-	rec := make([]byte, total)
-	binary.LittleEndian.PutUint32(rec[0:], deltaMagic)
-	binary.LittleEndian.PutUint32(rec[4:], deltaVersion)
-	binary.LittleEndian.PutUint64(rec[8:], baseCounter)
-	binary.LittleEndian.PutUint64(rec[16:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(rec[24:], uint32(gran))
-	binary.LittleEndian.PutUint32(rec[28:], uint32(nchunk))
-	binary.LittleEndian.PutUint32(rec[32:], uint32(ds.ndirty))
-	bm := rec[deltaHdrSize : deltaHdrSize+bmLen]
-	pos := deltaHdrSize + bmLen
-	for i, d := range ds.dirty {
-		if !d {
+		dp.next[i] = maphash.Bytes(dp.seed, g)
+		if !dirty && (dp.trust || dp.next[i] == dp.old[i]) {
 			continue
 		}
-		bm[i/8] |= 1 << (i % 8)
-		lo := i * gran
-		pos += copy(rec[pos:], payload[lo:min(lo+gran, len(payload))])
+		dp.mark(i)
+		dp.recLen += int64(l)
+		if dp.filter {
+			w += copy(buf[w:], g)
+		}
 	}
-	binary.LittleEndian.PutUint32(rec[36:], deltaCRC(rec))
-	return rec
+	if !dp.filter {
+		return len(buf)
+	}
+	return w
+}
+
+// finish completes the record header once the bitmap is final.
+func (dp *deltaPass) finish(size int64) []byte {
+	h := dp.head
+	ndirty := 0
+	for _, b := range h[deltaHdrSize:] {
+		ndirty += bits.OnesCount8(b)
+	}
+	binary.LittleEndian.PutUint32(h[0:], deltaMagic)
+	binary.LittleEndian.PutUint32(h[4:], deltaVersion)
+	binary.LittleEndian.PutUint64(h[8:], dp.base)
+	binary.LittleEndian.PutUint64(h[16:], uint64(size))
+	binary.LittleEndian.PutUint32(h[24:], uint32(dp.gran))
+	binary.LittleEndian.PutUint32(h[28:], uint32(ceilDiv(size, dp.gran)))
+	binary.LittleEndian.PutUint32(h[32:], uint32(ndirty))
+	binary.LittleEndian.PutUint32(h[36:], deltaCRC(h))
+	return h
 }
 
 // deltaCRC covers the header (minus the CRC field itself) and the bitmap.
 func deltaCRC(rec []byte) uint32 {
-	h := crc32.NewIEEE()
-	h.Write(rec[:36])
-	h.Write(rec[deltaHdrSize : deltaHdrSize+bitmapLen(rec)])
-	return h.Sum32()
+	return crc32.Update(crc32.ChecksumIEEE(rec[:36]), crc32.IEEETable, rec[deltaHdrSize:deltaHdrSize+bitmapLen(rec)])
 }
 
 func bitmapLen(rec []byte) int {
 	return (int(binary.LittleEndian.Uint32(rec[28:])) + 7) / 8
 }
 
-// chunkLen is the byte length of chunk i of a fullSize-byte payload.
-func chunkLen(fullSize int64, gran, i int) int {
-	l := fullSize - int64(i)*int64(gran)
-	if l > int64(gran) {
-		l = int64(gran)
-	}
-	if l < 0 {
-		l = 0
-	}
-	return int(l)
-}
-
-// deltaRecord is a decoded, validated delta record. chunks[j] is the
-// payload of the j-th set bit of the bitmap (ascending chunk index).
+// deltaRecord is a decoded, validated delta record header and bitmap.
+// recLen is the record length they imply (header, bitmap, every dirty chunk);
+// data is whatever followed the bitmap in the decoded bytes.
 type deltaRecord struct {
 	base     uint64
 	fullSize int64
 	gran     int
 	nchunk   int
 	bitmap   []byte
-	chunks   [][]byte
+	recLen   int64
+	data     []byte
 }
 
 // dirtyAt reports whether chunk i is present in the record.
@@ -349,26 +340,26 @@ func (d deltaRecord) dirtyAt(i int) bool {
 	return d.bitmap[i/8]&(1<<(i%8)) != 0
 }
 
-// decodeDelta parses and fully validates a delta record; every length is
-// cross-checked before any slice is taken, so arbitrary input cannot
+// decodeDeltaHead parses and validates a record's header and bitmap, all
+// that head (which may stop right after the bitmap) must hold. Every length
+// is cross-checked before any slice is taken, so arbitrary input cannot
 // panic (FuzzDeltaDecode holds it to that).
-func decodeDelta(rec []byte) (deltaRecord, error) {
-	if len(rec) < deltaHdrSize {
-		return deltaRecord{}, fmt.Errorf("core: delta record truncated: %d bytes", len(rec))
+func decodeDeltaHead(head []byte) (deltaRecord, error) {
+	if len(head) < deltaHdrSize {
+		return deltaRecord{}, fmt.Errorf("core: delta record truncated: %d bytes", len(head))
 	}
-	if m := binary.LittleEndian.Uint32(rec[0:]); m != deltaMagic {
+	if m := binary.LittleEndian.Uint32(head[0:]); m != deltaMagic {
 		return deltaRecord{}, fmt.Errorf("core: bad delta magic %#x", m)
 	}
-	if v := binary.LittleEndian.Uint32(rec[4:]); v != deltaVersion {
+	if v := binary.LittleEndian.Uint32(head[4:]); v != deltaVersion {
 		return deltaRecord{}, fmt.Errorf("core: unsupported delta version %d", v)
 	}
 	d := deltaRecord{
-		base:     binary.LittleEndian.Uint64(rec[8:]),
-		fullSize: int64(binary.LittleEndian.Uint64(rec[16:])),
-		gran:     int(binary.LittleEndian.Uint32(rec[24:])),
-		nchunk:   int(binary.LittleEndian.Uint32(rec[28:])),
+		base:     binary.LittleEndian.Uint64(head[8:]),
+		fullSize: int64(binary.LittleEndian.Uint64(head[16:])),
+		gran:     int(binary.LittleEndian.Uint32(head[24:])),
+		nchunk:   int(binary.LittleEndian.Uint32(head[28:])),
 	}
-	ndirty := int(binary.LittleEndian.Uint32(rec[32:]))
 	if d.gran < 1 || d.gran > deltaMaxGran {
 		return deltaRecord{}, fmt.Errorf("core: implausible delta granularity %d", d.gran)
 	}
@@ -379,37 +370,35 @@ func decodeDelta(rec []byte) (deltaRecord, error) {
 		return deltaRecord{}, fmt.Errorf("core: delta chunk count %d does not cover %d bytes at granularity %d", d.nchunk, d.fullSize, d.gran)
 	}
 	bmLen := (d.nchunk + 7) / 8
-	if len(rec) < deltaHdrSize+bmLen {
+	if len(head) < deltaHdrSize+bmLen {
 		return deltaRecord{}, fmt.Errorf("core: delta bitmap truncated")
 	}
-	d.bitmap = rec[deltaHdrSize : deltaHdrSize+bmLen]
-	if got, want := binary.LittleEndian.Uint32(rec[36:]), deltaCRC(rec); got != want {
+	d.bitmap = head[deltaHdrSize : deltaHdrSize+bmLen]
+	if got, want := binary.LittleEndian.Uint32(head[36:]), deltaCRC(head); got != want {
 		return deltaRecord{}, fmt.Errorf("core: delta header checksum mismatch")
 	}
 	pop := 0
 	for _, b := range d.bitmap {
 		pop += bits.OnesCount8(b)
 	}
-	if pop != ndirty {
+	if ndirty := int(binary.LittleEndian.Uint32(head[32:])); pop != ndirty {
 		return deltaRecord{}, fmt.Errorf("core: delta bitmap population %d != recorded %d", pop, ndirty)
 	}
-	pos := deltaHdrSize + bmLen
-	d.chunks = make([][]byte, 0, ndirty)
-	for i := 0; i < d.nchunk; i++ {
-		if !d.dirtyAt(i) {
-			continue
-		}
-		l := chunkLen(d.fullSize, d.gran, i)
-		if pos+l > len(rec) {
-			return deltaRecord{}, fmt.Errorf("core: delta chunk %d truncated", i)
-		}
-		d.chunks = append(d.chunks, rec[pos:pos+l])
-		pos += l
+	d.recLen = int64(deltaHdrSize+bmLen) + int64(pop)*int64(d.gran)
+	if d.nchunk > 0 && d.dirtyAt(d.nchunk-1) {
+		d.recLen -= int64(d.nchunk)*int64(d.gran) - d.fullSize // the last chunk is short
 	}
-	if pos != len(rec) {
-		return deltaRecord{}, fmt.Errorf("core: delta record has %d trailing bytes", len(rec)-pos)
-	}
+	d.data = head[deltaHdrSize+bmLen:]
 	return d, nil
+}
+
+// decodeDelta validates a whole in-memory record.
+func decodeDelta(rec []byte) (deltaRecord, error) {
+	d, err := decodeDeltaHead(rec)
+	if err == nil && d.recLen != int64(len(rec)) {
+		err = fmt.Errorf("core: delta record is %d bytes, its bitmap describes %d", len(rec), d.recLen)
+	}
+	return d, err
 }
 
 // DirtyTracker returns the engine's dirty-range tracker, or nil when the
@@ -421,7 +410,9 @@ func (c *Checkpointer) DirtyTracker() *DirtyTracker { return c.tracker }
 // deltaMu — each one is diffed against the previous — so the CAS machinery
 // of the concurrent path collapses to a plain publish: the tip only ever
 // moves forward, one save at a time. Concurrent Checkpoint callers queue
-// on the mutex (the paper's slot-wait, one level up).
+// on the mutex (the paper's slot-wait, one level up). The payload streams
+// through writePayload as in full mode with the deltaPass stage on; nothing
+// it computes reaches the engine until the slot header has persisted.
 func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64, error) {
 	c.deltaMu.Lock()
 	defer c.deltaMu.Unlock()
@@ -429,104 +420,54 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	start := time.Now()
 	obsStart := c.obsNow()
 	size := src.Size()
-
-	// Delta mode stages the whole payload in DRAM (bounded by SlotBytes):
-	// diffing and encoding need random access to it.
-	buf := make([]byte, size)
-	if size > 0 {
-		if err := src.ReadInto(buf, 0); err != nil {
-			c.stats.FailedSaves.Add(1)
-			c.instant(obs.PhaseSaveFailed, 0, -1, 0, 0)
-			return 0, err
-		}
-	}
-	marks, all, fed := c.tracker.take()
-	restoreMarks := func() { c.tracker.restore(marks, all, fed) }
-
 	counter := c.gCounter.Add(1)
-	gran := deltaGranularity(c.sb.slotBytes)
 
-	// Decide delta vs keyframe. A save is a delta candidate when there is
-	// hash state to diff against, the chain has room under K, and the
-	// DeltaEvery cadence selects it; it still falls back to a keyframe when
-	// the encoded record wouldn't actually save bytes (e.g. a dense update,
-	// or a payload so small the record overhead dominates).
-	c.saveSeq++
-	kind := uint8(slotKindFull)
-	var (
-		stored []byte // the bytes persisted to the slot
-		base   uint64
-		hashes []uint64
-	)
-	candidate := c.hashes != nil && c.deltasSince < c.cfg.DeltaKeyframe &&
-		(c.cfg.DeltaEvery <= 1 || c.saveSeq%uint64(c.cfg.DeltaEvery) == 0)
-	encStart := c.obsNow()
-	if candidate {
-		ds := computeDirty(buf, gran, c.lastSize, c.hashes, marks, all, fed)
-		hashes = ds.hashes
-		tip := c.chain[len(c.chain)-1]
-		rec := encodeDelta(buf, tip.counter, gran, ds)
-		if int64(len(rec)) < size && int64(len(rec)) <= c.sb.slotBytes {
-			stored, kind, base = rec, slotKindDelta, tip.counter
-		}
-	} else {
-		hashes = chunkHashes(buf, gran)
-	}
-	if kind == slotKindDelta {
-		c.span(obs.PhaseDeltaEncode, encStart, counter, -1, int64(len(stored)), size)
-	} else {
-		stored = buf
-	}
-
-	slotWaitStart := c.obsNow()
-	slot, waited, err := c.acquireSlot(ctx)
+	slot, err := c.claimSlot(ctx, counter, start, obsStart)
 	if err != nil {
-		restoreMarks()
-		c.stats.FailedSaves.Add(1)
-		c.instant(obs.PhaseSaveFailed, counter, -1, 0, 0)
 		return 0, err
 	}
-	if waited {
-		c.stats.SlotWaits.Add(1)
-		if c.dec != nil && slotWaitStart != 0 {
-			c.recordSlotWait(counter, time.Duration(time.Now().UnixNano()-slotWaitStart))
-		}
-	}
-	var didWait int64
-	if waited {
-		didWait = 1
-	}
-	c.span(obs.PhaseSlotWait, slotWaitStart, counter, slot, 0, didWait)
-	c.slotSeq[slot].Add(1) // odd: slot contents unstable
 
-	payloadCRC, err := c.writePayload(ctx, slot, BytesSource(stored), counter)
+	// A save is a delta when there is hash state to diff against, the chain
+	// has room under K, the DeltaEvery cadence selects it and the previous
+	// save was not dense. A pass whose record would not be smaller than the
+	// payload restarts as a keyframe into the same slot; saves then stay
+	// one-pass keyframes until one counts a record that would win again.
+	marks, all, fed := c.tracker.take()
+	dp := &c.pass
+	dp.old, dp.lastSize = c.hashes, c.lastSize
+	dp.marks, dp.all, dp.trust = marks, all, fed && !all
+	dp.filter = c.hashes != nil && !c.dense && c.deltasSince < c.cfg.DeltaKeyframe &&
+		(c.cfg.DeltaEvery <= 1 || (c.saveSeq+1)%uint64(c.cfg.DeltaEvery) == 0)
+	if dp.filter {
+		dp.base = c.chain[len(c.chain)-1].counter
+	}
+	stored, payloadCRC, err := c.writePayload(ctx, slot, src, counter, dp)
+	if errors.Is(err, errDenseDelta) {
+		dp.filter = false
+		stored, payloadCRC, err = c.writePayload(ctx, slot, src, counter, dp)
+	}
 	if err != nil {
-		restoreMarks()
+		c.tracker.restore(marks, all, fed)
 		c.failSlot(slot, counter)
 		return 0, err
 	}
-	hdrStart := c.obsNow()
-	hdr := slotHeader{
-		counter: counter, size: int64(len(stored)), payloadCRC: payloadCRC,
-		hasCRC: c.cfg.VerifyPayload, epoch: c.sb.epoch,
-		kind: kind, base: base, fullSize: size,
+	cur := &checkMeta{slot: slot, counter: counter, size: stored, fullSize: size}
+	if dp.filter {
+		cur.kind, cur.base = slotKindDelta, dp.base
+		c.emit(obs.Event{TS: obsStart, Dur: dp.encNS, Counter: counter, Bytes: stored, Value: size,
+			Phase: obs.PhaseDeltaEncode, Slot: int32(slot), Writer: -1, Rank: -1})
 	}
-	if err := c.retryIO(ctx, func() error {
-		return c.dev.Persist(encodeSlotHeader(hdr), slotBase(c.sb, slot))
-	}); err != nil {
-		restoreMarks()
-		c.failSlot(slot, counter)
+	hdr := slotHeader{counter: counter, size: stored, payloadCRC: payloadCRC, kind: cur.kind, base: cur.base, fullSize: size}
+	if err := c.sealSlot(ctx, slot, hdr); err != nil {
+		c.tracker.restore(marks, all, fed)
 		return 0, err
 	}
-	c.span(obs.PhaseHeader, hdrStart, counter, slot, slotHeaderSize, 0)
-	c.slotSeq[slot].Add(1) // even: slot stable until recycled
 
 	// Publish. Serialized saves mean no CAS loop and no obsolete outcome:
 	// the tip is ours by construction.
-	cur := &checkMeta{slot: slot, counter: counter, size: int64(len(stored)), kind: kind, base: base, fullSize: size}
 	oldChain := c.chain
 	c.checkAddr.Store(cur)
-	if kind == slotKindDelta {
+	if cur.kind == slotKindDelta {
 		c.chain = append(c.chain, *cur)
 		c.deltasSince++
 	} else {
@@ -536,13 +477,15 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	// The tip moved, so the diff state follows it even if the pointer
 	// record below fails — the next save diffs against what is in the
 	// slots, not against what is durably pointed at.
-	c.hashes = hashes
+	c.saveSeq++
+	c.dense = c.hashes != nil && dp.recLen >= size
+	c.hashes, dp.next = dp.next, c.hashes
 	c.lastSize = size
 
 	barrierStart := c.obsNow()
 	rerr := c.persistRecord(ctx, *cur)
 	c.span(obs.PhaseBarrier, barrierStart, counter, slot, 0, 0)
-	if kind == slotKindFull {
+	if cur.kind == slotKindFull {
 		// A keyframe supersedes the whole previous chain. If the record
 		// failed, the durable pointer may still reference the old chain —
 		// park its slots until a newer record lands (same invariant as the
@@ -564,22 +507,18 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	}
 
 	c.stats.Checkpoints.Add(1)
-	c.stats.BytesWritten.Add(size)
-	c.stats.BytesPersisted.Add(int64(len(stored)))
-	c.stats.PersistNanos.Add(int64(time.Since(start)))
-	if kind == slotKindDelta {
+	if cur.kind == slotKindDelta {
 		c.stats.DeltaSaves.Add(1)
 	} else {
 		c.stats.KeyframeSaves.Add(1)
 		c.instant(obs.PhaseKeyframe, counter, slot, size, 0)
 	}
-	c.instant(obs.PhasePublish, counter, slot, int64(len(stored)), size)
-	c.span(obs.PhaseSave, obsStart, counter, slot, int64(len(stored)), 0)
+	c.saveDone(obs.PhasePublish, start, obsStart, counter, slot, stored, size)
 	return counter, nil
 }
 
-// readLatestDelta reconstructs the current chain into dst. deltaMu keeps
-// the chain slots stable for the duration (no seqlock needed).
+// readLatestDelta reconstructs the current chain straight into dst. deltaMu
+// keeps the chain slots stable for the duration (no seqlock needed).
 func (c *Checkpointer) readLatestDelta(dst []byte) (uint64, int64, error) {
 	c.deltaMu.Lock()
 	defer c.deltaMu.Unlock()
@@ -590,31 +529,10 @@ func (c *Checkpointer) readLatestDelta(dst []byte) (uint64, int64, error) {
 	if int64(len(dst)) < m.logicalSize() {
 		return 0, 0, fmt.Errorf("%w: buffer %d < checkpoint %d", ErrBufferTooSmall, len(dst), m.logicalSize())
 	}
-	payload, err := reconstructPayload(c.dev, c.sb, c.chain)
+	payload, err := reconstructPayload(c.dev, c.sb, c.chain, dst)
 	if err != nil {
 		return 0, 0, err
 	}
-	copy(dst, payload)
+	copy(dst, payload) // a no-op unless an intermediate link outgrew dst
 	return m.counter, int64(len(payload)), nil
-}
-
-// applyDelta reconstructs the new payload from its predecessor and a
-// decoded record. A clean (absent) chunk that extends past the base
-// payload means the chain is inconsistent — the encoder's boundary rule
-// always marks grown tails dirty.
-func applyDelta(base []byte, d deltaRecord) ([]byte, error) {
-	out := make([]byte, d.fullSize)
-	copy(out, base)
-	j := 0
-	for i := 0; i < d.nchunk; i++ {
-		lo := i * d.gran
-		hi := lo + chunkLen(d.fullSize, d.gran, i)
-		if d.dirtyAt(i) {
-			copy(out[lo:hi], d.chunks[j])
-			j++
-		} else if hi > len(base) {
-			return nil, fmt.Errorf("core: delta leaves chunk %d (bytes %d–%d) undefined: base is only %d bytes", i, lo, hi, len(base))
-		}
-	}
-	return out, nil
 }

@@ -71,11 +71,7 @@ func decodeCursor(buf []byte) (cursor, bool) {
 // chunk). If a previous recovery of the same checkpoint left a cursor, the
 // iterator resumes from it.
 func NewRecoveryIterator(dev storage.Device, chunkBytes int, logEvery int64) (*RecoveryIterator, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +103,7 @@ func NewRecoveryIterator(dev storage.Device, chunkBytes int, logEvery int64) (*R
 		if err != nil {
 			return nil, err
 		}
-		if it.mem, err = reconstructPayload(dev, sb, chain); err != nil {
+		if it.mem, err = reconstructPayload(dev, sb, chain, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -241,3 +241,56 @@ func TestNilObserverAddsNoAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestObservedDeltaSavePhases: in delta mode PhaseCopy must time the real
+// source reads (its Bytes sum to the payload size for every save, delta or
+// keyframe), and each delta save emits exactly one PhaseDeltaEncode whose
+// Bytes are the stored record length and Value the logical size.
+func TestObservedDeltaSavePhases(t *testing.T) {
+	rec := obs.NewRecorder(obs.DefaultCapacity)
+	cfg := Config{Concurrent: 1, SlotBytes: 8192, ChunkBytes: 1024, Writers: 2, DeltaKeyframe: 4, Observer: rec}
+	ck, err := New(storage.NewRAM(DeviceBytesFor(cfg)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	p := sparsePayload(8, 0, 6000)
+	stored := map[uint64]int64{} // counter → record length, delta saves only
+	for i := 0; i < 6; i++ {
+		if i > 0 {
+			mutateSparse(p, 8, uint64(i))
+		}
+		ctr, err := ck.Checkpoint(context.Background(), BytesSource(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := ck.checkAddr.Load(); m.kind == slotKindDelta {
+			stored[ctr] = m.size
+		}
+	}
+	if len(stored) == 0 {
+		t.Fatal("no delta saves")
+	}
+	copied := map[uint64]int64{}
+	encodes := map[uint64]int{}
+	for _, ev := range rec.TakeEvents() {
+		switch ev.Phase {
+		case obs.PhaseCopy:
+			copied[ev.Counter] += ev.Bytes
+		case obs.PhaseDeltaEncode:
+			encodes[ev.Counter]++
+			if ev.Bytes != stored[ev.Counter] || ev.Value != int64(len(p)) || ev.Dur < 0 {
+				t.Errorf("delta-encode event for save %d: bytes=%d (stored %d) value=%d (logical %d) dur=%d",
+					ev.Counter, ev.Bytes, stored[ev.Counter], ev.Value, len(p), ev.Dur)
+			}
+		}
+	}
+	for ctr := uint64(1); ctr <= 6; ctr++ {
+		if copied[ctr] != int64(len(p)) {
+			t.Errorf("save %d: copy spans cover %d bytes, want the %d-byte payload", ctr, copied[ctr], len(p))
+		}
+		if _, isDelta := stored[ctr]; (encodes[ctr] == 1) != isDelta || encodes[ctr] > 1 {
+			t.Errorf("save %d: %d delta-encode events, delta=%v", ctr, encodes[ctr], isDelta)
+		}
+	}
+}

@@ -14,6 +14,15 @@ import (
 // during crash recovery it means the record and slot disagree.
 var errSlotRecycled = errors.New("core: slot recycled during read")
 
+// readSuperblock reads and validates the device's superblock.
+func readSuperblock(dev storage.Device) (superblock, error) {
+	head := make([]byte, 64)
+	if err := dev.ReadAt(head, superOff); err != nil {
+		return superblock{}, err
+	}
+	return decodeSuperblock(head)
+}
+
 // recoverPointer reads both pointer records and returns the newest valid,
 // fully persisted checkpoint, plus which record location held it (0 = A,
 // 1 = B) so the engine resumes alternating correctly. A record is accepted
@@ -34,6 +43,9 @@ func recoverPointer(dev storage.Device, sb superblock) (*checkMeta, int, error) 
 			candidates = append(candidates, candidate{m, loc})
 		}
 	}
+	if len(candidates) == 2 && candidates[1].meta.counter > candidates[0].meta.counter {
+		candidates[0], candidates[1] = candidates[1], candidates[0]
+	}
 	// Prefer the highest counter; fall back to the other record if the
 	// winner fails slot validation — including, for a delta tip, validation
 	// of its whole keyframe→delta chain. A record is only durable after
@@ -41,25 +53,19 @@ func recoverPointer(dev storage.Device, sb superblock) (*checkMeta, int, error) 
 	// chain slots are never recycled while a durable record references
 	// them), so a broken chain means this record is the torn/stale one and
 	// the other record identifies the newest *complete* chain.
-	for len(candidates) > 0 {
-		best := 0
-		for i := range candidates {
-			if candidates[i].meta.counter > candidates[best].meta.counter {
-				best = i
+	for _, cand := range candidates {
+		hdr, err := validateSlot(dev, sb, cand.meta)
+		if err != nil {
+			continue
+		}
+		m := cand.meta
+		m.kind, m.base, m.fullSize = hdr.kind, hdr.base, hdr.fullSize
+		if m.kind == slotKindDelta {
+			if _, err := chainMetas(dev, sb, m); err != nil {
+				continue
 			}
 		}
-		cand := candidates[best]
-		if hdr, err := validateSlot(dev, sb, cand.meta); err == nil {
-			m := cand.meta
-			m.kind, m.base, m.fullSize = hdr.kind, hdr.base, hdr.fullSize
-			if m.kind != slotKindDelta {
-				return &m, cand.loc, nil
-			}
-			if _, err := chainMetas(dev, sb, m); err == nil {
-				return &m, cand.loc, nil
-			}
-		}
-		candidates = append(candidates[:best], candidates[best+1:]...)
+		return &m, cand.loc, nil
 	}
 	return nil, 0, ErrNoCheckpoint
 }
@@ -102,9 +108,11 @@ func validateSlot(dev storage.Device, sb superblock, meta checkMeta) (slotHeader
 	return hdr, nil
 }
 
-// findChainHeader resolves a chain predecessor's counter to the slot
-// currently holding it: the header must decode, carry the live epoch and a
-// plausible size, and match the counter exactly.
+// findChainHeader resolves a checkpoint's counter (a chain predecessor, a
+// requested version) to the slot currently holding it: the header must
+// decode, carry the live epoch (one from a previous format generation
+// describes a dead image), a plausible size and no tombstone, and match the
+// counter exactly. No such slot is ErrNoCheckpoint.
 func findChainHeader(dev storage.Device, sb superblock, counter uint64) (slotHeader, int, error) {
 	buf := make([]byte, slotHeaderSize)
 	for slot := 0; slot < sb.slots; slot++ {
@@ -120,7 +128,7 @@ func findChainHeader(dev storage.Device, sb superblock, counter uint64) (slotHea
 		}
 		return hdr, slot, nil
 	}
-	return slotHeader{}, 0, fmt.Errorf("core: no slot holds chain link %d", counter)
+	return slotHeader{}, 0, fmt.Errorf("%w: no slot holds checkpoint %d", ErrNoCheckpoint, counter)
 }
 
 // chainMetas walks a delta tip back to its keyframe and returns the chain
@@ -151,66 +159,125 @@ func chainMetas(dev storage.Device, sb superblock, tip checkMeta) ([]checkMeta, 
 }
 
 // reconstructPayload reads a keyframe→delta chain off the device and
-// applies it, returning the tip's logical payload.
-func reconstructPayload(dev storage.Device, sb superblock, chain []checkMeta) ([]byte, error) {
+// applies it in place, returning the tip's logical payload. The keyframe is
+// read once into dst — reallocated when len(dst) (never its spare capacity)
+// cannot hold the chain's largest link — and every link's dirty chunks are
+// read straight into it: a chain of any length costs one payload buffer.
+func reconstructPayload(dev storage.Device, sb superblock, chain []checkMeta, dst []byte) ([]byte, error) {
 	if len(chain) == 0 || chain[0].kind != slotKindFull {
 		return nil, fmt.Errorf("core: delta chain does not start at a keyframe")
 	}
-	cur := make([]byte, chain[0].size)
-	if err := readSlotPayload(dev, sb, chain[0], cur); err != nil {
+	cur := chain[0].size
+	need := cur
+	for _, m := range chain[1:] {
+		need = max(need, m.fullSize)
+	}
+	if dst == nil || int64(len(dst)) < need {
+		dst = make([]byte, need)
+	}
+	if err := readSlotPayload(dev, sb, chain[0], dst[:cur]); err != nil {
 		return nil, err
 	}
-	prev := chain[0].counter
-	for _, link := range chain[1:] {
-		rec := make([]byte, link.size)
-		if err := readSlotPayload(dev, sb, link, rec); err != nil {
+	for i, link := range chain[1:] {
+		if err := applyLink(dev, sb, link, chain[i].counter, dst, cur); err != nil {
 			return nil, err
 		}
-		d, err := decodeDelta(rec)
-		if err != nil {
-			return nil, storage.Corrupt(err)
-		}
-		if d.base != prev {
-			return nil, storage.Corrupt(fmt.Errorf("core: delta %d encodes base %d, chain expects %d", link.counter, d.base, prev))
-		}
-		if d.fullSize != link.fullSize {
-			return nil, storage.Corrupt(fmt.Errorf("core: delta %d record says %d logical bytes, header says %d", link.counter, d.fullSize, link.fullSize))
-		}
-		if cur, err = applyDelta(cur, d); err != nil {
-			return nil, storage.Corrupt(err)
-		}
-		prev = link.counter
+		cur = link.fullSize
 	}
-	return cur, nil
+	return dst[:cur], nil
 }
 
-// readSlotPayload copies a checkpoint payload out of its slot, verifying the
-// payload CRC when the checkpoint was written with verification enabled.
-func readSlotPayload(dev storage.Device, sb superblock, meta checkMeta, dst []byte) error {
+// applyLink turns out[:baseLen], the payload of checkpoint prev, into delta
+// link's (out holds link.fullSize bytes) without a record-sized buffer: header
+// and bitmap come off the device through a few bytes, every run of adjacent
+// dirty chunks with one ReadAt into the bytes of out it replaces, and the
+// slot CRC is folded over the pieces in record order. A clean (absent) chunk
+// that extends past the base payload means the chain is inconsistent — the
+// encoder's boundary rule always marks grown tails dirty — so stale bytes a
+// shrink left behind are never served.
+func applyLink(dev storage.Device, sb superblock, link checkMeta, prev uint64, out []byte, baseLen int64) error {
+	hdr, err := liveSlotHeader(dev, sb, link)
+	if err != nil {
+		return err
+	}
+	base := payloadBase(sb, link.slot)
+	head := make([]byte, min(link.size, deltaHdrSize))
+	if err := dev.ReadAt(head, base); err != nil {
+		return err
+	}
+	if bm := link.size - deltaHdrSize; bm > 0 {
+		head = append(head, make([]byte, min(bm, int64(bitmapLen(head))))...)
+		if err := dev.ReadAt(head[deltaHdrSize:], base+deltaHdrSize); err != nil {
+			return err
+		}
+	}
+	d, err := decodeDeltaHead(head)
+	if err == nil && (d.base != prev || d.fullSize != link.fullSize || d.recLen != link.size) {
+		err = fmt.Errorf("core: delta %d encodes base %d, %d logical and %d stored bytes; its chain and slot header say %d, %d and %d",
+			link.counter, d.base, d.fullSize, d.recLen, prev, link.fullSize, link.size)
+	}
+	crc, pos := crc32.ChecksumIEEE(head), base+int64(len(head))
+	for i := 0; err == nil && i < d.nchunk; i++ {
+		lo := int64(i) * int64(d.gran)
+		if !d.dirtyAt(i) {
+			if hi := min(lo+int64(d.gran), d.fullSize); hi > baseLen {
+				err = fmt.Errorf("core: delta leaves chunk %d (bytes %d–%d) undefined: base is only %d bytes", i, lo, hi, baseLen)
+			}
+			continue
+		}
+		for i+1 < d.nchunk && d.dirtyAt(i+1) {
+			i++
+		}
+		run := out[lo:min(int64(i+1)*int64(d.gran), d.fullSize)]
+		if err := dev.ReadAt(run, pos); err != nil {
+			return err
+		}
+		crc, pos = crc32.Update(crc, crc32.IEEETable, run), pos+int64(len(run))
+	}
+	if err == nil && hdr.hasCRC && crc != hdr.payloadCRC {
+		err = fmt.Errorf("core: checkpoint %d payload checksum mismatch", link.counter)
+	}
+	if err != nil {
+		return storage.Corrupt(err)
+	}
+	return nil
+}
+
+// liveSlotHeader reads the header of meta's slot and checks that the slot
+// still holds that checkpoint, un-quarantined.
+func liveSlotHeader(dev storage.Device, sb superblock, meta checkMeta) (slotHeader, error) {
 	buf := make([]byte, slotHeaderSize)
 	if err := dev.ReadAt(buf, slotBase(sb, meta.slot)); err != nil {
-		return err
+		return slotHeader{}, err
 	}
 	hdr, ok := decodeSlotHeader(buf)
 	if !ok || hdr.counter != meta.counter || hdr.epoch != sb.epoch {
-		return fmt.Errorf("%w: slot %d no longer holds checkpoint %d", errSlotRecycled, meta.slot, meta.counter)
+		return slotHeader{}, fmt.Errorf("%w: slot %d no longer holds checkpoint %d", errSlotRecycled, meta.slot, meta.counter)
 	}
 	if hdr.quarantined() {
 		// Tombstoned under a live reader: the data is known-bad and must not
 		// be served. Classified corrupt, not recycled — a retry reads the
 		// same tombstone.
-		return storage.Corrupt(fmt.Errorf("core: checkpoint %d in slot %d is quarantined", meta.counter, meta.slot))
+		return slotHeader{}, storage.Corrupt(fmt.Errorf("core: checkpoint %d in slot %d is quarantined", meta.counter, meta.slot))
+	}
+	return hdr, nil
+}
+
+// readSlotPayload copies a checkpoint payload out of its slot, verifying the
+// payload CRC when the checkpoint was written with verification enabled.
+func readSlotPayload(dev storage.Device, sb superblock, meta checkMeta, dst []byte) error {
+	hdr, err := liveSlotHeader(dev, sb, meta)
+	if err != nil {
+		return err
 	}
 	if err := dev.ReadAt(dst, payloadBase(sb, meta.slot)); err != nil {
 		return err
 	}
-	if hdr.hasCRC {
-		if got := crc32.ChecksumIEEE(dst); got != hdr.payloadCRC {
-			// Classified corrupt (not transient): re-reading the same bytes
-			// will not heal a bad payload, and callers must know the data
-			// cannot be trusted.
-			return storage.Corrupt(fmt.Errorf("core: checkpoint %d payload checksum mismatch", meta.counter))
-		}
+	if hdr.hasCRC && crc32.ChecksumIEEE(dst) != hdr.payloadCRC {
+		// Classified corrupt (not transient): re-reading the same bytes
+		// will not heal a bad payload, and callers must know the data
+		// cannot be trusted.
+		return storage.Corrupt(fmt.Errorf("core: checkpoint %d payload checksum mismatch", meta.counter))
 	}
 	return nil
 }
@@ -233,11 +300,7 @@ func Recover(dev storage.Device) (payload []byte, counter uint64, err error) {
 
 // recoverDevice is single-level Recover.
 func recoverDevice(dev storage.Device) (payload []byte, counter uint64, err error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, 0, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -245,19 +308,12 @@ func recoverDevice(dev storage.Device) (payload []byte, counter uint64, err erro
 	if err != nil {
 		return nil, 0, err
 	}
-	if meta.kind == slotKindDelta {
-		chain, err := chainMetas(dev, sb, *meta)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err = reconstructPayload(dev, sb, chain)
-		if err != nil {
-			return nil, 0, err
-		}
-		return payload, meta.counter, nil
+	// A full checkpoint is a chain of one.
+	chain, err := chainMetas(dev, sb, *meta)
+	if err != nil {
+		return nil, 0, err
 	}
-	payload = make([]byte, meta.size)
-	if err := readSlotPayload(dev, sb, *meta, payload); err != nil {
+	if payload, err = reconstructPayload(dev, sb, chain, nil); err != nil {
 		return nil, 0, err
 	}
 	return payload, meta.counter, nil
@@ -270,18 +326,14 @@ func recoverDevice(dev storage.Device) (payload []byte, counter uint64, err erro
 // past the group's agreed checkpoint (§3.1). ErrNoCheckpoint means the
 // version is no longer resident.
 func RecoverVersion(dev storage.Device, counter uint64) ([]byte, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, err
 	}
 	if sb.deltaKeyframe > 0 {
 		return recoverVersionDelta(dev, sb, counter)
 	}
-	payload, _, err := recoverVersionSlotSB(dev, sb, counter)
+	payload, _, err := recoverVersionSlot(dev, sb, counter)
 	return payload, err
 }
 
@@ -293,58 +345,25 @@ func recoverVersionDelta(dev storage.Device, sb superblock, counter uint64) ([]b
 		return nil, ErrNoCheckpoint
 	}
 	tip := checkMeta{slot: slot, counter: hdr.counter, size: hdr.size, kind: hdr.kind, base: hdr.base, fullSize: hdr.fullSize}
-	if tip.kind != slotKindDelta {
-		payload := make([]byte, tip.size)
-		if err := readSlotPayload(dev, sb, tip, payload); err != nil {
-			return nil, err
-		}
-		return payload, nil
-	}
 	chain, err := chainMetas(dev, sb, tip)
 	if err != nil {
 		return nil, ErrNoCheckpoint // a link was recycled; the version is gone
 	}
-	return reconstructPayload(dev, sb, chain)
+	return reconstructPayload(dev, sb, chain, nil)
 }
 
 // recoverVersionSlot also reports which slot held the version, so live
 // readers can validate it against the slot seqlock.
-func recoverVersionSlot(dev storage.Device, counter uint64) ([]byte, int, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
+func recoverVersionSlot(dev storage.Device, sb superblock, counter uint64) ([]byte, int, error) {
+	hdr, slot, err := findChainHeader(dev, sb, counter)
+	if errors.Is(err, ErrNoCheckpoint) {
+		return nil, 0, ErrNoCheckpoint // bare, as callers comparing with == expect
+	} else if err != nil {
 		return nil, 0, err
 	}
-	sb, err := decodeSuperblock(head)
-	if err != nil {
-		return nil, 0, err
+	payload := make([]byte, hdr.size)
+	if err := readSlotPayload(dev, sb, checkMeta{slot: slot, counter: counter, size: hdr.size}, payload); err != nil {
+		return nil, 0, ErrNoCheckpoint // e.g. an in-flight overwrite tore it
 	}
-	return recoverVersionSlotSB(dev, sb, counter)
-}
-
-func recoverVersionSlotSB(dev storage.Device, sb superblock, counter uint64) ([]byte, int, error) {
-	for slot := 0; slot < sb.slots; slot++ {
-		buf := make([]byte, slotHeaderSize)
-		if err := dev.ReadAt(buf, slotBase(sb, slot)); err != nil {
-			return nil, 0, err
-		}
-		hdr, ok := decodeSlotHeader(buf)
-		if !ok || hdr.counter != counter || hdr.quarantined() {
-			continue
-		}
-		if hdr.epoch != sb.epoch {
-			// Header from a previous format generation: the payload it
-			// describes belongs to a dead image and must never be served.
-			continue
-		}
-		if hdr.size < 0 || hdr.size > sb.slotBytes {
-			continue
-		}
-		payload := make([]byte, hdr.size)
-		meta := checkMeta{slot: slot, counter: counter, size: hdr.size}
-		if err := readSlotPayload(dev, sb, meta, payload); err != nil {
-			continue // e.g. an in-flight overwrite tore it; keep looking
-		}
-		return payload, slot, nil
-	}
-	return nil, 0, ErrNoCheckpoint
+	return payload, slot, nil
 }

@@ -106,9 +106,11 @@ const (
 	// validation — out-of-range rank, stale or duplicated round, unknown
 	// kind (instant). Rank is the claimed sender, Value the reason code.
 	PhaseFrameDropped
-	// PhaseDeltaEncode spans the diff + delta-record encode of a save that
-	// was stored as a delta. Bytes is the encoded record length, Value the
-	// logical payload size — their ratio is this save's delta ratio.
+	// PhaseDeltaEncode is emitted once per save stored as a delta. The diff
+	// runs chunk by chunk inside the save pipeline, so Dur is the summed
+	// hash + diff + compact time, not a contiguous interval. Bytes is the
+	// record length, Value the logical payload size — their ratio is this
+	// save's delta ratio.
 	PhaseDeltaEncode
 	// PhaseKeyframe marks a delta-mode save published as a full keyframe
 	// (instant); Bytes is the payload size. Plain-mode saves never emit it.
