@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -119,6 +120,44 @@ func TestRecoveryStreamFull(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A payload damaged on disk must surface from Read as a corrupt-classified
+// error, never as a clean io.EOF after the damaged bytes.
+func TestRecoveryStreamSurfacesCorruptPayload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.pcc")
+	ck, err := Create(path, Config{MaxBytes: 64 << 10, Concurrent: 1, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := randomPayload(4, 64<<10)
+	if _, err := ck.Save(context.Background(), want); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(image, want[1000:1064])
+	if at < 0 {
+		t.Fatal("payload not found in the checkpoint file")
+	}
+	image[at] ^= 0x40
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := OpenRecoveryStream(path, 8<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := io.ReadAll(s); !IsCorrupt(err) {
+		t.Fatalf("ReadAll over a damaged payload: %v, want a corrupt-classified error", err)
 	}
 }
 

@@ -299,8 +299,8 @@ func nextEpoch(dev storage.Device) uint64 {
 // persisted checkpoint pointer (§4.2). The returned engine continues the
 // counter sequence past the recovered checkpoint.
 func Open(dev storage.Device, cfg Config) (*Checkpointer, error) {
-	sb, err := readSuperblock(dev)
-	if err != nil {
+	sb, chain, loc, err := newest(dev)
+	if err != nil && err != ErrNoCheckpoint {
 		return nil, err
 	}
 	// Geometry comes from the superblock, not the caller: a delta-formatted
@@ -308,15 +308,12 @@ func Open(dev storage.Device, cfg Config) (*Checkpointer, error) {
 	cfg.DeltaKeyframe = sb.deltaKeyframe
 	cfg.Concurrent = sb.slots - 1 - sb.deltaKeyframe
 	cfg.SlotBytes = sb.slotBytes
-	cfg = cfg.withDefaults()
-	latest, loc, err := recoverPointer(dev, sb)
-	if err != nil && err != ErrNoCheckpoint {
-		return nil, err
-	}
-	return attach(dev, cfg, sb, latest, loc)
+	return attach(dev, cfg.withDefaults(), sb, chain, loc)
 }
 
-func attach(dev storage.Device, cfg Config, sb superblock, latest *checkMeta, latestLoc int) (*Checkpointer, error) {
+// attach builds the engine over a formatted device; chain is what resolve
+// found on it (nil on a fresh format), latestLoc the record that named it.
+func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, latestLoc int) (*Checkpointer, error) {
 	chunkBytes := int64(cfg.ChunkBytes)
 	gran := int64(deltaGranularity(sb.slotBytes))
 	if sb.deltaKeyframe > 0 {
@@ -339,20 +336,16 @@ func attach(dev storage.Device, cfg Config, sb superblock, latest *checkMeta, la
 	}
 	c.committer, _ = dev.(storage.CheckpointCommitter)
 	c.perWriterBW.Store(math.Float64bits(cfg.PerWriterBW))
+	// The published slot is never free (§4.1), nor any slot of its chain.
 	pinned := make(map[int]bool)
-	if latest != nil {
-		pinned[latest.slot] = true // the published slot is never free (§4.1 invariant)
+	for _, m := range chain {
+		pinned[m.slot] = true
+	}
+	var latest *checkMeta
+	if len(chain) > 0 {
+		tip := chain[len(chain)-1]
+		latest = &tip
 		if sb.deltaKeyframe > 0 {
-			// Rebuild the keyframe→delta chain the recovered tip sits on;
-			// recoverPointer already validated it, so a failure here is real
-			// on-device damage. Every chain slot stays out of the free queue.
-			chain, err := chainMetas(dev, sb, *latest)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range chain {
-				pinned[m.slot] = true
-			}
 			c.chain = chain
 			c.deltasSince = len(chain) - 1
 		}
@@ -941,18 +934,24 @@ func (c *Checkpointer) Latest() (counter uint64, size int64, ok bool) {
 // Reads are safe against concurrent checkpointing: the published slot can be
 // recycled by newer publications while the read is in flight, so the read
 // validates the slot's seqlock and retries with fresh metadata when the
-// contents moved under it.
+// contents moved under it. In delta mode deltaMu keeps saves out as well.
 func (c *Checkpointer) ReadLatest(dst []byte) (uint64, int64, error) {
 	if c.sb.deltaKeyframe > 0 {
-		return c.readLatestDelta(dst)
+		c.deltaMu.Lock()
+		defer c.deltaMu.Unlock()
 	}
 	for attempt := 0; attempt < 1000; attempt++ {
 		m := c.checkAddr.Load()
 		if m == nil {
 			return 0, 0, ErrNoCheckpoint
 		}
-		if int64(len(dst)) < m.size {
-			return 0, 0, fmt.Errorf("%w: buffer %d < checkpoint %d", ErrBufferTooSmall, len(dst), m.size)
+		size := m.logicalSize()
+		if int64(len(dst)) < size {
+			return 0, 0, fmt.Errorf("%w: buffer %d < checkpoint %d", ErrBufferTooSmall, len(dst), size)
+		}
+		chain := c.chain
+		if c.sb.deltaKeyframe == 0 {
+			chain = []checkMeta{*m}
 		}
 		s1 := c.slotSeq[m.slot].Load()
 		if s1%2 == 1 {
@@ -961,7 +960,7 @@ func (c *Checkpointer) ReadLatest(dst []byte) (uint64, int64, error) {
 			runtime.Gosched()
 			continue
 		}
-		err := readSlotPayload(c.dev, c.sb, *m, dst[:m.size])
+		err := stream(c.dev, c.sb, chain, dst[:size], nil)
 		if c.slotSeq[m.slot].Load() != s1 {
 			runtime.Gosched()
 			continue // recycled mid-read; retry against the newer state
@@ -978,35 +977,36 @@ func (c *Checkpointer) ReadLatest(dst []byte) (uint64, int64, error) {
 			}
 			return 0, 0, err
 		}
-		return m.counter, m.size, nil
+		return m.counter, size, nil
 	}
 	return 0, 0, fmt.Errorf("core: ReadLatest starved by concurrent checkpoint churn")
 }
 
-// ReadVersion reads the checkpoint with the given counter if one of the
-// slots still holds it (see RecoverVersion). The per-slot seqlock rejects
-// reads torn by a concurrent checkpoint recycling the slot.
+// ReadVersion reads the checkpoint with the given counter if the slots still
+// hold it (see RecoverVersion). The per-slot seqlock rejects reads torn by a
+// concurrent checkpoint recycling a slot; in delta mode deltaMu keeps it out.
 func (c *Checkpointer) ReadVersion(counter uint64) ([]byte, error) {
 	if c.sb.deltaKeyframe > 0 {
 		c.deltaMu.Lock()
 		defer c.deltaMu.Unlock()
-		// Under deltaMu no save is mutating slots, so no seqlock dance: walk
-		// the requested version's chain straight off the device.
-		return recoverVersionDelta(c.dev, c.sb, counter)
 	}
+	seqs := make([]uint64, len(c.slotSeq))
+attempts:
 	for attempt := 0; attempt < 1000; attempt++ {
-		seqs := make([]uint64, len(c.slotSeq))
 		for i := range c.slotSeq {
 			seqs[i] = c.slotSeq[i].Load()
 		}
-		payload, slot, err := recoverVersionSlot(c.dev, c.sb, counter)
+		payload, chain, err := loadVersion(c.dev, c.sb, counter)
 		if err != nil {
 			return nil, err
 		}
-		if seqs[slot]%2 == 0 && c.slotSeq[slot].Load() == seqs[slot] {
-			return payload, nil
+		for _, m := range chain {
+			if seqs[m.slot]%2 == 1 || c.slotSeq[m.slot].Load() != seqs[m.slot] {
+				runtime.Gosched()
+				continue attempts
+			}
 		}
-		runtime.Gosched()
+		return payload, nil
 	}
 	return nil, fmt.Errorf("core: ReadVersion starved by concurrent checkpoint churn")
 }

@@ -582,13 +582,13 @@ func TestValidateSlotRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb := superblock{slots: 2, slotBytes: 256}
-	if _, err := validateSlot(dev, sb, checkMeta{slot: 5, counter: 1, size: 100}); err == nil {
+	if _, err := slotHeld(dev, sb, 5, 1, 100); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	if _, err := validateSlot(dev, sb, checkMeta{slot: 0, counter: 1, size: 999}); err == nil {
+	if _, err := slotHeld(dev, sb, 0, 1, 999); err == nil {
 		t.Fatal("oversized record accepted")
 	}
-	if _, err := validateSlot(dev, sb, checkMeta{slot: 0, counter: 77, size: 100}); err == nil {
+	if _, err := slotHeld(dev, sb, 0, 77, 100); err == nil {
 		t.Fatal("mismatched counter accepted")
 	}
 }

@@ -392,15 +392,6 @@ func decodeDeltaHead(head []byte) (deltaRecord, error) {
 	return d, nil
 }
 
-// decodeDelta validates a whole in-memory record.
-func decodeDelta(rec []byte) (deltaRecord, error) {
-	d, err := decodeDeltaHead(rec)
-	if err == nil && d.recLen != int64(len(rec)) {
-		err = fmt.Errorf("core: delta record is %d bytes, its bitmap describes %d", len(rec), d.recLen)
-	}
-	return d, err
-}
-
 // DirtyTracker returns the engine's dirty-range tracker, or nil when the
 // engine is not in delta mode. Feeding it is optional (see its contract);
 // an unfed tracker leaves the engine on content-hash fallback.
@@ -515,24 +506,4 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	}
 	c.saveDone(obs.PhasePublish, start, obsStart, counter, slot, stored, size)
 	return counter, nil
-}
-
-// readLatestDelta reconstructs the current chain straight into dst. deltaMu
-// keeps the chain slots stable for the duration (no seqlock needed).
-func (c *Checkpointer) readLatestDelta(dst []byte) (uint64, int64, error) {
-	c.deltaMu.Lock()
-	defer c.deltaMu.Unlock()
-	m := c.checkAddr.Load()
-	if m == nil {
-		return 0, 0, ErrNoCheckpoint
-	}
-	if int64(len(dst)) < m.logicalSize() {
-		return 0, 0, fmt.Errorf("%w: buffer %d < checkpoint %d", ErrBufferTooSmall, len(dst), m.logicalSize())
-	}
-	payload, err := reconstructPayload(c.dev, c.sb, c.chain, dst)
-	if err != nil {
-		return 0, 0, err
-	}
-	copy(dst, payload) // a no-op unless an intermediate link outgrew dst
-	return m.counter, int64(len(payload)), nil
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"hash/crc32"
+	"errors"
 
 	"pccheck/internal/storage"
 )
@@ -37,8 +37,9 @@ type SlotInfo struct {
 	EpochStale bool
 	// HasChecksum reports whether the payload carries a CRC.
 	HasChecksum bool
-	// PayloadOK is set only when verify was requested and a checksum
-	// exists: true = the payload matches its CRC.
+	// PayloadOK is set only when verify was requested, a checksum exists
+	// and the header is one recovery would accept (live epoch, no
+	// tombstone): true = the payload matches its CRC.
 	PayloadOK *bool
 	// Published marks the slot the recovered pointer references.
 	Published bool
@@ -124,12 +125,8 @@ func (r Report) Healthy() bool {
 // payloads carrying checksums are read fully and validated (expensive for
 // large slots).
 func Inspect(dev storage.Device, verify bool) (Report, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return Report{}, err
-	}
-	sb, err := decodeSuperblock(head)
-	if err != nil {
+	sb, chain, _, err := newest(dev)
+	if err != nil && err != ErrNoCheckpoint {
 		return Report{}, err
 	}
 	rep := Report{Slots: sb.slots, SlotBytes: sb.slotBytes, Epoch: sb.epoch, DeltaKeyframe: sb.deltaKeyframe}
@@ -144,32 +141,31 @@ func Inspect(dev storage.Device, verify bool) (Report, error) {
 		}
 	}
 
-	latest, _, err := recoverPointer(dev, sb)
 	chainSlots := make(map[int]bool)
 	if err == nil {
+		latest := chain[len(chain)-1]
 		rep.Recoverable = true
 		rep.Latest = RecordInfo{Valid: true, Counter: latest.counter, Slot: latest.slot, Size: latest.size}
 		rep.LatestFullSize = latest.logicalSize()
 		if sb.deltaKeyframe > 0 {
-			// recoverPointer validated the chain, so this walk succeeds.
-			if chain, cerr := chainMetas(dev, sb, *latest); cerr == nil {
-				for _, m := range chain {
-					rep.Chain = append(rep.Chain, ChainLink{Counter: m.counter, Slot: m.slot, Kind: m.kind, Size: m.size})
-					chainSlots[m.slot] = true
-				}
+			for _, m := range chain {
+				rep.Chain = append(rep.Chain, ChainLink{Counter: m.counter, Slot: m.slot, Kind: m.kind, Size: m.size})
+				chainSlots[m.slot] = true
 			}
 		}
-	} else if err != ErrNoCheckpoint {
-		return Report{}, err
 	}
 
+	var scratch []byte // one piece verifies every slot
+	if verify {
+		scratch = make([]byte, streamPiece)
+	}
 	for i := 0; i < sb.slots; i++ {
 		info := SlotInfo{Index: i}
-		buf := make([]byte, slotHeaderSize)
-		if err := dev.ReadAt(buf, slotBase(sb, i)); err != nil {
-			return Report{}, err
+		hdr, herr := slotHeld(dev, sb, i, 0, -1)
+		if unreadable(herr) {
+			return Report{}, herr
 		}
-		if hdr, ok := decodeSlotHeader(buf); ok {
+		if !errors.Is(herr, errSlotTorn) {
 			info.HeaderValid = true
 			info.Counter = hdr.counter
 			info.Size = hdr.size
@@ -182,17 +178,16 @@ func Inspect(dev storage.Device, verify bool) (Report, error) {
 				info.BaseCounter = hdr.base
 				info.FullSize = hdr.fullSize
 			}
-			if verify && hdr.hasCRC && hdr.size >= 0 && hdr.size <= sb.slotBytes {
-				payload := make([]byte, hdr.size)
-				if err := dev.ReadAt(payload, payloadBase(sb, i)); err == nil {
-					ok := crc32.ChecksumIEEE(payload) == hdr.payloadCRC
+			if verify && hdr.hasCRC && herr == nil {
+				// A read failure leaves the verdict open; anything else
+				// stream rejects is a payload recovery would not serve.
+				err := stream(dev, sb, []checkMeta{hdr.meta(i)}, nil, scratch)
+				if ok := err == nil; ok || storage.IsCorrupt(err) {
 					info.PayloadOK = &ok
 				}
 			}
 		}
-		if rep.Recoverable && i == rep.Latest.Slot {
-			info.Published = true
-		}
+		info.Published = rep.Recoverable && i == rep.Latest.Slot
 		info.InChain = chainSlots[i]
 		rep.SlotInfos = append(rep.SlotInfos, info)
 	}

@@ -30,8 +30,10 @@ type RecoveryIterator struct {
 	dev       storage.Device
 	sb        superblock
 	meta      checkMeta
-	size      int64  // logical payload length
-	mem       []byte // reconstructed payload when the tip is a delta chain
+	size      int64      // logical payload length
+	hdr       slotHeader // a full tip's header: Next serves the slot itself
+	rd        pieces     // a full tip's reads; rd.crc covers the first pos bytes
+	mem       []byte     // reconstructed payload when the tip is a delta chain
 	pos       int64
 	chunk     int
 	logEveryN int64
@@ -71,11 +73,7 @@ func decodeCursor(buf []byte) (cursor, bool) {
 // chunk). If a previous recovery of the same checkpoint left a cursor, the
 // iterator resumes from it.
 func NewRecoveryIterator(dev storage.Device, chunkBytes int, logEvery int64) (*RecoveryIterator, error) {
-	sb, err := readSuperblock(dev)
-	if err != nil {
-		return nil, err
-	}
-	meta, _, err := recoverPointer(dev, sb)
+	sb, chain, _, err := newest(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +83,13 @@ func NewRecoveryIterator(dev storage.Device, chunkBytes int, logEvery int64) (*R
 	if logEvery <= 0 {
 		logEvery = int64(chunkBytes)
 	}
+	meta := chain[len(chain)-1]
 	it := &RecoveryIterator{
 		dev:       dev,
 		sb:        sb,
-		meta:      *meta,
+		meta:      meta,
 		size:      meta.logicalSize(),
+		rd:        pieces{dev: dev},
 		chunk:     chunkBytes,
 		logEveryN: logEvery,
 	}
@@ -99,13 +99,11 @@ func NewRecoveryIterator(dev storage.Device, chunkBytes int, logEvery int64) (*R
 		// persists, so a re-crashed restore resumes its *delivery* position
 		// (the re-read of the chain is device-sequential and cheap relative
 		// to the consumer-side restore the cursor protects).
-		chain, err := chainMetas(dev, sb, *meta)
-		if err != nil {
+		if it.mem, err = load(dev, sb, chain); err != nil {
 			return nil, err
 		}
-		if it.mem, err = reconstructPayload(dev, sb, chain, nil); err != nil {
-			return nil, err
-		}
+	} else if it.hdr, err = slotHeld(dev, sb, meta.slot, meta.counter, meta.size); err != nil {
+		return nil, err
 	}
 	// Resume a matching cursor; ignore cursors for other checkpoints.
 	buf := make([]byte, 24)
@@ -113,6 +111,12 @@ func NewRecoveryIterator(dev storage.Device, chunkBytes int, logEvery int64) (*R
 		if c, ok := decodeCursor(buf); ok && c.counter == meta.counter &&
 			c.position >= 0 && c.position <= it.size {
 			it.pos = c.position
+		}
+	}
+	if it.mem == nil {
+		// Bytes a previous restore delivered still count towards the slot CRC.
+		if err := it.rd.read(nil, payloadBase(sb, meta.slot), it.pos); err != nil {
+			return nil, err
 		}
 	}
 	return it, nil
@@ -134,7 +138,9 @@ func (it *RecoveryIterator) Done() bool { return it.pos >= it.size }
 
 // Next delivers the next chunk into p and durably advances the cursor per
 // the configured cadence. It returns the number of bytes delivered; n == 0
-// with nil error means the payload is exhausted.
+// with nil error means the payload is exhausted. The slot CRC is folded as
+// chunks are delivered: a damaged payload surfaces as a corrupt-classified
+// error from the Next that would have completed it, voiding what came before.
 func (it *RecoveryIterator) Next(p []byte) (int, error) {
 	if it.Done() {
 		return 0, nil
@@ -151,8 +157,16 @@ func (it *RecoveryIterator) Next(p []byte) (int, error) {
 	}
 	if it.mem != nil {
 		copy(p[:n], it.mem[it.pos:])
-	} else if err := it.dev.ReadAt(p[:n], payloadBase(it.sb, it.meta.slot)+it.pos); err != nil {
-		return 0, err
+	} else {
+		crc := it.rd.crc
+		err := it.rd.read(p[:n], payloadBase(it.sb, it.meta.slot)+it.pos, int64(n))
+		if err == nil && it.pos+int64(n) == it.size {
+			err = it.hdr.checkPayload(it.rd.crc)
+		}
+		if err != nil {
+			it.rd.crc = crc // Next may be called again: these bytes must not fold twice
+			return 0, err
+		}
 	}
 	it.pos += int64(n)
 	it.sinceLog += int64(n)
@@ -173,8 +187,7 @@ func (it *RecoveryIterator) persistCursor() error {
 // Reset rewinds the iterator (and its durable cursor) to the beginning —
 // used when the consumer's partial restore state was itself lost.
 func (it *RecoveryIterator) Reset() error {
-	it.pos = 0
-	it.sinceLog = 0
+	it.pos, it.sinceLog, it.rd.crc = 0, 0, 0
 	return it.persistCursor()
 }
 

@@ -4,15 +4,33 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"slices"
 
 	"pccheck/internal/storage"
 )
 
-// errSlotRecycled reports that a slot's header no longer matches the
-// metadata the caller resolved. Under live concurrency this means a newer
-// checkpoint recycled the slot mid-read (retry against fresh metadata);
-// during crash recovery it means the record and slot disagree.
-var errSlotRecycled = errors.New("core: slot recycled during read")
+// The read side (§4.2) is two steps over one predicate: resolve turns the
+// pointer records (or a requested counter) into the newest complete
+// keyframe→delta chain — a full checkpoint is a chain of one — and stream
+// turns a chain into bytes, or only verifies it. Slot headers are judged by
+// slotHeld alone, so cold recovery, live reads, the recovery iterator,
+// Inspect and the scrubber accept exactly the same slots.
+
+var (
+	// errSlotRecycled: the slot's header does not describe the checkpoint the
+	// caller resolved. Under live concurrency a newer checkpoint recycled the
+	// slot mid-read (retry against fresh metadata); during crash recovery the
+	// record and slot disagree. errSlotTorn: it does not even decode.
+	errSlotRecycled = errors.New("core: slot recycled during read")
+	errSlotTorn     = fmt.Errorf("%w: header torn", errSlotRecycled)
+	// errSlotQuarantined: a scrubber tombstone — known bad, not fresh damage.
+	errSlotQuarantined = errors.New("core: slot is quarantined")
+)
+
+// streamPiece is how much stream reads at a time. A piece is folded into the
+// slot CRC right after it lands, so it has to still be in cache then.
+const streamPiece = 256 << 10
 
 // readSuperblock reads and validates the device's superblock.
 func readSuperblock(dev storage.Device) (superblock, error) {
@@ -23,263 +41,275 @@ func readSuperblock(dev storage.Device) (superblock, error) {
 	return decodeSuperblock(head)
 }
 
-// recoverPointer reads both pointer records and returns the newest valid,
-// fully persisted checkpoint, plus which record location held it (0 = A,
-// 1 = B) so the engine resumes alternating correctly. A record is accepted
-// only if its slot header agrees (same counter and size) — defense in depth
-// against device corruption beyond what the write protocol can cause.
-func recoverPointer(dev storage.Device, sb superblock) (*checkMeta, int, error) {
+// meta is the checkpoint a decoded slot header describes.
+func (h slotHeader) meta(slot int) checkMeta {
+	return checkMeta{slot: slot, counter: h.counter, size: h.size, kind: h.kind, base: h.base, fullSize: h.fullSize}
+}
+
+// checkPayload judges the CRC folded over a slot's stored bytes (written
+// without VerifyPayload, there is none). A mismatch is classified corrupt,
+// not transient: re-reading the same bytes will not heal them.
+func (h slotHeader) checkPayload(crc uint32) error {
+	if h.hasCRC && crc != h.payloadCRC {
+		return storage.Corrupt(fmt.Errorf("core: checkpoint %d payload checksum mismatch", h.counter))
+	}
+	return nil
+}
+
+// slotHeld reads the header of slot and says whether the slot holds
+// checkpoint counter with size stored bytes (counter 0, which no checkpoint
+// carries, and a negative size each accept any): the header must decode,
+// carry the live epoch — one from a previous format generation describes a
+// dead image — a known kind, sizes the slot can hold and no tombstone. The
+// decoded header is returned even when rejected. A read failure comes back
+// as the device reported it; every rejection wraps errSlotRecycled, except a
+// tombstone: errSlotQuarantined, classified corrupt (a retry reads it again).
+func slotHeld(dev storage.Device, sb superblock, slot int, counter uint64, size int64) (slotHeader, error) {
+	if slot < 0 || slot >= sb.slots {
+		return slotHeader{}, fmt.Errorf("%w: slot %d of %d", errSlotRecycled, slot, sb.slots)
+	}
+	buf := make([]byte, slotHeaderSize)
+	if err := dev.ReadAt(buf, slotBase(sb, slot)); err != nil {
+		return slotHeader{}, err
+	}
+	hdr, ok := decodeSlotHeader(buf)
+	switch {
+	case !ok:
+		return slotHeader{}, fmt.Errorf("%w (slot %d)", errSlotTorn, slot)
+	case hdr.quarantined():
+		return hdr, storage.Corrupt(fmt.Errorf("%w: checkpoint %d in slot %d", errSlotQuarantined, hdr.counter, slot))
+	case hdr.epoch != sb.epoch:
+		return hdr, fmt.Errorf("%w: slot %d header from format epoch %d, device is epoch %d", errSlotRecycled, slot, hdr.epoch, sb.epoch)
+	case hdr.size < 0 || hdr.size > sb.slotBytes || hdr.kind > slotKindDelta ||
+		(hdr.kind == slotKindDelta && (hdr.fullSize < 0 || hdr.fullSize > sb.slotBytes)):
+		// No writer produces this under a valid header CRC.
+		return hdr, storage.Corrupt(fmt.Errorf("%w: slot %d header implausible (%d stored, %d logical bytes of %d, kind %d)",
+			errSlotRecycled, slot, hdr.size, hdr.fullSize, sb.slotBytes, hdr.kind))
+	case counter != 0 && hdr.counter != counter, size >= 0 && hdr.size != size:
+		return hdr, fmt.Errorf("%w: slot %d holds counter %d/size %d, want %d/%d", errSlotRecycled, slot, hdr.counter, hdr.size, counter, size)
+	}
+	return hdr, nil
+}
+
+// unreadable: slotHeld could not read the header, as opposed to rejecting it.
+func unreadable(err error) bool {
+	return err != nil && !errors.Is(err, errSlotRecycled) && !errors.Is(err, errSlotQuarantined)
+}
+
+// resolve finds the newest complete chain, keyframe first and tip last,
+// without touching a payload. With counter 0 the tip comes from the pointer
+// records, and loc says which location held it (0 = A, 1 = B) so an engine
+// resumes alternating correctly; otherwise it is the slot holding counter.
+//
+// The records are tried highest counter first. A record is only durable
+// after every link of its chain is (headers persist before the record, and
+// chain slots are never recycled while a durable record references them), so
+// a tip or link slotHeld rejects means this record is the torn or stale one
+// and the other names the newest complete chain. An unreadable record or
+// header is skipped likewise; its error surfaces only if nothing resolves.
+func resolve(dev storage.Device, sb superblock, counter uint64) (chain []checkMeta, loc int, err error) {
 	type candidate struct {
 		meta checkMeta
 		loc  int
 	}
-	var candidates []candidate
-	for loc, off := range []int64{recordAOff, recordBOff} {
+	failure := ErrNoCheckpoint // or the first read error met on the way
+	skip := func(err error) {
+		if failure == ErrNoCheckpoint && unreadable(err) {
+			failure = err
+		}
+	}
+	cands := []candidate{{meta: checkMeta{slot: -1, counter: counter}}}
+	if counter == 0 {
+		cands = cands[:0]
 		buf := make([]byte, recordSize)
-		if err := dev.ReadAt(buf, off); err != nil {
-			return nil, 0, err
-		}
-		if m, ok := decodeRecord(buf); ok {
-			candidates = append(candidates, candidate{m, loc})
-		}
-	}
-	if len(candidates) == 2 && candidates[1].meta.counter > candidates[0].meta.counter {
-		candidates[0], candidates[1] = candidates[1], candidates[0]
-	}
-	// Prefer the highest counter; fall back to the other record if the
-	// winner fails slot validation — including, for a delta tip, validation
-	// of its whole keyframe→delta chain. A record is only durable after
-	// every link of its chain is (headers persist before the record, and
-	// chain slots are never recycled while a durable record references
-	// them), so a broken chain means this record is the torn/stale one and
-	// the other record identifies the newest *complete* chain.
-	for _, cand := range candidates {
-		hdr, err := validateSlot(dev, sb, cand.meta)
-		if err != nil {
-			continue
-		}
-		m := cand.meta
-		m.kind, m.base, m.fullSize = hdr.kind, hdr.base, hdr.fullSize
-		if m.kind == slotKindDelta {
-			if _, err := chainMetas(dev, sb, m); err != nil {
-				continue
+		for loc, off := range []int64{recordAOff, recordBOff} {
+			if err := dev.ReadAt(buf, off); err != nil {
+				skip(err)
+			} else if m, ok := decodeRecord(buf); ok && m.size >= 0 { // a negative size would ask slotHeld for "any"
+				cands = append(cands, candidate{m, loc})
 			}
 		}
-		return &m, cand.loc, nil
-	}
-	return nil, 0, ErrNoCheckpoint
-}
-
-// validateSlot checks that the slot a pointer record references really holds
-// the checkpoint the record describes, and returns the slot header so
-// callers can pick up the delta fields the record itself does not carry.
-func validateSlot(dev storage.Device, sb superblock, meta checkMeta) (slotHeader, error) {
-	if meta.slot < 0 || meta.slot >= sb.slots {
-		return slotHeader{}, fmt.Errorf("core: record references slot %d of %d", meta.slot, sb.slots)
-	}
-	if meta.size < 0 || meta.size > sb.slotBytes {
-		return slotHeader{}, fmt.Errorf("core: record size %d outside slot capacity %d", meta.size, sb.slotBytes)
-	}
-	buf := make([]byte, slotHeaderSize)
-	if err := dev.ReadAt(buf, slotBase(sb, meta.slot)); err != nil {
-		return slotHeader{}, err
-	}
-	hdr, ok := decodeSlotHeader(buf)
-	if !ok {
-		return slotHeader{}, fmt.Errorf("core: slot %d header corrupt", meta.slot)
-	}
-	if hdr.quarantined() {
-		// A scrubber tombstone: the copy is known-bad with no healthy source.
-		// Rejecting it here makes recoverPointer fall back to the other
-		// record without ever touching the payload.
-		return slotHeader{}, fmt.Errorf("core: slot %d is quarantined", meta.slot)
-	}
-	if hdr.epoch != sb.epoch {
-		return slotHeader{}, fmt.Errorf("core: slot %d header from format epoch %d, device is epoch %d",
-			meta.slot, hdr.epoch, sb.epoch)
-	}
-	if hdr.counter != meta.counter || hdr.size != meta.size {
-		return slotHeader{}, fmt.Errorf("core: slot %d holds counter %d/size %d, record says %d/%d",
-			meta.slot, hdr.counter, hdr.size, meta.counter, meta.size)
-	}
-	if hdr.kind > slotKindDelta {
-		return slotHeader{}, fmt.Errorf("core: slot %d has unknown payload kind %d", meta.slot, hdr.kind)
-	}
-	return hdr, nil
-}
-
-// findChainHeader resolves a checkpoint's counter (a chain predecessor, a
-// requested version) to the slot currently holding it: the header must
-// decode, carry the live epoch (one from a previous format generation
-// describes a dead image), a plausible size and no tombstone, and match the
-// counter exactly. No such slot is ErrNoCheckpoint.
-func findChainHeader(dev storage.Device, sb superblock, counter uint64) (slotHeader, int, error) {
-	buf := make([]byte, slotHeaderSize)
-	for slot := 0; slot < sb.slots; slot++ {
-		if err := dev.ReadAt(buf, slotBase(sb, slot)); err != nil {
-			return slotHeader{}, 0, err
+		if len(cands) == 2 && cands[1].meta.counter > cands[0].meta.counter {
+			cands[0], cands[1] = cands[1], cands[0]
 		}
-		hdr, ok := decodeSlotHeader(buf)
-		if !ok || hdr.counter != counter || hdr.epoch != sb.epoch || hdr.quarantined() {
+	}
+	// Predecessors and requested versions are found by counter: every slot
+	// header is read once, on first need, however long the chain.
+	var held []checkMeta
+	find := func(counter uint64) (checkMeta, bool) {
+		if held == nil {
+			held = make([]checkMeta, 0, sb.slots)
+			for slot := 0; slot < sb.slots; slot++ {
+				hdr, err := slotHeld(dev, sb, slot, 0, -1)
+				if err != nil {
+					skip(err)
+					continue
+				}
+				held = append(held, hdr.meta(slot))
+			}
+		}
+		for _, m := range held {
+			if m.counter == counter {
+				return m, true
+			}
+		}
+		return checkMeta{}, false
+	}
+	for _, cand := range cands {
+		tip, ok := cand.meta, false
+		if tip.slot < 0 {
+			tip, ok = find(tip.counter)
+		} else {
+			hdr, err := slotHeld(dev, sb, tip.slot, tip.counter, tip.size)
+			skip(err)
+			tip, ok = hdr.meta(tip.slot), err == nil
+		}
+		chain := []checkMeta{tip}
+		for cur := tip; ok && cur.kind == slotKindDelta; {
+			// Strictly decreasing counters and a depth bound of the slot
+			// count: a corrupted base pointer cannot loop.
+			if ok = len(chain) <= sb.slots && cur.base != 0 && cur.base < cur.counter; !ok {
+				break
+			}
+			if cur, ok = find(cur.base); ok {
+				chain = append(chain, cur)
+			}
+		}
+		if !ok {
 			continue
 		}
-		if hdr.size < 0 || hdr.size > sb.slotBytes || hdr.kind > slotKindDelta {
-			continue
-		}
-		return hdr, slot, nil
+		slices.Reverse(chain)
+		return chain, cand.loc, nil
 	}
-	return slotHeader{}, 0, fmt.Errorf("%w: no slot holds checkpoint %d", ErrNoCheckpoint, counter)
+	return nil, 0, failure
 }
 
-// chainMetas walks a delta tip back to its keyframe and returns the chain
-// in application order (keyframe first, tip last). The walk enforces
-// strictly decreasing counters and a depth bound of the slot count, so a
-// corrupted base pointer cannot loop.
-func chainMetas(dev storage.Device, sb superblock, tip checkMeta) ([]checkMeta, error) {
-	chain := []checkMeta{tip}
-	cur := tip
-	for cur.kind == slotKindDelta {
-		if len(chain) > sb.slots {
-			return nil, fmt.Errorf("core: delta chain at counter %d exceeds %d slots", tip.counter, sb.slots)
+// newest reads the superblock and resolves the newest chain under it. sb is
+// valid when err is nil or ErrNoCheckpoint.
+func newest(dev storage.Device) (sb superblock, chain []checkMeta, loc int, err error) {
+	if sb, err = readSuperblock(dev); err == nil {
+		chain, loc, err = resolve(dev, sb, 0)
+	}
+	return sb, chain, loc, err
+}
+
+// pieces takes stored bytes off a device streamPiece at a time, folding crc.
+type pieces struct {
+	dev     storage.Device
+	scratch []byte // bytes nobody keeps pass through here; made on first use
+	crc     uint32
+}
+
+// read takes n bytes at off: the first len(dst) land in dst, all are folded.
+func (p *pieces) read(dst []byte, off, n int64) error {
+	for n > 0 {
+		buf := dst
+		if len(buf) == 0 {
+			if p.scratch == nil {
+				p.scratch = make([]byte, streamPiece)
+			}
+			buf = p.scratch
 		}
-		if cur.base == 0 || cur.base >= cur.counter {
-			return nil, fmt.Errorf("core: delta %d has implausible base %d", cur.counter, cur.base)
+		buf = buf[:min(int64(len(buf)), n, streamPiece)]
+		if err := p.dev.ReadAt(buf, off); err != nil {
+			return err
 		}
-		hdr, slot, err := findChainHeader(dev, sb, cur.base)
+		p.crc = crc32.Update(p.crc, crc32.IEEETable, buf)
+		dst = dst[min(len(dst), len(buf)):]
+		off, n = off+int64(len(buf)), n-int64(len(buf))
+	}
+	return nil
+}
+
+// stream reads chain off the device link by link: the keyframe into dst,
+// then every run of adjacent dirty chunks of every delta straight into the
+// bytes of dst it replaces, so a chain of any length costs no buffer beyond
+// dst. Each link's header is re-judged by slotHeld (a live reader's slot can
+// be recycled under it); its stored bytes are folded into the slot CRC in
+// record order as they pass and checked once the link is through. Whatever
+// is inconsistent is classified corrupt.
+//
+// Only dst[:len(dst)] is written. Bytes of a link past len(dst) pass through
+// scratch (made when nil) just to be folded: dst need only hold the tip,
+// because a delta's clean (absent) chunk may not reach past its base's size
+// — the encoder's boundary rule always marks grown tails dirty — so what an
+// intermediate link holds beyond the tip is never carried forward, and stale
+// bytes a shrink left behind are never served. With dst nil stream only
+// verifies; chain may then be a single delta link, checked without its base.
+func stream(dev storage.Device, sb superblock, chain []checkMeta, dst, scratch []byte) error {
+	if len(chain) == 0 || (len(dst) > 0 && chain[0].kind != slotKindFull) {
+		return storage.Corrupt(fmt.Errorf("core: delta chain does not start at a keyframe"))
+	}
+	rd := pieces{dev: dev, scratch: scratch}
+	window := func(lo, hi int64) []byte { return dst[min(lo, int64(len(dst))):min(hi, int64(len(dst)))] }
+	for i, link := range chain {
+		hdr, err := slotHeld(dev, sb, link.slot, link.counter, link.size)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cur = checkMeta{slot: slot, counter: hdr.counter, size: hdr.size, kind: hdr.kind, base: hdr.base, fullSize: hdr.fullSize}
-		chain = append(chain, cur)
+		rd.crc = 0
+		base, size := payloadBase(sb, link.slot), hdr.size
+		if i == 0 && link.kind == slotKindFull {
+			if err := rd.read(window(0, size), base, size); err != nil {
+				return err
+			}
+		} else {
+			// Header and bitmap come off the device through a few bytes.
+			head := make([]byte, min(size, deltaHdrSize))
+			if err := rd.read(head, base, int64(len(head))); err != nil {
+				return err
+			}
+			if bm := size - deltaHdrSize; bm > 0 {
+				head = append(head, make([]byte, min(bm, int64(bitmapLen(head))))...)
+				if err := rd.read(head[deltaHdrSize:], base+deltaHdrSize, int64(len(head)-deltaHdrSize)); err != nil {
+					return err
+				}
+			}
+			prev, baseLen := link.base, int64(math.MaxInt64)
+			if i > 0 {
+				prev, baseLen = chain[i-1].counter, chain[i-1].logicalSize()
+			}
+			d, err := decodeDeltaHead(head)
+			if err == nil && (d.base != prev || d.fullSize != link.fullSize || d.recLen != size) {
+				err = fmt.Errorf("core: delta %d encodes base %d, %d logical and %d stored bytes; its chain and slot header say %d, %d and %d",
+					link.counter, d.base, d.fullSize, d.recLen, prev, link.fullSize, size)
+			}
+			pos := base + int64(len(head))
+			for j := 0; err == nil && j < d.nchunk; j++ {
+				lo := int64(j) * int64(d.gran)
+				if !d.dirtyAt(j) {
+					if hi := min(lo+int64(d.gran), d.fullSize); hi > baseLen {
+						err = fmt.Errorf("core: delta leaves chunk %d (bytes %d–%d) undefined: base is only %d bytes", j, lo, hi, baseLen)
+					}
+					continue
+				}
+				for j+1 < d.nchunk && d.dirtyAt(j+1) {
+					j++
+				}
+				hi := min(int64(j+1)*int64(d.gran), d.fullSize)
+				if err := rd.read(window(lo, hi), pos, hi-lo); err != nil {
+					return err
+				}
+				pos += hi - lo
+			}
+			if err != nil {
+				return storage.Corrupt(err)
+			}
+		}
+		if err := hdr.checkPayload(rd.crc); err != nil {
+			return err
+		}
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain, nil
+	return nil
 }
 
-// reconstructPayload reads a keyframe→delta chain off the device and
-// applies it in place, returning the tip's logical payload. The keyframe is
-// read once into dst — reallocated when len(dst) (never its spare capacity)
-// cannot hold the chain's largest link — and every link's dirty chunks are
-// read straight into it: a chain of any length costs one payload buffer.
-func reconstructPayload(dev storage.Device, sb superblock, chain []checkMeta, dst []byte) ([]byte, error) {
-	if len(chain) == 0 || chain[0].kind != slotKindFull {
-		return nil, fmt.Errorf("core: delta chain does not start at a keyframe")
-	}
-	cur := chain[0].size
-	need := cur
-	for _, m := range chain[1:] {
-		need = max(need, m.fullSize)
-	}
-	if dst == nil || int64(len(dst)) < need {
-		dst = make([]byte, need)
-	}
-	if err := readSlotPayload(dev, sb, chain[0], dst[:cur]); err != nil {
+// load streams chain into a fresh buffer and returns the tip's payload.
+func load(dev storage.Device, sb superblock, chain []checkMeta) ([]byte, error) {
+	dst := make([]byte, chain[len(chain)-1].logicalSize())
+	if err := stream(dev, sb, chain, dst, nil); err != nil {
 		return nil, err
 	}
-	for i, link := range chain[1:] {
-		if err := applyLink(dev, sb, link, chain[i].counter, dst, cur); err != nil {
-			return nil, err
-		}
-		cur = link.fullSize
-	}
-	return dst[:cur], nil
-}
-
-// applyLink turns out[:baseLen], the payload of checkpoint prev, into delta
-// link's (out holds link.fullSize bytes) without a record-sized buffer: header
-// and bitmap come off the device through a few bytes, every run of adjacent
-// dirty chunks with one ReadAt into the bytes of out it replaces, and the
-// slot CRC is folded over the pieces in record order. A clean (absent) chunk
-// that extends past the base payload means the chain is inconsistent — the
-// encoder's boundary rule always marks grown tails dirty — so stale bytes a
-// shrink left behind are never served.
-func applyLink(dev storage.Device, sb superblock, link checkMeta, prev uint64, out []byte, baseLen int64) error {
-	hdr, err := liveSlotHeader(dev, sb, link)
-	if err != nil {
-		return err
-	}
-	base := payloadBase(sb, link.slot)
-	head := make([]byte, min(link.size, deltaHdrSize))
-	if err := dev.ReadAt(head, base); err != nil {
-		return err
-	}
-	if bm := link.size - deltaHdrSize; bm > 0 {
-		head = append(head, make([]byte, min(bm, int64(bitmapLen(head))))...)
-		if err := dev.ReadAt(head[deltaHdrSize:], base+deltaHdrSize); err != nil {
-			return err
-		}
-	}
-	d, err := decodeDeltaHead(head)
-	if err == nil && (d.base != prev || d.fullSize != link.fullSize || d.recLen != link.size) {
-		err = fmt.Errorf("core: delta %d encodes base %d, %d logical and %d stored bytes; its chain and slot header say %d, %d and %d",
-			link.counter, d.base, d.fullSize, d.recLen, prev, link.fullSize, link.size)
-	}
-	crc, pos := crc32.ChecksumIEEE(head), base+int64(len(head))
-	for i := 0; err == nil && i < d.nchunk; i++ {
-		lo := int64(i) * int64(d.gran)
-		if !d.dirtyAt(i) {
-			if hi := min(lo+int64(d.gran), d.fullSize); hi > baseLen {
-				err = fmt.Errorf("core: delta leaves chunk %d (bytes %d–%d) undefined: base is only %d bytes", i, lo, hi, baseLen)
-			}
-			continue
-		}
-		for i+1 < d.nchunk && d.dirtyAt(i+1) {
-			i++
-		}
-		run := out[lo:min(int64(i+1)*int64(d.gran), d.fullSize)]
-		if err := dev.ReadAt(run, pos); err != nil {
-			return err
-		}
-		crc, pos = crc32.Update(crc, crc32.IEEETable, run), pos+int64(len(run))
-	}
-	if err == nil && hdr.hasCRC && crc != hdr.payloadCRC {
-		err = fmt.Errorf("core: checkpoint %d payload checksum mismatch", link.counter)
-	}
-	if err != nil {
-		return storage.Corrupt(err)
-	}
-	return nil
-}
-
-// liveSlotHeader reads the header of meta's slot and checks that the slot
-// still holds that checkpoint, un-quarantined.
-func liveSlotHeader(dev storage.Device, sb superblock, meta checkMeta) (slotHeader, error) {
-	buf := make([]byte, slotHeaderSize)
-	if err := dev.ReadAt(buf, slotBase(sb, meta.slot)); err != nil {
-		return slotHeader{}, err
-	}
-	hdr, ok := decodeSlotHeader(buf)
-	if !ok || hdr.counter != meta.counter || hdr.epoch != sb.epoch {
-		return slotHeader{}, fmt.Errorf("%w: slot %d no longer holds checkpoint %d", errSlotRecycled, meta.slot, meta.counter)
-	}
-	if hdr.quarantined() {
-		// Tombstoned under a live reader: the data is known-bad and must not
-		// be served. Classified corrupt, not recycled — a retry reads the
-		// same tombstone.
-		return slotHeader{}, storage.Corrupt(fmt.Errorf("core: checkpoint %d in slot %d is quarantined", meta.counter, meta.slot))
-	}
-	return hdr, nil
-}
-
-// readSlotPayload copies a checkpoint payload out of its slot, verifying the
-// payload CRC when the checkpoint was written with verification enabled.
-func readSlotPayload(dev storage.Device, sb superblock, meta checkMeta, dst []byte) error {
-	hdr, err := liveSlotHeader(dev, sb, meta)
-	if err != nil {
-		return err
-	}
-	if err := dev.ReadAt(dst, payloadBase(sb, meta.slot)); err != nil {
-		return err
-	}
-	if hdr.hasCRC && crc32.ChecksumIEEE(dst) != hdr.payloadCRC {
-		// Classified corrupt (not transient): re-reading the same bytes
-		// will not heal a bad payload, and callers must know the data
-		// cannot be trusted.
-		return storage.Corrupt(fmt.Errorf("core: checkpoint %d payload checksum mismatch", meta.counter))
-	}
-	return nil
+	return dst, nil
 }
 
 // Recover reads the latest fully persisted checkpoint from a formatted
@@ -288,82 +318,42 @@ func readSlotPayload(dev storage.Device, sb superblock, meta checkMeta, dst []by
 // the caller hands it to the training job to resume.
 //
 // A tiered device (anything implementing TierReader, e.g. storage.Tiered)
-// is walked newest-reachable-first: every level is probed and the highest
-// recoverable counter wins, so losing the fast tier falls back to whatever
-// the drainer last acknowledged below it.
+// is recovered as RecoverTiered recovers its levels, so losing the fast tier
+// falls back to whatever the drainer last acknowledged below it.
 func Recover(dev storage.Device) (payload []byte, counter uint64, err error) {
 	if tr, ok := dev.(TierReader); ok {
 		return RecoverTiered(tr.Tiers()...)
 	}
-	return recoverDevice(dev)
+	return RecoverTiered(dev)
 }
 
-// recoverDevice is single-level Recover.
-func recoverDevice(dev storage.Device) (payload []byte, counter uint64, err error) {
-	sb, err := readSuperblock(dev)
-	if err != nil {
-		return nil, 0, err
-	}
-	meta, _, err := recoverPointer(dev, sb)
-	if err != nil {
-		return nil, 0, err
-	}
-	// A full checkpoint is a chain of one.
-	chain, err := chainMetas(dev, sb, *meta)
-	if err != nil {
-		return nil, 0, err
-	}
-	if payload, err = reconstructPayload(dev, sb, chain, nil); err != nil {
-		return nil, 0, err
-	}
-	return payload, meta.counter, nil
-}
-
-// RecoverVersion reads the checkpoint with the given counter if a slot still
-// holds it intact. The engine only *guarantees* the newest published
-// checkpoint, but the N+1 slots usually retain several predecessors, which
-// distributed restores exploit when a worker's local latest has advanced
-// past the group's agreed checkpoint (§3.1). ErrNoCheckpoint means the
-// version is no longer resident.
+// RecoverVersion reads the checkpoint with the given counter while its whole
+// chain is still resident and intact. The engine only *guarantees* the newest
+// published checkpoint, but the N+1 slots usually retain several
+// predecessors, which distributed restores exploit when a worker's local
+// latest has advanced past the group's agreed checkpoint (§3.1).
+// ErrNoCheckpoint means the version is no longer resident.
 func RecoverVersion(dev storage.Device, counter uint64) ([]byte, error) {
 	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, err
 	}
-	if sb.deltaKeyframe > 0 {
-		return recoverVersionDelta(dev, sb, counter)
-	}
-	payload, _, err := recoverVersionSlot(dev, sb, counter)
+	payload, _, err := loadVersion(dev, sb, counter)
 	return payload, err
 }
 
-// recoverVersionDelta serves a by-counter read on a delta-formatted device:
-// the version is resident only while its whole chain still is.
-func recoverVersionDelta(dev storage.Device, sb superblock, counter uint64) ([]byte, error) {
-	hdr, slot, err := findChainHeader(dev, sb, counter)
+// loadVersion also reports the chain read, for a live reader's seqlock check.
+func loadVersion(dev storage.Device, sb superblock, counter uint64) ([]byte, []checkMeta, error) {
+	if counter == 0 {
+		return nil, nil, ErrNoCheckpoint // resolve would read 0 as "the newest"
+	}
+	chain, _, err := resolve(dev, sb, counter)
 	if err != nil {
-		return nil, ErrNoCheckpoint
+		return nil, nil, err
 	}
-	tip := checkMeta{slot: slot, counter: hdr.counter, size: hdr.size, kind: hdr.kind, base: hdr.base, fullSize: hdr.fullSize}
-	chain, err := chainMetas(dev, sb, tip)
+	payload, err := load(dev, sb, chain)
 	if err != nil {
-		return nil, ErrNoCheckpoint // a link was recycled; the version is gone
+		return nil, nil, ErrNoCheckpoint // e.g. an in-flight overwrite tore it
 	}
-	return reconstructPayload(dev, sb, chain, nil)
-}
-
-// recoverVersionSlot also reports which slot held the version, so live
-// readers can validate it against the slot seqlock.
-func recoverVersionSlot(dev storage.Device, sb superblock, counter uint64) ([]byte, int, error) {
-	hdr, slot, err := findChainHeader(dev, sb, counter)
-	if errors.Is(err, ErrNoCheckpoint) {
-		return nil, 0, ErrNoCheckpoint // bare, as callers comparing with == expect
-	} else if err != nil {
-		return nil, 0, err
-	}
-	payload := make([]byte, hdr.size)
-	if err := readSlotPayload(dev, sb, checkMeta{slot: slot, counter: counter, size: hdr.size}, payload); err != nil {
-		return nil, 0, ErrNoCheckpoint // e.g. an in-flight overwrite tore it
-	}
-	return payload, slot, nil
+	return payload, chain, nil
 }

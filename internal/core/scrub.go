@@ -40,12 +40,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"time"
 
@@ -141,9 +138,7 @@ func (r ScrubRegion) String() string {
 }
 
 // ScrubRecord is one finding in the scrubber's audit log: what was damaged,
-// where, and what was done about it. The fixed-width encoding is the
-// forensic interchange format (pccheck-inspect renders it; FuzzScrubRecord
-// holds the decoder to arbitrary input).
+// where, and what was done about it.
 type ScrubRecord struct {
 	// TS is when the finding was made, nanoseconds since the Unix epoch.
 	TS int64
@@ -172,49 +167,6 @@ func (r ScrubRecord) String() string {
 	return fmt.Sprintf("%s: %s", where, r.Action)
 }
 
-// scrubRecordSize is the encoded length: TS u64, counter u64, tier i32,
-// slot i32, action u8, region u8, pad, CRC u32.
-const scrubRecordSize = 32
-
-// Encode serializes the record with a covering CRC.
-func (r ScrubRecord) Encode() []byte {
-	buf := make([]byte, scrubRecordSize)
-	binary.LittleEndian.PutUint64(buf[0:], uint64(r.TS))
-	binary.LittleEndian.PutUint64(buf[8:], r.Counter)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(r.Tier))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(r.Slot))
-	buf[24] = uint8(r.Action)
-	buf[25] = uint8(r.Region)
-	binary.LittleEndian.PutUint32(buf[28:], crc32.ChecksumIEEE(buf[:28]))
-	return buf
-}
-
-// DecodeScrubRecord parses an encoded record, rejecting truncation, CRC
-// mismatches and out-of-range enums. Arbitrary input never panics.
-func DecodeScrubRecord(buf []byte) (ScrubRecord, error) {
-	if len(buf) < scrubRecordSize {
-		return ScrubRecord{}, fmt.Errorf("core: scrub record truncated: %d bytes", len(buf))
-	}
-	if binary.LittleEndian.Uint32(buf[28:]) != crc32.ChecksumIEEE(buf[:28]) {
-		return ScrubRecord{}, errors.New("core: scrub record checksum mismatch")
-	}
-	r := ScrubRecord{
-		TS:      int64(binary.LittleEndian.Uint64(buf[0:])),
-		Counter: binary.LittleEndian.Uint64(buf[8:]),
-		Tier:    int32(binary.LittleEndian.Uint32(buf[16:])),
-		Slot:    int32(binary.LittleEndian.Uint32(buf[20:])),
-		Action:  ScrubAction(buf[24]),
-		Region:  ScrubRegion(buf[25]),
-	}
-	if r.Action < ScrubDetected || r.Action > ScrubResynced {
-		return ScrubRecord{}, fmt.Errorf("core: scrub record has unknown action %d", buf[24])
-	}
-	if r.Region < RegionSlot || r.Region > RegionSuperblock {
-		return ScrubRecord{}, fmt.Errorf("core: scrub record has unknown region %d", buf[25])
-	}
-	return r, nil
-}
-
 // ScrubStatus is a point-in-time snapshot of the scrubber's counters.
 type ScrubStatus struct {
 	// Sweeps is how many sweeps have completed; LastSweep when the most
@@ -237,17 +189,12 @@ type ScrubStatus struct {
 	Findings []ScrubRecord
 }
 
-// errSlotQuarantined distinguishes "already tombstoned" from fresh damage,
-// so repeated sweeps do not re-count a quarantined slot as a new finding.
-var errSlotQuarantined = errors.New("core: slot is quarantined")
-
 // tieredScrub is what the scrubber needs from a tiered device: the levels,
 // the active front, the durable watermark, and the repair lever. It is
 // satisfied by *storage.Tiered; a plain device simply has no tier pass.
 type tieredScrub interface {
 	TierReader
 	Active() int
-	Watermark() uint64
 	ScheduleResync(level int) bool
 	Status() []storage.TierStatus
 }
@@ -255,18 +202,22 @@ type tieredScrub interface {
 // scrubber runs integrity sweeps over one engine. All sweeps — background
 // and on-demand — serialize on mu, which also guards the status snapshot.
 type scrubber struct {
-	c   *Checkpointer
-	cfg ScrubConfig
+	c     *Checkpointer
+	cfg   ScrubConfig
+	front storage.Device // c.dev as the scrubber reads it: see reads
 
 	stop chan struct{}
 	done chan struct{}
 
-	mu sync.Mutex
-	st ScrubStatus
+	mu    sync.Mutex
+	st    ScrubStatus
+	piece []byte // every sweep's verifications and repair copies pass through it
 }
 
 func newScrubber(c *Checkpointer, cfg ScrubConfig) *scrubber {
-	return &scrubber{c: c, cfg: cfg.withDefaults()}
+	s := &scrubber{c: c, cfg: cfg.withDefaults()}
+	s.front = s.reads(c.dev)
+	return s
 }
 
 // start launches the background loop when an interval is configured.
@@ -310,8 +261,8 @@ func (c *Checkpointer) ScrubNow() (found, healed int, err error) {
 	if c.closed.Load() {
 		return 0, 0, ErrClosed
 	}
-	t := c.scrub.sweep()
-	return t.found, t.repaired + t.quarantined + t.resyncs, nil
+	found, healed = c.scrub.sweep()
+	return found, healed, nil
 }
 
 // ScrubStatus returns a snapshot of the scrubber's counters and its recent
@@ -325,46 +276,37 @@ func (c *Checkpointer) ScrubStatus() ScrubStatus {
 	return st
 }
 
-// sweepTally accumulates one sweep's outcomes.
-type sweepTally struct {
-	bytes                                 int64
-	found, repaired, quarantined, resyncs int
-	unrepaired                            int
-}
-
-// sweep runs one full pass: pointer records, committed slots, black-box
-// header, lower tiers. Sweeps serialize on s.mu.
-func (s *scrubber) sweep() sweepTally {
+// sweep runs one full pass — pointer records, committed slots, black-box
+// header, lower tiers — counting straight into the status, and returns how
+// many damaged copies it added there and how many of them it healed.
+func (s *scrubber) sweep() (found, healed int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := s.c
+	c, st := s.c, &s.st
 	start := c.obsNow()
-	var t sweepTally
-	s.scrubRecords(&t)
-	if c.sb.deltaKeyframe > 0 {
-		s.scrubChain(&t)
-	} else {
-		s.scrubPublished(&t)
+	if s.piece == nil {
+		s.piece = make([]byte, streamPiece)
 	}
-	s.scrubBlackBox(&t)
-	s.scrubTiers(&t)
+	before := *st
+	s.scrubRecords()
+	unrepaired := st.Unrepaired
+	s.scrubCommitted()
+	frontOK := st.Unrepaired == unrepaired
+	s.scrubBlackBox()
+	s.scrubTiers(frontOK)
 
-	s.st.Sweeps++
-	s.st.LastSweep = time.Now()
-	s.st.LastFindings = t.found
-	s.st.BytesVerified += uint64(t.bytes)
-	s.st.Corruptions += uint64(t.found)
-	s.st.Repairs += uint64(t.repaired)
-	s.st.Quarantines += uint64(t.quarantined)
-	s.st.TierResyncs += uint64(t.resyncs)
-	s.st.Unrepaired += uint64(t.unrepaired)
-	c.span(obs.PhaseScrub, start, 0, -1, t.bytes, int64(t.found))
-	if t.found > 0 && c.bbox != nil {
+	st.Sweeps++
+	st.LastSweep = time.Now()
+	found = int(st.Corruptions - before.Corruptions)
+	healed = int(st.Repairs + st.Quarantines + st.TierResyncs - before.Repairs - before.Quarantines - before.TierResyncs)
+	st.LastFindings = found
+	c.span(obs.PhaseScrub, start, 0, -1, int64(st.BytesVerified-before.BytesVerified), int64(found))
+	if found > 0 && c.bbox != nil {
 		// Eventful sweeps flush immediately: the finding and repair events
 		// must survive a crash that follows the damage they describe.
 		c.bbox.Flush() //nolint:errcheck // best-effort telemetry
 	}
-	return t
+	return found, healed
 }
 
 // note appends a finding to the bounded audit tail and mirrors it as an
@@ -406,19 +348,68 @@ func (s *scrubber) provenance(chosen string, rejected []string, counter uint64, 
 	})
 }
 
-// read is a classified read: transient faults retry up to cfg.ReadRetry
-// times, permanent faults and corruption return immediately.
-func (s *scrubber) read(dev storage.Device, p []byte, off int64) error {
-	var err error
-	for i := 0; i <= s.cfg.ReadRetry; i++ {
-		if err = dev.ReadAt(p, off); err == nil {
-			return nil
+// heal accounts one finding from detection to outcome: the detection is
+// noted, run repairs under a timer (nil: nothing can be done), and the result
+// lands in the status counters, the audit tail and the decision trace. There
+// action names the repair, over the alternatives it beat when it succeeds
+// (counted as healed), left the ones still open when it fails. run may adjust
+// the record its success is noted under: source tier, rewritten counter.
+func (s *scrubber) heal(rec ScrubRecord, healed ScrubAction, action string, over, left []string, run func(rec *ScrubRecord) error) {
+	s.st.Corruptions++
+	rec.Action = ScrubDetected
+	s.note(rec)
+	if run == nil {
+		s.st.Unrepaired++
+		return
+	}
+	start := time.Now()
+	switch err := run(&rec); {
+	case errors.Is(err, errRepairSuperseded):
+		// A newer checkpoint published while we repaired: the damaged slot
+		// is no longer referenced and rejoins the pool through the normal
+		// supersede path. Damage contained, nothing to note.
+		s.st.Repairs++
+		s.provenance(action, nil, rec.Counter, time.Since(start), "superseded")
+	case err != nil:
+		s.st.Unrepaired++
+		s.provenance(action, left, rec.Counter, time.Since(start), "failed")
+	default:
+		switch healed {
+		case ScrubQuarantined:
+			s.st.Quarantines++
+		case ScrubResynced:
+			s.st.TierResyncs++
+		default:
+			s.st.Repairs++
 		}
-		if storage.Classify(err) != storage.ClassTransient {
+		rec.Action = healed
+		s.note(rec)
+		s.provenance(action, over, rec.Counter, time.Since(start), healed.String())
+	}
+}
+
+var ignore = []string{"ignore"}
+
+// retryReads retries a device's transiently failing reads up to retry more
+// times; permanent faults and corruption return immediately.
+type retryReads struct {
+	storage.Device
+	retry int
+}
+
+func (d retryReads) ReadAt(p []byte, off int64) error {
+	var err error
+	for i := 0; i <= d.retry; i++ {
+		if err = d.Device.ReadAt(p, off); err == nil || storage.Classify(err) != storage.ClassTransient {
 			return err
 		}
 	}
 	return err
+}
+
+// reads is dev as the scrubber reads it: through cfg.ReadRetry.
+func (s *scrubber) reads(dev storage.Device) storage.Device {
+	return retryReads{dev, s.cfg.ReadRetry}
 }
 
 // --- pointer records --------------------------------------------------------
@@ -429,61 +420,38 @@ func (s *scrubber) read(dev storage.Device, p []byte, off int64) error {
 // all-zero, or when no location decodes to the durable high-water counter
 // (a zeroing fault wiped the current record — all-zero is only "legitimately
 // empty" while it does not regress the durable floor).
-func (s *scrubber) scrubRecords(t *sweepTally) {
-	c := s.c
+func (s *scrubber) scrubRecords() {
+	c, dev := s.c, s.front
 	c.recordMu.Lock()
 	defer c.recordMu.Unlock()
 	// The superblock first: it is immutable after format and the engine
 	// holds the authoritative copy in memory, so damage (a zeroing fault on
 	// sector 0 takes the superblock AND both records with it) is repaired
 	// by simply re-persisting it.
-	head := make([]byte, 64)
-	t.bytes += 64
-	herr := s.read(c.dev, head, superOff)
-	var onDev superblock
-	if herr == nil {
-		onDev, herr = decodeSuperblock(head)
-	}
-	if herr != nil || onDev != c.sb {
-		t.found++
-		s.note(ScrubRecord{Tier: -1, Slot: -1, Region: RegionSuperblock, Action: ScrubDetected})
-		repStart := time.Now()
-		if err := c.dev.Persist(c.sb.encode(), superOff); err != nil {
-			t.unrepaired++
-			s.provenance("rewrite-superblock", []string{"ignore"}, 0, time.Since(repStart), "failed")
-		} else {
-			t.repaired++
-			s.note(ScrubRecord{Tier: -1, Slot: -1, Region: RegionSuperblock, Action: ScrubRepaired})
-			s.provenance("rewrite-superblock", []string{"ignore"}, 0, time.Since(repStart), "repaired")
-		}
+	s.st.BytesVerified += 64
+	if onDev, err := readSuperblock(dev); err != nil || onDev != c.sb {
+		s.heal(ScrubRecord{Tier: -1, Slot: -1, Region: RegionSuperblock}, ScrubRepaired, "rewrite-superblock", ignore, ignore,
+			func(*ScrubRecord) error { return c.dev.Persist(c.sb.encode(), superOff) })
 	}
 
 	m := c.checkAddr.Load()
 	if m == nil || c.recordHighest == 0 {
 		return
 	}
-	zero := make([]byte, recordSize)
 	var bestCtr uint64
 	type locState struct {
-		off     int64
-		damaged bool
-		zeroed  bool
+		off             int64
+		damaged, zeroed bool
 	}
 	locs := [2]locState{{off: recordAOff}, {off: recordBOff}}
 	for i := range locs {
-		buf := make([]byte, recordSize)
-		t.bytes += recordSize
-		if err := s.read(c.dev, buf, locs[i].off); err != nil {
+		var buf, zero [recordSize]byte
+		s.st.BytesVerified += recordSize
+		if err := dev.ReadAt(buf[:], locs[i].off); err != nil {
 			locs[i].damaged = true
-			continue
-		}
-		if rec, ok := decodeRecord(buf); ok {
-			if rec.counter > bestCtr {
-				bestCtr = rec.counter
-			}
-			continue
-		}
-		if bytes.Equal(buf, zero) {
+		} else if rec, ok := decodeRecord(buf[:]); ok {
+			bestCtr = max(bestCtr, rec.counter)
+		} else if buf == zero {
 			locs[i].zeroed = true
 		} else {
 			locs[i].damaged = true
@@ -494,85 +462,64 @@ func (s *scrubber) scrubRecords(t *sweepTally) {
 		if !loc.damaged && !(loc.zeroed && floorLost) {
 			continue
 		}
-		t.found++
-		s.note(ScrubRecord{Tier: -1, Slot: -1, Region: RegionRecord, Action: ScrubDetected, Counter: c.recordHighest})
 		// Repair: the published meta's slot header is always durable before
 		// checkAddr stores it, so a record naming it is always legal — and
 		// m.counter >= recordHighest, so the floor never regresses.
-		repStart := time.Now()
-		if err := c.dev.Persist(encodeRecord(*m), loc.off); err != nil {
-			t.unrepaired++
-			s.provenance("rewrite-record", []string{"ignore"}, m.counter, time.Since(repStart), "failed")
-			continue
-		}
-		t.repaired++
-		s.note(ScrubRecord{Tier: -1, Slot: -1, Region: RegionRecord, Action: ScrubRepaired, Counter: m.counter})
-		s.provenance("rewrite-record", []string{"ignore"}, m.counter, time.Since(repStart), "repaired")
+		s.heal(ScrubRecord{Tier: -1, Slot: -1, Region: RegionRecord, Counter: c.recordHighest}, ScrubRepaired, "rewrite-record", ignore, ignore,
+			func(rec *ScrubRecord) error {
+				rec.Counter = m.counter
+				return c.dev.Persist(encodeRecord(*m), loc.off)
+			})
 	}
 }
 
 // --- committed slots --------------------------------------------------------
 
-// readVerifiedSlot reads slot m from dev and verifies it well enough to
-// trust: the header decodes, is not quarantined, carries the live epoch and
-// m's counter/size, the payload CRC holds when present, and a delta record
-// decodes. It returns the header and payload.
-func readVerifiedSlot(dev storage.Device, sb superblock, m checkMeta, read func(storage.Device, []byte, int64) error) (slotHeader, []byte, error) {
-	buf := make([]byte, slotHeaderSize)
-	if err := read(dev, buf, slotBase(sb, m.slot)); err != nil {
-		return slotHeader{}, nil, err
-	}
-	hdr, ok := decodeSlotHeader(buf)
-	if !ok {
-		return slotHeader{}, nil, fmt.Errorf("core: slot %d header corrupt", m.slot)
-	}
-	if hdr.quarantined() {
-		return slotHeader{}, nil, errSlotQuarantined
-	}
-	if hdr.counter != m.counter || hdr.epoch != sb.epoch || hdr.size != m.size {
-		return slotHeader{}, nil, fmt.Errorf("core: slot %d holds counter %d/epoch %d/size %d, expected %d/%d/%d",
-			m.slot, hdr.counter, hdr.epoch, hdr.size, m.counter, sb.epoch, m.size)
-	}
-	payload := make([]byte, m.size)
-	if m.size > 0 {
-		if err := read(dev, payload, payloadBase(sb, m.slot)); err != nil {
-			return slotHeader{}, nil, err
-		}
-	}
-	if hdr.hasCRC {
-		if crc32.ChecksumIEEE(payload) != hdr.payloadCRC {
-			return slotHeader{}, nil, storage.Corrupt(fmt.Errorf("core: checkpoint %d payload checksum mismatch", m.counter))
-		}
-	}
-	if hdr.kind == slotKindDelta {
-		if _, err := decodeDelta(payload); err != nil {
-			return slotHeader{}, nil, storage.Corrupt(err)
-		}
-	}
-	return hdr, payload, nil
-}
-
 // healthyCopy searches the lower tiers of a tiered device for an intact
 // copy of checkpoint m: same slot index (the drainer replays the front
-// image verbatim), matching header, verifying payload. Tiers are probed
-// nearest-first, so the newest healthy copy wins.
-func (s *scrubber) healthyCopy(m checkMeta) (slotHeader, []byte, int, bool) {
+// image verbatim), a header slotHeld accepts, a verifying payload. Tiers are
+// probed nearest-first, so the newest healthy copy wins.
+func (s *scrubber) healthyCopy(m checkMeta) (src storage.Device, tier int, ok bool) {
 	td, ok := s.c.dev.(tieredScrub)
 	if !ok {
-		return slotHeader{}, nil, 0, false
+		return nil, 0, false
 	}
-	levels := td.Tiers()
 	active := td.Active()
-	for i, dev := range levels {
+	for i, dev := range td.Tiers() {
 		if i <= active || dev == nil {
 			continue
 		}
-		hdr, payload, err := readVerifiedSlot(dev, s.c.sb, m, s.read)
-		if err == nil {
-			return hdr, payload, i, true
+		if src = s.reads(dev); stream(src, s.c.sb, []checkMeta{m}, nil, s.piece) == nil {
+			return src, i, true
 		}
 	}
-	return slotHeader{}, nil, 0, false
+	return nil, 0, false
+}
+
+// copySlot rewrites slot to of the engine's device with checkpoint m as src
+// holds it (healthyCopy has just verified that copy), a piece at a time:
+// payload, one sync, then the header — the write protocol's order, so a
+// crash mid-repair leaves at worst the damaged state the repair started from.
+func (s *scrubber) copySlot(src storage.Device, m checkMeta, to int) error {
+	c := s.c
+	from, dst := payloadBase(c.sb, m.slot), payloadBase(c.sb, to)
+	for off := int64(0); off < m.size; off += streamPiece {
+		buf := s.piece[:min(m.size-off, streamPiece)]
+		if err := src.ReadAt(buf, from+off); err != nil {
+			return err
+		}
+		if err := c.dev.WriteAt(buf, dst+off); err != nil {
+			return err
+		}
+	}
+	if err := c.dev.Sync(dst, m.size); err != nil {
+		return err
+	}
+	hdr := s.piece[:slotHeaderSize]
+	if err := src.ReadAt(hdr, slotBase(c.sb, m.slot)); err != nil {
+		return err
+	}
+	return c.dev.Persist(hdr, slotBase(c.sb, to))
 }
 
 // quarantineSlot tombstones slot m on dev: a reconstructed header with the
@@ -588,113 +535,73 @@ func quarantineSlot(dev storage.Device, sb superblock, m checkMeta) error {
 	return dev.Persist(encodeSlotHeader(hdr), slotBase(sb, m.slot))
 }
 
-// scrubChain verifies the pinned keyframe→delta chain in delta mode,
-// keyframe first. deltaMu is held throughout: chain slots are pinned and
-// saves serialize on the same mutex, so damaged links can be rewritten in
-// place without racing a writer.
-func (s *scrubber) scrubChain(t *sweepTally) {
+// scrubCommitted verifies what recovery would read off the front, a slot at
+// a time: the pinned keyframe→delta chain in delta mode, keyframe first, the
+// published slot otherwise. A damaged slot is rebuilt from the nearest
+// healthy lower-tier copy, or tombstoned when there is none. In delta mode
+// deltaMu is held throughout, which lets a link be rewritten in place.
+// Otherwise the slot seqlock and checkAddr are sampled around the read, so a
+// concurrent recycle reads as "stale", never as damage, and the repair
+// re-publishes (under deltaMu the samples simply hold).
+func (s *scrubber) scrubCommitted() {
 	c := s.c
-	c.deltaMu.Lock()
-	defer c.deltaMu.Unlock()
-	for _, m := range c.chain {
-		_, _, verr := readVerifiedSlot(c.dev, c.sb, m, s.read)
-		t.bytes += slotHeaderSize + m.size
-		if verr == nil || errors.Is(verr, errSlotQuarantined) {
-			continue // healthy, or already tombstoned in an earlier sweep
-		}
-		t.found++
-		s.note(ScrubRecord{Tier: -1, Slot: int32(m.slot), Counter: m.counter, Region: RegionSlot, Action: ScrubDetected})
-		repStart := time.Now()
-		if hdr, payload, srcTier, ok := s.healthyCopy(m); ok {
-			// Payload before header, matching the write protocol: a crash
-			// mid-repair leaves a header that fails its CRC against the old
-			// payload at worst, which is the state we started from.
-			err := c.dev.Persist(payload, payloadBase(c.sb, m.slot))
-			if err == nil {
-				err = c.dev.Persist(encodeSlotHeader(hdr), slotBase(c.sb, m.slot))
-			}
-			if err == nil {
-				t.repaired++
-				s.note(ScrubRecord{Tier: int32(srcTier), Slot: int32(m.slot), Counter: m.counter, Region: RegionSlot, Action: ScrubRepaired})
-				s.provenance("rewrite-from-tier", []string{"quarantine", "resync-tier"}, m.counter, time.Since(repStart), "repaired")
-				continue
-			}
-			t.unrepaired++
-			s.provenance("rewrite-from-tier", []string{"quarantine"}, m.counter, time.Since(repStart), "failed")
-			continue
-		}
-		// No healthy source anywhere: tombstone the link so recovery falls
-		// back past this chain, and force the next save to open a fresh
-		// chain with a keyframe — extending a dead chain would pin more
-		// saves to unrecoverable state.
-		if err := quarantineSlot(c.dev, c.sb, m); err != nil {
-			t.unrepaired++
-			s.provenance("quarantine", []string{"ignore"}, m.counter, time.Since(repStart), "failed")
-			continue
-		}
-		c.hashes = nil
-		t.quarantined++
-		s.note(ScrubRecord{Tier: -1, Slot: int32(m.slot), Counter: m.counter, Region: RegionSlot, Action: ScrubQuarantined})
-		s.provenance("quarantine", []string{"rewrite-from-tier"}, m.counter, time.Since(repStart), "quarantined")
+	delta := c.sb.deltaKeyframe > 0
+	if delta {
+		c.deltaMu.Lock()
+		defer c.deltaMu.Unlock()
 	}
-}
-
-// scrubPublished verifies the published slot in concurrent (non-delta)
-// mode. The slot seqlock and checkAddr are sampled around the read so a
-// concurrent recycle reads as "stale", never as damage.
-func (s *scrubber) scrubPublished(t *sweepTally) {
-	c := s.c
 	m := c.checkAddr.Load()
 	if m == nil {
 		return
 	}
-	s1 := c.slotSeq[m.slot].Load()
-	if s1%2 == 1 {
-		return // slot being rewritten: m is already superseded
+	chain := c.chain
+	if !delta {
+		chain = []checkMeta{*m}
 	}
-	_, _, verr := readVerifiedSlot(c.dev, c.sb, *m, s.read)
-	if c.slotSeq[m.slot].Load() != s1 || c.checkAddr.Load() != m {
-		return // recycled or superseded mid-verify: stale, not damage
-	}
-	t.bytes += slotHeaderSize + m.size
-	if verr == nil || errors.Is(verr, errSlotQuarantined) {
-		return
-	}
-	t.found++
-	s.note(ScrubRecord{Tier: -1, Slot: int32(m.slot), Counter: m.counter, Region: RegionSlot, Action: ScrubDetected})
-	repStart := time.Now()
-	if hdr, payload, srcTier, ok := s.healthyCopy(*m); ok {
-		switch err := s.republish(m, hdr, payload); {
-		case err == nil:
-			t.repaired++
-			s.note(ScrubRecord{Tier: int32(srcTier), Slot: int32(m.slot), Counter: m.counter, Region: RegionSlot, Action: ScrubRepaired})
-			s.provenance("republish-from-tier", []string{"quarantine", "rewrite-in-place"}, m.counter, time.Since(repStart), "repaired")
-		case errors.Is(err, errRepairSuperseded):
-			// A newer checkpoint published while we repaired: the damaged
-			// slot is no longer referenced and rejoins the pool through the
-			// normal supersede path. Damage contained, nothing to count.
-			t.repaired++
-			s.provenance("republish-from-tier", nil, m.counter, time.Since(repStart), "superseded")
-		default:
-			t.unrepaired++
-			s.provenance("republish-from-tier", []string{"quarantine"}, m.counter, time.Since(repStart), "failed")
+	for i, link := range chain {
+		s1 := c.slotSeq[link.slot].Load()
+		if s1%2 == 1 {
+			return // slot being rewritten: m is already superseded
 		}
-		return
+		verr := stream(s.front, c.sb, chain[i:i+1], nil, s.piece)
+		if c.slotSeq[link.slot].Load() != s1 || c.checkAddr.Load() != m {
+			return // recycled or superseded mid-verify: stale, not damage
+		}
+		s.st.BytesVerified += uint64(slotHeaderSize + link.size)
+		if verr == nil || errors.Is(verr, errSlotQuarantined) {
+			continue // healthy, or already tombstoned in an earlier sweep
+		}
+		rec := ScrubRecord{Tier: -1, Slot: int32(link.slot), Counter: link.counter, Region: RegionSlot}
+		action, over := "republish-from-tier", []string{"quarantine", "rewrite-in-place"}
+		if delta {
+			action, over = "rewrite-from-tier", []string{"quarantine", "resync-tier"}
+		}
+		if src, tier, ok := s.healthyCopy(link); ok {
+			s.heal(rec, ScrubRepaired, action, over, []string{"quarantine"}, func(rec *ScrubRecord) error {
+				rec.Tier = int32(tier)
+				if delta {
+					return s.copySlot(src, link, link.slot)
+				}
+				return s.republish(m, src)
+			})
+			continue
+		}
+		s.heal(rec, ScrubQuarantined, "quarantine", []string{action}, ignore, func(*ScrubRecord) error {
+			// The seqlock goes odd around the header write so concurrent
+			// readers retry instead of tearing, then read the tombstone and
+			// fail classified-corrupt — never garbage.
+			c.slotSeq[link.slot].Add(1)
+			defer c.slotSeq[link.slot].Add(1)
+			err := quarantineSlot(c.dev, c.sb, link)
+			if err == nil && delta {
+				// Recovery falls back past this chain; the next save must
+				// open a fresh one with a keyframe — extending a dead chain
+				// would pin more saves to unrecoverable state.
+				c.hashes = nil
+			}
+			return err
+		})
 	}
-	// No healthy source: tombstone in place. The seqlock goes odd around
-	// the header write so concurrent readers retry instead of tearing, then
-	// read the tombstone and fail classified-corrupt — never garbage.
-	c.slotSeq[m.slot].Add(1)
-	err := quarantineSlot(c.dev, c.sb, *m)
-	c.slotSeq[m.slot].Add(1)
-	if err != nil {
-		t.unrepaired++
-		s.provenance("quarantine", []string{"ignore"}, m.counter, time.Since(repStart), "failed")
-		return
-	}
-	t.quarantined++
-	s.note(ScrubRecord{Tier: -1, Slot: int32(m.slot), Counter: m.counter, Region: RegionSlot, Action: ScrubQuarantined})
-	s.provenance("quarantine", []string{"republish-from-tier"}, m.counter, time.Since(repStart), "quarantined")
 }
 
 // errRepairSuperseded reports that a newer publication landed while a
@@ -702,35 +609,28 @@ func (s *scrubber) scrubPublished(t *sweepTally) {
 var errRepairSuperseded = errors.New("core: repair superseded by a newer checkpoint")
 
 // republish moves the damaged published checkpoint into a fresh slot
-// rewritten from a healthy copy, then forces the pointer record to the new
-// location. In-place repair is deliberately not attempted in concurrent
-// mode: the damaged slot can be recycled by a racing save the instant a
-// newer checkpoint publishes, and a scrubber write would then corrupt the
-// new occupant.
-func (s *scrubber) republish(old *checkMeta, hdr slotHeader, payload []byte) error {
+// rewritten from src's healthy copy, then forces the pointer record to the
+// new location (why never in place: see the file comment).
+func (s *scrubber) republish(old *checkMeta, src storage.Device) error {
 	c := s.c
 	slot, ok := c.freeSpace.Deq()
 	if !ok {
 		return errors.New("core: no free slot for repair")
 	}
 	c.slotSeq[slot].Add(1)
-	nh := hdr
-	nh.flags = 0
-	err := c.dev.Persist(payload, payloadBase(c.sb, slot))
-	if err == nil {
-		err = c.dev.Persist(encodeSlotHeader(nh), slotBase(c.sb, slot))
-	}
+	err := s.copySlot(src, *old, slot)
 	c.slotSeq[slot].Add(1)
 	if err != nil {
 		c.freeSpace.Enq(slot)
 		return err
 	}
-	nm := &checkMeta{slot: slot, counter: old.counter, size: old.size, kind: old.kind, base: old.base, fullSize: old.fullSize}
-	if !c.checkAddr.CompareAndSwap(old, nm) {
+	nm := *old
+	nm.slot = slot
+	if !c.checkAddr.CompareAndSwap(old, &nm) {
 		c.freeSpace.Enq(slot)
 		return errRepairSuperseded
 	}
-	if err := c.forceRecord(context.Background(), *nm); err != nil {
+	if err := c.forceRecord(context.Background(), nm); err != nil {
 		// The durable record may still name the damaged slot; park it until
 		// a newer record lands. The in-memory publish stands — readers are
 		// already served from the healthy copy.
@@ -746,42 +646,32 @@ func (s *scrubber) republish(old *checkMeta, hdr slotHeader, payload []byte) err
 // scrubBlackBox verifies the telemetry region header. Frames are left to
 // the flusher (it overwrites them in sequence anyway, and verifying a slot
 // mid-append would read torn frames as damage).
-func (s *scrubber) scrubBlackBox(t *sweepTally) {
+func (s *scrubber) scrubBlackBox() {
 	c := s.c
 	if c.sb.blackBoxBytes <= 0 {
 		return
 	}
-	t.bytes += blackbox.SectorBytes
+	s.st.BytesVerified += blackbox.SectorBytes
 	if err := blackbox.CheckHeader(c.dev, blackBoxBase(c.sb), c.sb.blackBoxBytes, c.sb.epoch); err == nil {
 		return
 	}
-	t.found++
-	s.note(ScrubRecord{Tier: -1, Slot: -1, Region: RegionBlackBox, Action: ScrubDetected})
-	repStart := time.Now()
-	if c.bbox == nil {
-		t.unrepaired++ // no journal open: nothing holds the true layout
-		return
+	var repair func(*ScrubRecord) error
+	if c.bbox != nil { // with no journal open nothing holds the true layout
+		repair = func(*ScrubRecord) error { return c.bbox.RepairHeader() }
 	}
-	if err := c.bbox.RepairHeader(); err != nil {
-		t.unrepaired++
-		s.provenance("rewrite-blackbox-header", []string{"ignore"}, 0, time.Since(repStart), "failed")
-		return
-	}
-	t.repaired++
-	s.note(ScrubRecord{Tier: -1, Slot: -1, Region: RegionBlackBox, Action: ScrubRepaired})
-	s.provenance("rewrite-blackbox-header", []string{"ignore"}, 0, time.Since(repStart), "repaired")
+	s.heal(ScrubRecord{Tier: -1, Slot: -1, Region: RegionBlackBox}, ScrubRepaired, "rewrite-blackbox-header", ignore, ignore, repair)
 }
 
 // --- lower tiers ------------------------------------------------------------
 
 // scrubTiers verifies each lower tier's self-contained image against its
-// durable watermark: the tier must recover a checkpoint at least as new as
-// what the drainer acknowledged to it, with every CRC intact. Damage is
-// healed by scheduling a full resync from the front — targeted writes into
-// a lower tier would interleave with the drainer's journal replay, while
-// the resync path is ordered by construction. Tiers mid-drain or mid-resync
-// are skipped (their images are legitimately in flux).
-func (s *scrubber) scrubTiers(t *sweepTally) {
+// durable watermark: the tier must resolve a checkpoint at least as new as
+// what the drainer acknowledged to it, with every CRC of that chain intact,
+// or it is scheduled for a full resync from the front. Tiers mid-drain or
+// mid-resync are skipped (their images are legitimately in flux). frontOK:
+// this sweep left the front's committed slots verified, repaired or
+// tombstoned, not damaged.
+func (s *scrubber) scrubTiers(frontOK bool) {
 	td, ok := s.c.dev.(tieredScrub)
 	if !ok {
 		return
@@ -796,9 +686,9 @@ func (s *scrubber) scrubTiers(t *sweepTally) {
 	// anything, no tier is resynced at all — a lower tier may then be the
 	// last good copy, and a resync would replicate the broken image over it.
 	var frontCtr uint64
-	if active >= 0 && active < len(levels) && levels[active] != nil {
-		if _, fc, err := recoverDevice(levels[active]); err == nil {
-			frontCtr = fc
+	if frontOK && active >= 0 && active < len(levels) && levels[active] != nil {
+		if _, chain, _, err := newest(s.reads(levels[active])); err == nil {
+			frontCtr = chain[len(chain)-1].counter
 		}
 	}
 	for i, dev := range levels {
@@ -809,28 +699,26 @@ func (s *scrubber) scrubTiers(t *sweepTally) {
 		if st.Failed || st.Resyncing || st.PendingOps > 0 {
 			continue
 		}
-		want := st.DurableCounter
-		if frontCtr < want {
-			want = frontCtr
-		}
+		want := min(st.DurableCounter, frontCtr)
 		if want == 0 {
 			continue // nothing acknowledged here, or no healthy repair source
 		}
-		payload, ctr, err := recoverDevice(dev)
-		t.bytes += int64(len(payload)) // what the verification actually read
-		if err == nil && ctr >= want {
-			continue
+		// A tier that trails is found without reading a payload.
+		rd := s.reads(dev)
+		if sb, chain, _, err := newest(rd); err == nil && chain[len(chain)-1].counter >= want {
+			for _, m := range chain {
+				s.st.BytesVerified += uint64(slotHeaderSize + m.size)
+			}
+			if stream(rd, sb, chain, nil, s.piece) == nil {
+				continue
+			}
 		}
-		t.found++
-		s.note(ScrubRecord{Tier: int32(i), Slot: -1, Counter: st.DurableCounter, Region: RegionTier, Action: ScrubDetected})
-		repStart := time.Now()
-		if td.ScheduleResync(i) {
-			t.resyncs++
-			s.note(ScrubRecord{Tier: int32(i), Slot: -1, Counter: st.DurableCounter, Region: RegionTier, Action: ScrubResynced})
-			s.provenance("resync-tier", []string{"rewrite-slot-in-place", "quarantine"}, st.DurableCounter, time.Since(repStart), "resynced")
-		} else {
-			t.unrepaired++
-			s.provenance("resync-tier", []string{"ignore"}, st.DurableCounter, time.Since(repStart), "failed")
-		}
+		s.heal(ScrubRecord{Tier: int32(i), Slot: -1, Counter: st.DurableCounter, Region: RegionTier},
+			ScrubResynced, "resync-tier", []string{"rewrite-slot-in-place", "quarantine"}, ignore, func(*ScrubRecord) error {
+				if !td.ScheduleResync(i) {
+					return errors.New("core: tier resync not scheduled")
+				}
+				return nil
+			})
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -392,7 +391,7 @@ func TestScrubResyncsDamagedTier(t *testing.T) {
 	if !td.WaitDrained(5 * time.Second) {
 		t.Fatal("resync did not complete")
 	}
-	payload, ctr, err := recoverDevice(lower)
+	payload, ctr, err := Recover(lower)
 	if err != nil {
 		t.Fatalf("tier recovery after resync: %v", err)
 	}
@@ -597,56 +596,4 @@ func TestScrubSweepMatrix(t *testing.T) {
 	if res.Detected == 0 || res.Repaired == 0 || res.Quarantined == 0 || res.Resynced == 0 {
 		t.Errorf("sweep did not exercise every healing path: %+v", res)
 	}
-}
-
-// --- the audit-record codec -------------------------------------------------
-
-func TestScrubRecordCodecRoundTrip(t *testing.T) {
-	recs := []ScrubRecord{
-		{TS: 1234, Counter: 42, Tier: -1, Slot: 3, Action: ScrubRepaired, Region: RegionSlot},
-		{TS: -7, Counter: 0, Tier: 2, Slot: -1, Action: ScrubResynced, Region: RegionTier},
-		{Action: ScrubQuarantined, Region: RegionRecord},
-		{Action: ScrubDetected, Region: RegionSuperblock, Tier: -1, Slot: -1},
-	}
-	for _, want := range recs {
-		got, err := DecodeScrubRecord(want.Encode())
-		if err != nil {
-			t.Fatalf("decode %+v: %v", want, err)
-		}
-		if got != want {
-			t.Errorf("round trip: got %+v, want %+v", got, want)
-		}
-	}
-	if _, err := DecodeScrubRecord(make([]byte, 10)); err == nil {
-		t.Error("truncated record decoded")
-	}
-	bad := recs[0].Encode()
-	bad[5] ^= 0xFF
-	if _, err := DecodeScrubRecord(bad); err == nil {
-		t.Error("bit-flipped record decoded")
-	}
-}
-
-func FuzzScrubRecord(f *testing.F) {
-	f.Add(ScrubRecord{TS: 1, Counter: 2, Tier: -1, Slot: 0, Action: ScrubDetected, Region: RegionSlot}.Encode())
-	f.Add(ScrubRecord{Tier: 3, Slot: -1, Action: ScrubResynced, Region: RegionTier}.Encode())
-	f.Add(make([]byte, scrubRecordSize))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := DecodeScrubRecord(data)
-		if err != nil {
-			return
-		}
-		// Anything that decodes must re-encode to something that decodes to
-		// the same record, and must render without panicking.
-		got, err := DecodeScrubRecord(rec.Encode())
-		if err != nil {
-			t.Fatalf("re-decode of valid record failed: %v", err)
-		}
-		if got != rec {
-			t.Fatalf("unstable round trip: %+v vs %+v", got, rec)
-		}
-		_ = rec.String()
-		_ = fmt.Sprintf("%v %v", rec.Action, rec.Region)
-	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"pccheck/internal/storage"
 )
 
@@ -31,38 +33,42 @@ type TierReader interface {
 
 // RecoverTiered reads the newest recoverable checkpoint across a set of
 // durability tiers, fastest-first — the restart path when tier 0 may be
-// gone. Every level is probed; unreachable or unformatted levels are
-// skipped, and the payload with the highest checkpoint counter wins (on a
-// tie, the faster tier serves the read). The cross-tier durability floor is
+// gone. Every level is resolved (records and slot headers only; unreachable
+// or unformatted levels are skipped), and the payload is read from the level
+// with the highest counter alone (on a tie, the faster tier), or the
+// next-best if it fails verification. The cross-tier durability floor is
 // therefore max over reachable tiers of each tier's drained watermark: as
 // long as one tier the drainer acknowledged survives, its checkpoints do.
 func RecoverTiered(levels ...storage.Device) (payload []byte, counter uint64, err error) {
-	var (
-		best     []byte
-		bestCtr  uint64
-		found    bool
-		firstErr error
-	)
-	for _, dev := range levels {
+	type level struct {
+		i     int // index in levels
+		dev   storage.Device
+		sb    superblock
+		chain []checkMeta
+	}
+	tip := func(l level) uint64 { return l.chain[len(l.chain)-1].counter }
+	errs := make([]error, len(levels))
+	var found []level
+	for i, dev := range levels {
 		if dev == nil {
 			continue
 		}
-		p, ctr, rerr := recoverDevice(dev)
-		if rerr != nil {
-			if firstErr == nil {
-				firstErr = rerr
-			}
-			continue
-		}
-		if !found || ctr > bestCtr {
-			best, bestCtr, found = p, ctr, true
+		l := level{i: i, dev: dev}
+		if l.sb, l.chain, _, errs[i] = newest(dev); errs[i] == nil {
+			found = append(found, l)
 		}
 	}
-	if found {
-		return best, bestCtr, nil
+	sort.SliceStable(found, func(a, b int) bool { return tip(found[a]) > tip(found[b]) })
+	for _, l := range found {
+		if payload, err = load(l.dev, l.sb, l.chain); err == nil {
+			return payload, tip(l), nil
+		}
+		errs[l.i] = err
 	}
-	if firstErr != nil {
-		return nil, 0, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, err // the fastest level's reason
+		}
 	}
 	return nil, 0, ErrNoCheckpoint
 }
