@@ -131,9 +131,7 @@ func runTierSweepPoint(cfg tiersConfig, bwMiB int64) (tierSweepPoint, error) {
 	size := core.DeviceBytesFor(ecfg)
 	remote := storage.NewRemoteStore(size,
 		storage.WithRemoteThrottle(storage.NewThrottle(float64(bwMiB)*float64(1<<20))))
-	tiered, err := storage.NewTiered(
-		[]storage.Device{storage.NewRAM(size), remote},
-		storage.WithDrainInterval(200*time.Microsecond))
+	tiered, err := storage.NewTiered([]storage.Device{storage.NewRAM(size), remote})
 	if err != nil {
 		return pt, err
 	}
@@ -190,7 +188,6 @@ func runTierTeardown(w io.Writer, cfg tiersConfig) (tierTeardownResult, error) {
 	remote := storage.NewRemoteStore(size)
 	tiered, err := storage.NewTiered(
 		[]storage.Device{storage.NewRAM(size), remote},
-		storage.WithDrainInterval(200*time.Microsecond),
 		storage.WithTierRetry(2, 100*time.Microsecond, time.Millisecond))
 	if err != nil {
 		return td, err

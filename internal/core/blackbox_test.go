@@ -239,8 +239,7 @@ func TestPostMortemFromReplicaAfterTier0Loss(t *testing.T) {
 	size := DeviceBytesFor(cfg)
 	tier0 := storage.NewRAM(size)
 	tier1 := storage.NewRAM(size)
-	tiered, err := storage.NewTiered([]storage.Device{tier0, tier1},
-		storage.WithDrainInterval(200*time.Microsecond))
+	tiered, err := storage.NewTiered([]storage.Device{tier0, tier1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,7 @@ type Checkpointer struct {
 
 	// committer is dev's optional tiered-durability hook (probed once at
 	// attach): after each pointer record lands durably, the engine reports
-	// the committed counter so a storage.Tiered can stamp its drain journal
-	// and propagate per-tier durability watermarks.
+	// the committed counter, which is what wakes a storage.Tiered's drainer.
 	committer storage.CheckpointCommitter
 
 	gCounter  atomic.Uint64
@@ -257,20 +256,7 @@ func New(dev storage.Device, cfg Config) (*Checkpointer, error) {
 	if cfg.BlackBox.Enabled() {
 		sb.blackBoxBytes = cfg.BlackBox.Layout().RegionBytes()
 	}
-	// The new-epoch superblock goes durable FIRST: from that instant every
-	// slot header still on the device carries a stale epoch and is rejected
-	// by recovery, so neither a completed reformat nor a crash mid-format
-	// can resurrect checkpoints from the previous image.
-	if err := dev.Persist(sb.encode(), superOff); err != nil {
-		return nil, err
-	}
-	// Then invalidate both pointer records — belt and suspenders on top of
-	// the epoch check, and what keeps Open from chasing stale slots.
-	zero := make([]byte, recordSize)
-	if err := dev.Persist(zero, recordAOff); err != nil {
-		return nil, err
-	}
-	if err := dev.Persist(zero, recordBOff); err != nil {
+	if err := formatImage(dev, sb); err != nil {
 		return nil, err
 	}
 	if sb.blackBoxBytes > 0 {
@@ -284,15 +270,38 @@ func New(dev storage.Device, cfg Config) (*Checkpointer, error) {
 	return attach(dev, cfg, sb, nil, 0)
 }
 
-// nextEpoch picks the format generation for a fresh image: one past the
-// previous superblock's epoch when the device already carried one, else 1.
-// Deterministic (no clock or randomness), never 0 (the legacy value), and
-// guaranteed to differ from every epoch the old image's slot headers carry.
-func nextEpoch(dev storage.Device) uint64 {
-	if old, err := readSuperblock(dev); err == nil && old.epoch+1 != 0 {
-		return old.epoch + 1
+// formatImage makes dev an empty image of sb. The new-epoch superblock goes
+// durable FIRST: from then on recovery rejects every slot header still on the
+// device (stale epoch), so neither a format nor a crash in the middle of one
+// can resurrect the previous image. Then both pointer records are zeroed —
+// belt and suspenders, and what keeps Open from chasing stale slots.
+func formatImage(dev storage.Device, sb superblock) error {
+	err := dev.Persist(sb.encode(), superOff)
+	for _, off := range recordOffs {
+		if err == nil {
+			err = dev.Persist(make([]byte, recordSize), off)
+		}
 	}
-	return 1
+	return err
+}
+
+// nextEpoch picks the format generation for a fresh image: one past the
+// highest epoch any level of the device carries (a lower tier left over from
+// an earlier image must not pass for a copy of this one), else 1.
+// Deterministic, never 0 (the legacy value), and different from every epoch
+// the old image's slot headers carry.
+func nextEpoch(dev storage.Device) uint64 {
+	levels := []storage.Device{dev}
+	if tr, ok := dev.(TierReader); ok {
+		levels = tr.Tiers()
+	}
+	var epoch uint64
+	for _, l := range levels {
+		if old, err := readSuperblock(l); err == nil {
+			epoch = max(epoch, old.epoch)
+		}
+	}
+	return max(epoch+1, 1) // epoch+1 wraps to 0 only from the last one
 }
 
 // Open attaches to a previously formatted device, recovering the latest
@@ -884,10 +893,8 @@ func (c *Checkpointer) persistRecordLocked(ctx context.Context, meta checkMeta) 
 		c.freeSpace.Enq(s)
 	}
 	c.pendingFree = c.pendingFree[:0]
-	// Commit notification: on tiered devices the drainer can only advance a
-	// lower tier's durable counter past checkpoints whose pointer record is
-	// durable at tier 0 — which is exactly now, still under recordMu so
-	// marks land in counter order.
+	// Commit notification: a tiered device ships a checkpoint downward once
+	// its pointer record is durable at tier 0 — which is exactly now.
 	if c.committer != nil {
 		c.committer.CommitCheckpoint(meta.counter)
 	}

@@ -56,6 +56,9 @@ const (
 	recordSize     = 28 // counter u64 + slot u32 + size u64 + crc u32 + pad
 )
 
+// recordOffs are the two pointer-record locations, A then B.
+var recordOffs = [2]int64{recordAOff, recordBOff}
+
 // Errors returned by the engine.
 var (
 	// ErrNoCheckpoint means the device holds no fully persisted checkpoint.

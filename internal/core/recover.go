@@ -65,10 +65,14 @@ func (h slotHeader) checkPayload(crc uint32) error {
 // as the device reported it; every rejection wraps errSlotRecycled, except a
 // tombstone: errSlotQuarantined, classified corrupt (a retry reads it again).
 func slotHeld(dev storage.Device, sb superblock, slot int, counter uint64, size int64) (slotHeader, error) {
+	return slotHeldIn(dev, sb, slot, counter, size, make([]byte, slotHeaderSize))
+}
+
+// slotHeldIn is slotHeld reading through buf, which keeps the stored header.
+func slotHeldIn(dev storage.Device, sb superblock, slot int, counter uint64, size int64, buf []byte) (slotHeader, error) {
 	if slot < 0 || slot >= sb.slots {
 		return slotHeader{}, fmt.Errorf("%w: slot %d of %d", errSlotRecycled, slot, sb.slots)
 	}
-	buf := make([]byte, slotHeaderSize)
 	if err := dev.ReadAt(buf, slotBase(sb, slot)); err != nil {
 		return slotHeader{}, err
 	}
@@ -118,11 +122,11 @@ func resolve(dev storage.Device, sb superblock, counter uint64) (chain []checkMe
 			failure = err
 		}
 	}
-	cands := []candidate{{meta: checkMeta{slot: -1, counter: counter}}}
+	cands := append(make([]candidate, 0, 2), candidate{meta: checkMeta{slot: -1, counter: counter}})
 	if counter == 0 {
 		cands = cands[:0]
 		buf := make([]byte, recordSize)
-		for loc, off := range []int64{recordAOff, recordBOff} {
+		for loc, off := range recordOffs {
 			if err := dev.ReadAt(buf, off); err != nil {
 				skip(err)
 			} else if m, ok := decodeRecord(buf); ok && m.size >= 0 { // a negative size would ask slotHeld for "any"
@@ -182,6 +186,16 @@ func resolve(dev storage.Device, sb superblock, counter uint64) (chain []checkMe
 		return chain, cand.loc, nil
 	}
 	return nil, 0, failure
+}
+
+// heldAt is checkpoint counter as dev holds it, wherever it is stored: a
+// lower tier's slot indices are its own, so a copy there is found by counter.
+func heldAt(dev storage.Device, sb superblock, counter uint64) (checkMeta, bool) {
+	chain, _, err := resolve(dev, sb, counter)
+	if err != nil {
+		return checkMeta{}, false
+	}
+	return chain[len(chain)-1], true
 }
 
 // newest reads the superblock and resolves the newest chain under it. sb is

@@ -26,9 +26,9 @@
 //     healthy payload is written to a fresh free slot and the pointer
 //     record is forced to the new location — never in place, because the
 //     damaged slot could be recycled by a concurrent save mid-rewrite;
-//   - a damaged lower tier is scheduled for a full resync from the front
-//     (targeted in-place writes would interleave with the drainer's
-//     journal replay; the resync path is ordered by construction).
+//   - a damaged lower tier is scheduled for a resync: the drainer, the
+//     tier's only writer, verifies what the tier holds, formats it if that
+//     does not hold up, and ships the front's newest chain again.
 //
 // When no healthy source exists the slot is quarantined: its header is
 // rewritten with the quarantine flag so recovery skips it and falls back to
@@ -211,7 +211,10 @@ type scrubber struct {
 
 	mu    sync.Mutex
 	st    ScrubStatus
-	piece []byte // every sweep's verifications and repair copies pass through it
+	piece []byte // every sweep's verifications pass through it
+	// Repairs rewrite a slot with copy.link (payload, sync, header: a crash
+	// mid-repair leaves at worst the damage it started from); a sweep's life.
+	copy copier
 }
 
 func newScrubber(c *Checkpointer, cfg ScrubConfig) *scrubber {
@@ -295,6 +298,7 @@ func (s *scrubber) sweep() (found, healed int) {
 	s.scrubBlackBox()
 	s.scrubTiers(frontOK)
 
+	s.copy = copier{}
 	st.Sweeps++
 	st.LastSweep = time.Now()
 	found = int(st.Corruptions - before.Corruptions)
@@ -476,50 +480,25 @@ func (s *scrubber) scrubRecords() {
 // --- committed slots --------------------------------------------------------
 
 // healthyCopy searches the lower tiers of a tiered device for an intact
-// copy of checkpoint m: same slot index (the drainer replays the front
-// image verbatim), a header slotHeld accepts, a verifying payload. Tiers are
-// probed nearest-first, so the newest healthy copy wins.
-func (s *scrubber) healthyCopy(m checkMeta) (src storage.Device, tier int, ok bool) {
+// copy of checkpoint m and returns it as that tier holds it (heldAt), with a
+// header slotHeld accepts and a verifying payload. Tiers are probed
+// nearest-first, so the newest healthy copy wins.
+func (s *scrubber) healthyCopy(m checkMeta) (src storage.Device, at checkMeta, tier int, ok bool) {
 	td, ok := s.c.dev.(tieredScrub)
 	if !ok {
-		return nil, 0, false
+		return nil, m, 0, false
 	}
 	active := td.Active()
 	for i, dev := range td.Tiers() {
 		if i <= active || dev == nil {
 			continue
 		}
-		if src = s.reads(dev); stream(src, s.c.sb, []checkMeta{m}, nil, s.piece) == nil {
-			return src, i, true
+		src = s.reads(dev)
+		if at, ok := heldAt(src, s.c.sb, m.counter); ok && stream(src, s.c.sb, []checkMeta{at}, nil, s.piece) == nil {
+			return src, at, i, true
 		}
 	}
-	return nil, 0, false
-}
-
-// copySlot rewrites slot to of the engine's device with checkpoint m as src
-// holds it (healthyCopy has just verified that copy), a piece at a time:
-// payload, one sync, then the header — the write protocol's order, so a
-// crash mid-repair leaves at worst the damaged state the repair started from.
-func (s *scrubber) copySlot(src storage.Device, m checkMeta, to int) error {
-	c := s.c
-	from, dst := payloadBase(c.sb, m.slot), payloadBase(c.sb, to)
-	for off := int64(0); off < m.size; off += streamPiece {
-		buf := s.piece[:min(m.size-off, streamPiece)]
-		if err := src.ReadAt(buf, from+off); err != nil {
-			return err
-		}
-		if err := c.dev.WriteAt(buf, dst+off); err != nil {
-			return err
-		}
-	}
-	if err := c.dev.Sync(dst, m.size); err != nil {
-		return err
-	}
-	hdr := s.piece[:slotHeaderSize]
-	if err := src.ReadAt(hdr, slotBase(c.sb, m.slot)); err != nil {
-		return err
-	}
-	return c.dev.Persist(hdr, slotBase(c.sb, to))
+	return nil, m, 0, false
 }
 
 // quarantineSlot tombstones slot m on dev: a reconstructed header with the
@@ -576,13 +555,13 @@ func (s *scrubber) scrubCommitted() {
 		if delta {
 			action, over = "rewrite-from-tier", []string{"quarantine", "resync-tier"}
 		}
-		if src, tier, ok := s.healthyCopy(link); ok {
+		if src, at, tier, ok := s.healthyCopy(link); ok {
 			s.heal(rec, ScrubRepaired, action, over, []string{"quarantine"}, func(rec *ScrubRecord) error {
 				rec.Tier = int32(tier)
 				if delta {
-					return s.copySlot(src, link, link.slot)
+					return s.copy.link(src, c.sb, at, c.dev, link.slot, nil)
 				}
-				return s.republish(m, src)
+				return s.republish(m, src, at)
 			})
 			continue
 		}
@@ -593,6 +572,16 @@ func (s *scrubber) scrubCommitted() {
 			c.slotSeq[link.slot].Add(1)
 			defer c.slotSeq[link.slot].Add(1)
 			err := quarantineSlot(c.dev, c.sb, link)
+			if td, ok := c.dev.(tieredScrub); ok && err == nil {
+				// healthyCopy has just failed every lower tier's copy, so a
+				// tier still names a payload known to be bad and would not
+				// recover on its own. Each is told to verify what it holds and
+				// take the front's fallback — before scrubTiers, which skips a
+				// tier with that pending.
+				for i := range td.Tiers() {
+					td.ScheduleResync(i) // a no-op for the front and dead levels
+				}
+			}
 			if err == nil && delta {
 				// Recovery falls back past this chain; the next save must
 				// open a fresh one with a keyframe — extending a dead chain
@@ -609,16 +598,16 @@ func (s *scrubber) scrubCommitted() {
 var errRepairSuperseded = errors.New("core: repair superseded by a newer checkpoint")
 
 // republish moves the damaged published checkpoint into a fresh slot
-// rewritten from src's healthy copy, then forces the pointer record to the
+// rewritten from src's healthy copy at, then forces the pointer record to the
 // new location (why never in place: see the file comment).
-func (s *scrubber) republish(old *checkMeta, src storage.Device) error {
+func (s *scrubber) republish(old *checkMeta, src storage.Device, at checkMeta) error {
 	c := s.c
 	slot, ok := c.freeSpace.Deq()
 	if !ok {
 		return errors.New("core: no free slot for repair")
 	}
 	c.slotSeq[slot].Add(1)
-	err := s.copySlot(src, *old, slot)
+	err := s.copy.link(src, c.sb, at, c.dev, slot, nil)
 	c.slotSeq[slot].Add(1)
 	if err != nil {
 		c.freeSpace.Enq(slot)
@@ -667,8 +656,8 @@ func (s *scrubber) scrubBlackBox() {
 // scrubTiers verifies each lower tier's self-contained image against its
 // durable watermark: the tier must resolve a checkpoint at least as new as
 // what the drainer acknowledged to it, with every CRC of that chain intact,
-// or it is scheduled for a full resync from the front. Tiers mid-drain or
-// mid-resync are skipped (their images are legitimately in flux). frontOK:
+// or it is scheduled for a resync. Tiers with a ship or resync pending are
+// skipped (the drainer is about to look at them anyway). frontOK:
 // this sweep left the front's committed slots verified, repaired or
 // tombstoned, not damaged.
 func (s *scrubber) scrubTiers(frontOK bool) {

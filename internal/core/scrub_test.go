@@ -83,7 +83,7 @@ func TestScrubRepairsZeroedFirstSector(t *testing.T) {
 	need := DeviceBytesFor(cfg)
 	front := storage.NewFaultDevice(storage.NewRAM(need))
 	levels := []storage.Device{front, storage.NewRAM(need)}
-	td, err := storage.NewTiered(levels, storage.WithDrainInterval(200*time.Microsecond))
+	td, err := storage.NewTiered(levels)
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
 	}
@@ -137,8 +137,7 @@ func TestScrubRepublishesDamagedSlotFromTier(t *testing.T) {
 	cfg := Config{Concurrent: 2, SlotBytes: 4096, VerifyPayload: true}
 	need := DeviceBytesFor(cfg)
 	front := storage.NewFaultDevice(storage.NewRAM(need))
-	td, err := storage.NewTiered([]storage.Device{front, storage.NewRAM(need)},
-		storage.WithDrainInterval(200*time.Microsecond))
+	td, err := storage.NewTiered([]storage.Device{front, storage.NewRAM(need)})
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
 	}
@@ -292,8 +291,7 @@ func TestScrubRepairsDeltaChainFromTier(t *testing.T) {
 	cfg := Config{Concurrent: 2, SlotBytes: 4096, VerifyPayload: true, DeltaEvery: 1, DeltaKeyframe: 3}
 	need := DeviceBytesFor(cfg)
 	front := storage.NewFaultDevice(storage.NewRAM(need))
-	td, err := storage.NewTiered([]storage.Device{front, storage.NewRAM(need)},
-		storage.WithDrainInterval(200*time.Microsecond))
+	td, err := storage.NewTiered([]storage.Device{front, storage.NewRAM(need)})
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
 	}
@@ -354,7 +352,7 @@ func TestScrubResyncsDamagedTier(t *testing.T) {
 	need := DeviceBytesFor(cfg)
 	lower := storage.NewFaultDevice(storage.NewRAM(need))
 	levels := []storage.Device{storage.NewRAM(need), lower}
-	td, err := storage.NewTiered(levels, storage.WithDrainInterval(200*time.Microsecond))
+	td, err := storage.NewTiered(levels)
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
 	}
@@ -483,7 +481,6 @@ func TestTier0FailoverMidRunDegraded(t *testing.T) {
 	front := storage.NewFaultDevice(storage.NewRAM(need))
 	levels := []storage.Device{front, storage.NewRAM(need), storage.NewRAM(need)}
 	td, err := storage.NewTiered(levels,
-		storage.WithDrainInterval(200*time.Microsecond),
 		storage.WithFailoverThreshold(2))
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)

@@ -157,7 +157,7 @@ func runScrubCase(opts ScrubSweepOptions, ci int, res *ScrubSweepResult) (err er
 		fds[i] = storage.NewFaultDevice(storage.NewRAM(need))
 		levels[i] = fds[i]
 	}
-	td, err := storage.NewTiered(levels, storage.WithDrainInterval(200*time.Microsecond))
+	td, err := storage.NewTiered(levels)
 	if err != nil {
 		return err
 	}
@@ -382,6 +382,14 @@ func damageRecord(fd *storage.FaultDevice, mode int, rng *rand.Rand) {
 	}
 }
 
+// onTier is checkpoint m as fd's image holds it, or m where it holds none.
+func onTier(fd *storage.FaultDevice, sb superblock, m checkMeta) checkMeta {
+	if at, ok := heldAt(fd, sb, m.counter); ok {
+		return at
+	}
+	return m
+}
+
 // sweepInject plants the case's faults and returns how many it planted.
 func sweepInject(c *Checkpointer, td *storage.Tiered, fds []*storage.FaultDevice, sh scrubCaseShape, rng *rand.Rand, res *ScrubSweepResult) int {
 	front := fds[td.Active()]
@@ -394,7 +402,7 @@ func sweepInject(c *Checkpointer, td *storage.Tiered, fds []*storage.FaultDevice
 		return 1
 	case scrubScenTierSlot:
 		tier := 1 + rng.Intn(len(fds)-1)
-		damageSlot(fds[tier], c.sb, sweepTarget(c, sh.delta, false, rng), sh.mode, rng)
+		damageSlot(fds[tier], c.sb, onTier(fds[tier], c.sb, sweepTarget(c, sh.delta, false, rng)), sh.mode, rng)
 		return 1
 	case scrubScenDouble:
 		damageRecord(front, sh.mode, rng)
@@ -408,8 +416,9 @@ func sweepInject(c *Checkpointer, td *storage.Tiered, fds []*storage.FaultDevice
 		if mode == 1 {
 			mode = 0
 		}
-		m := sweepTarget(c, sh.delta, true, rng)
+		tip := sweepTarget(c, sh.delta, true, rng)
 		for _, fd := range fds {
+			m := onTier(fd, c.sb, tip)
 			if mode == 2 {
 				fd.PoisonRead(payloadBase(c.sb, m.slot), m.size)
 			} else {

@@ -6,12 +6,16 @@ import (
 	"pccheck/internal/storage"
 )
 
-// The checkpoint core owns the on-device format, so it registers the size
-// probe ReopenSSD uses to validate a reopened file against its superblock:
-// a recognised superblock pins the exact device size the geometry requires,
-// and a truncated or grown file fails at open time with a classified
-// Corrupt error instead of surfacing later as a range error mid-recovery.
+// The checkpoint core owns the on-device format, so it registers the shipper
+// a storage.Tiered drains with, and the size probe ReopenSSD uses to validate
+// a reopened file against its superblock: a recognised superblock pins the
+// exact device size the geometry requires, and a truncated or grown file
+// fails at open time with a classified Corrupt error instead of surfacing
+// later as a range error mid-recovery.
 func init() {
+	storage.RegisterShipper(func() storage.Shipper {
+		return &shipper{tiers: make(map[storage.Device]*tierImage)}
+	})
 	storage.RegisterSizeProbe(func(header []byte) (int64, bool) {
 		sb, err := decodeSuperblock(header)
 		if err != nil {

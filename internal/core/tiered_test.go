@@ -69,7 +69,6 @@ func tieredEngine(t *testing.T, cfg Config, lower []storage.Device, opts ...stor
 	size := DeviceBytesFor(cfg)
 	tier0 := storage.NewRAM(size)
 	levels := append([]storage.Device{tier0}, lower...)
-	opts = append([]storage.TieredOption{storage.WithDrainInterval(200 * time.Microsecond)}, opts...)
 	tiered, err := storage.NewTiered(levels, opts...)
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
@@ -173,7 +172,28 @@ func TestRecoverWalksTiersAfterTier0Loss(t *testing.T) {
 // recovery from the surviving tier restores at least the newest checkpoint
 // the drainer acknowledged there — the ack floor carried by the drainer's
 // marks in the crash journal.
+//
+// The lagging variant saves back to back into a throttled tier 1, so the
+// front recycles slot indices the tier's durable record still names and most
+// checkpoints are superseded before they ship: the same floor must hold.
 func TestTieredCrashSweep(t *testing.T) {
+	t.Run("paced", func(t *testing.T) { tieredCrashSweep(t, false) })
+	t.Run("lagging", func(t *testing.T) { tieredCrashSweep(t, true) })
+}
+
+// laggingCrashTier slows a crash tier's writes down; Mark still reaches the
+// journal through the embedded device.
+type laggingCrashTier struct {
+	*storage.CrashDevice
+	th *storage.Throttle
+}
+
+func (d laggingCrashTier) WriteAt(p []byte, off int64) error {
+	d.th.Acquire(len(p))
+	return d.CrashDevice.WriteAt(p, off)
+}
+
+func tieredCrashSweep(t *testing.T, lagging bool) {
 	cfg := Config{Concurrent: 2, SlotBytes: 4096, VerifyPayload: true}
 	size := DeviceBytesFor(cfg)
 	crash := storage.NewCrashDevice(size, storage.KindSSD)
@@ -181,8 +201,11 @@ func TestTieredCrashSweep(t *testing.T) {
 	cfg.Observer = ledger
 
 	tier0 := storage.NewRAM(size)
-	tiered, err := storage.NewTiered([]storage.Device{tier0, crash},
-		storage.WithDrainInterval(200*time.Microsecond),
+	var tier1 storage.Device = crash
+	if lagging {
+		tier1 = laggingCrashTier{crash, storage.NewThrottle(4 << 20)} // ≈0.6 ms a payload
+	}
+	tiered, err := storage.NewTiered([]storage.Device{tier0, tier1},
 		storage.WithTierObserver(ledger))
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
@@ -192,7 +215,10 @@ func TestTieredCrashSweep(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 
-	const saves = 12
+	saves := 12
+	if lagging {
+		saves = 96 // tens of saves per ship: nearly all are superseded
+	}
 	payloads := map[uint64][]byte{}
 	for i := 1; i <= saves; i++ {
 		p := payload(int64(i), 2048+i*17)
@@ -201,13 +227,16 @@ func TestTieredCrashSweep(t *testing.T) {
 			t.Fatalf("Checkpoint %d: %v", i, err)
 		}
 		payloads[ctr] = p
-		if i%3 == 0 {
+		if i%3 == 0 && !lagging {
 			// Let the drainer make progress at some commit boundaries so the
 			// sweep sees a spread of ack floors, not just 0 and saves.
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	c.Close()
+	if lagging && !tiered.WaitDrained(5*time.Second) {
+		t.Fatal("lagging tier did not converge")
+	}
 
 	// --- the sweep: tier 0 is gone; only a crash image of tier 1 survives.
 	ops := crash.Ops()
@@ -269,11 +298,11 @@ func TestTieredCrashSweep(t *testing.T) {
 		t.Fatal("tiers did not converge post-run")
 	}
 	st := tiered.Status()
-	if st[1].DurableCounter != saves {
+	if st[1].DurableCounter != uint64(saves) {
 		t.Fatalf("tier 1 durable counter %d after full drain, want %d", st[1].DurableCounter, saves)
 	}
 	rep := ledger.Report()
-	if rep.LastPublishedCounter != saves {
+	if rep.LastPublishedCounter != uint64(saves) {
 		t.Fatalf("ledger published counter %d, want %d", rep.LastPublishedCounter, saves)
 	}
 	var row *obs.TierDurability

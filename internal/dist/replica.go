@@ -14,9 +14,9 @@ import (
 // another machine, reached over any net.Conn (the training cluster's
 // interconnect in production, net.Pipe or loopback TCP in tests). Plugged
 // into storage.Tiered as a lower level it gives checkpoints a survives-the-
-// whole-node durability tier: the drainer replays tier 0's journal across
-// the wire, the peer applies it to its local device, and recovery can read
-// the replica back if every local tier is gone.
+// whole-node durability tier: the drainer ships committed checkpoints across
+// the wire, the peer applies the writes to its local device, and recovery can
+// read the replica back if every local tier is gone.
 //
 // The protocol is a length-prefixed op stream with one-byte acks, the same
 // shape as the Gemini baseline's transfer framing (the dist.Transport

@@ -86,8 +86,7 @@ func TestReplicaAsTier(t *testing.T) {
 	size := core.DeviceBytesFor(cfg)
 	dev, srv, backing := replicaPair(t, size)
 
-	tiered, err := storage.NewTiered([]storage.Device{storage.NewRAM(size), dev},
-		storage.WithDrainInterval(200*time.Microsecond))
+	tiered, err := storage.NewTiered([]storage.Device{storage.NewRAM(size), dev})
 	if err != nil {
 		t.Fatalf("NewTiered: %v", err)
 	}

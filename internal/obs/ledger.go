@@ -333,7 +333,7 @@ func (l *Ledger) Emit(ev Event) {
 			c.resyncs.Add(1)
 		}
 	case PhaseTierFailover:
-		// The catch-up replay stalls the persist path; the failover itself
+		// Copying the front's image stalls the persist path; the failover itself
 		// is attributed to the tier that was abandoned (carried in Value).
 		l.stallNS[StallPersist].Add(ev.Dur)
 		if c := l.tier(int32(ev.Value)); c != nil {

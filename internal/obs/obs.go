@@ -119,18 +119,19 @@ const (
 	// the decision sequence number and Value its kind, both resolving into
 	// the decision recorder's structured log (internal/obs/decision).
 	PhaseDecision
-	// PhaseTierDrain spans one tier-drain cycle of a storage.Tiered device:
-	// the async drainer replaying tier 0's journaled ops into a lower tier
-	// and syncing it. Slot is the tier index, Counter the checkpoint counter
-	// now durable at that tier, Bytes the bytes copied this cycle.
+	// PhaseTierDrain spans one ship of a storage.Tiered device: the drainer
+	// copying the front's newest committed checkpoint into a lower tier,
+	// pointer record last. Slot is the tier index, Counter the checkpoint
+	// counter now durable at that tier, Bytes the bytes written to it.
 	PhaseTierDrain
-	// PhaseTierError marks a drain cycle aborted by a tier fault (instant):
+	// PhaseTierError marks a ship aborted by a tier fault (instant):
 	// Slot is the tier index, Attempt the 1-based attempt that exhausted the
 	// retry budget, Value the storage error class.
 	PhaseTierError
-	// PhaseTierResync marks a full-image tier resync (instant): the bounded
-	// drain journal overflowed past a lagging tier, so the drainer recopied
-	// the whole tier-0 image. Slot is the tier index, Bytes the image size.
+	// PhaseTierResync marks a completed tier resync (instant): a ship that
+	// did not take the tier's word for what it held — it verified the tier's
+	// newest chain and formatted the tier if that did not hold up. Slot is
+	// the tier index, Bytes the bytes written.
 	PhaseTierResync
 	// PhaseCrashMark marks the crash boundary in a merged forensic timeline
 	// (instant): pccheck-trace emits one between the last pre-crash black-box
@@ -156,8 +157,8 @@ const (
 	PhaseQuarantine
 	// PhaseTierFailover spans a write-path failover on a storage.Tiered
 	// device: tier Value exhausted its retry budget with permanent errors,
-	// so persists re-routed to tier Slot after a journal catch-up taking
-	// Dur. Bytes is the catch-up volume.
+	// so persists re-routed to tier Slot after the front's image was copied
+	// into it, taking Dur. Bytes is the volume copied.
 	PhaseTierFailover
 
 	// PhaseCount is the number of defined phases.

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pccheck/internal/obs"
@@ -10,117 +11,108 @@ import (
 
 // Tiered composes backends into an N-level durability hierarchy — DRAM in
 // front of an SSD in front of an object store, say. Every Device operation
-// completes at the active front tier (tier 0 until it fails), so the
-// engine's persist latency is the front tier's; a bounded asynchronous
-// drainer then copies committed state downward, level by level, so slower
-// tiers converge on the front tier's history with bounded staleness.
-// Recovery prefers the newest reachable tier (core.Recover walks Tiers()).
+// completes at the active front tier (tier 0 until it fails), so the engine's
+// persist latency is the front's, and nothing is recorded on the way: no copy
+// of the payload, no journal of operations.
 //
-// The drain model is deliberately the crash-explorer's: the front tier's
-// mutations are journaled (write data, sync barriers, checkpoint-commit
-// marks) and the drainer *replays the journal in order* into each lower tier
-// before issuing one covering sync. A lower tier is therefore always a
-// write-ordered point-in-time image of the front tier — exactly the
-// "optimistic adversary" crash image the recovery protocol is already proven
-// against — never a fuzzy byte-range copy that could pair a new pointer
-// record with a recycled slot.
+// What reaches the lower tiers is committed checkpoints. CommitCheckpoint(k),
+// called by the engine once k's pointer record is durable at the front, raises
+// the watermark and wakes the drainer (there is no ticker). For every live
+// lower tier the drainer has the registered Shipper (internal/core's, which
+// knows the layout) copy the chain links the tier lacks off the front device
+// through one reused double buffer: payload, one sync, slot header, pointer
+// record LAST, never into a slot the tier's own durable record references. A
+// lower tier is thus a self-contained image that recovers on its own at every
+// instant after its first acknowledgement; a checkpoint superseded before its
+// ship began is never shipped; a scheduled resync is the same routine told to
+// trust nothing the tier holds. Tier faults use the storage error classes:
+// transient ones retry in place, anything else aborts the ship, and the tier
+// goes stale — it keeps its last acknowledged checkpoint and is tried again
+// after a backoff or at the next commit. docs/CRASH_CONSISTENCY.md has the
+// contract, including what protects a ship from the engine recycling the slot
+// it reads (ShipSource.Pin) and what write-path failover needs of the front.
 //
-// The journal is bounded: when a lagging tier would force it past the
-// pending limit, the journal is trimmed anyway and the laggard is scheduled
-// for a full-image resync (counted, observable) instead of pinning memory.
-//
-// Per-tier drain failures use the storage error classification: transient
-// faults retry in place with exponential backoff, permanent faults abort the
-// cycle (the tier goes stale and the next cycle tries again), so a torn-down
-// tier degrades staleness rather than correctness.
-//
-// Write-path failover: when the front tier itself returns permanent errors
-// past the failover budget, the composite marks it failed, catches the next
-// healthy lower tier up from the journal (the journal carries the data, so
-// no reads from the dying tier are needed), promotes it to the front, and
-// retries the failing operation there. The durable floor survives: every
-// checkpoint the old front acknowledged rode the journal into the new one.
+// One thing a format may keep outside its checkpoints: a tail region (core's
+// black box) written in place at any time. Once the shipper has said where it
+// begins (ShipSource.Tail), a front write there marks that extent missing at
+// every lower tier and wakes the drainer like a commit, so the newest frames
+// reach the tiers within one ship of landing — no commit, no Close needed.
 type Tiered struct {
-	levels   []Device
-	obsv     obs.Observer
-	hasLower bool
+	tiers   []tier // one per level, fastest first
+	src     shipSource
+	shipper Shipper
+	obsv    obs.Observer
 
-	interval   time.Duration
-	maxPending int64
-	retryMax   int
-	retryBase  time.Duration
-	retryCap   time.Duration
-	failAfter  int // consecutive permanent front-tier failures before failover
+	retryMax  int
+	retryBase time.Duration
+	retryCap  time.Duration
+	failAfter int32 // consecutive permanent front-tier failures before failover
 
-	// frontMu fences front-tier operations against failover: ops hold it
-	// shared across apply-at-front + journal-append, failover holds it
-	// exclusively, so the catch-up replay can never miss an op that
-	// succeeded at the old front but had not reached the journal yet.
-	// Lock order: frontMu before mu.
-	frontMu sync.RWMutex
+	// drainMu is held for a whole drain pass, and by a failover, which must
+	// not overwrite a tier a ship is writing. frontMu fences front-tier
+	// operations: each holds it shared while it applies; failover, Close and
+	// Pin take it exclusively to get a front with none mid-apply. It guards
+	// pinOff/pinLen, the in-flight ship's source extent. Order: as declared.
+	drainMu        sync.Mutex
+	frontMu        sync.RWMutex
+	pinOff, pinLen int64
+	clobbered      atomic.Bool
+	frontErrs      atomic.Int32 // consecutive permanent failures at the front
+	tailOff        atomic.Int64 // where the format's tail region begins, once known
 
-	mu        sync.Mutex
-	journal   []tierOp
-	base      int64 // absolute journal index of journal[0]
-	pending   int64 // bytes retained by the journal (data + per-op overhead)
-	watermark uint64
-	states    []*tierState // one per level; accounting survives promotion/death
-	tiers     []*tierState // current drain targets: live levels below the front
-	active    int          // level currently serving the write path
-	dead      []bool       // levels failed over away from (or lost mid-catch-up)
-	frontErrs int          // consecutive permanent failures at the front
-
-	stop      chan struct{}
-	kick      chan struct{}
-	drained   *sync.Cond
-	wg        sync.WaitGroup
-	opWg      sync.WaitGroup
+	mu        sync.Mutex // guards what follows and the tiers' standing
+	active    int        // level currently serving the write path
+	watermark uint64     // highest checkpoint counter committed at the front
+	gen       uint64     // commits, resync requests and tail writes so far
 	closed    bool
-	closeDone chan struct{}
+	closing   sync.Once
 	closeErr  error
+
+	stop    chan struct{}
+	kick    chan struct{}
+	drained *sync.Cond // on mu: a tier moved
+	wg      sync.WaitGroup
 }
 
-// tierState is the drainer's per-tier cursor and accounting.
-type tierState struct {
-	level       int
-	cursor      int64 // absolute journal index: everything before it is replayed + synced
-	needsResync bool
-	busy        bool   // a drain/resync replay is in flight outside the lock
-	durable     uint64 // highest checkpoint counter durable at this tier
-	durableNS   int64  // when durable last advanced
-	drains      uint64
-	drainedB    int64
-	errors      uint64
-	resyncs     uint64
-	failovers   uint64 // write-path failovers away from this level
-	lastErr     error
+// tier is one level: the device, its standing (under Tiered.mu), and — being
+// the Device the shipper writes — the ship in flight's tally (drainer only).
+type tier struct {
+	dev   Device
+	t     *Tiered
+	level int
+
+	gen       uint64 // Tiered.gen this tier has caught up with
+	resync    uint64 // Tiered.gen of the newest request not to trust what the tier holds
+	dead      bool   // failed over away from, or lost while being promoted
+	durable   uint64 // highest checkpoint counter durable here
+	durableNS int64  // when durable last advanced
+	drains    uint64
+	drainedB  int64
+	errors    uint64
+	resyncs   uint64
+	failovers uint64 // write-path failovers away from this level
+	lastErr   error
+	tail      extent // of the tail region, what the front wrote and this tier lacks
+
+	wrote  int64  // bytes the current ship has written
+	failed bool   // the current ship hit a tier fault, already counted
+	took   extent // what the current ship took off tail, put back if it fails
 }
 
-type tierOpKind uint8
+// extent is the byte range [lo, hi), empty when hi <= lo.
+type extent struct{ lo, hi int64 }
 
-const (
-	tierOpWrite tierOpKind = iota
-	tierOpSync
-	tierOpMark
-)
-
-type tierOp struct {
-	kind tierOpKind
-	off  int64
-	data []byte
-	n    int64
-	mark uint64
+func (e *extent) add(o extent) {
+	if e.hi <= e.lo {
+		*e = o
+	} else if o.hi > o.lo {
+		e.lo, e.hi = min(e.lo, o.lo), max(e.hi, o.hi)
+	}
 }
-
-// tierOpOverhead is charged against the pending limit per journal entry, so
-// a stream of syncs/marks cannot grow the journal unbounded.
-const tierOpOverhead = 48
 
 // CheckpointCommitter is the optional interface through which the engine
 // tells a device that a checkpoint counter is durably published at tier 0
-// (the pointer record persisted). Tiered implements it by journaling a
-// commit mark; the drainer advances each lower tier's durable counter past
-// the marks its replayed prefix contains.
+// (the pointer record persisted). Tiered implements it.
 type CheckpointCommitter interface {
 	CommitCheckpoint(counter uint64)
 }
@@ -132,34 +124,58 @@ type Marker interface {
 	Mark(value uint64)
 }
 
+// ShipSource is the front tier as a Shipper reads it.
+type ShipSource interface {
+	Device
+	// Pin runs f while no front operation is mid-apply, so what f reads is a
+	// state the front really was in. f returns the extent [off, off+n) the
+	// ship is about to copy; from f's return on, Clobbered reports whether a
+	// front write has overlapped that extent.
+	Pin(f func() (off, n int64))
+	Clobbered() bool
+	// Tail says the format keeps a region outside its checkpoints at
+	// [from, Size()), written in place at any time: from now on a front write
+	// there wakes the drainer like a commit. It returns the part of the region
+	// the tier being shipped lacks — all of it the first time.
+	Tail(from int64) (off, n int64)
+}
+
+// Shipper brings a lower tier up to the newest checkpoint committed at the
+// front. The format owner registers one (internal/core does, at init), so the
+// storage layer need not understand the layout. A Shipper belongs to one
+// Tiered and is only ever called by its drainer, one call at a time.
+type Shipper interface {
+	// Ship copies what dst lacks of src's newest committed checkpoint, every
+	// step leaving dst recoverable, and returns the newest checkpoint counter
+	// durable at dst afterwards (0: none), also when it fails part-way.
+	// distrust: do not take dst's word for what it holds (a scheduled resync).
+	// The tail region is copied best-effort: its failure is not the ship's.
+	Ship(src ShipSource, dst Device, distrust bool) (durable uint64, err error)
+	// Mirror makes dst the image src is, for failover to promote it: src is a
+	// front nobody is writing, and every step leaves dst recoverable, so a
+	// Mirror that fails (src must still read) leaves dst a good lower tier.
+	Mirror(src, dst Device) error
+}
+
+var newShipper func() Shipper
+
+// RegisterShipper installs the Shipper constructor NewTiered uses. Call it
+// from an init function; the last registration wins.
+func RegisterShipper(f func() Shipper) { newShipper = f }
+
 // TieredOption configures a Tiered device.
 type TieredOption func(*Tiered)
 
-// WithDrainInterval sets the drainer's idle wake-up period (default 2ms).
-func WithDrainInterval(d time.Duration) TieredOption {
-	return func(t *Tiered) { t.interval = d }
-}
-
-// WithPendingLimit bounds the drain journal's retained bytes (default
-// 64 MiB). Exceeding it trims the journal and schedules full-image resyncs
-// for tiers that had not caught up.
-func WithPendingLimit(bytes int64) TieredOption {
-	return func(t *Tiered) { t.maxPending = bytes }
-}
-
-// WithTierObserver attaches a flight-recorder observer; the drainer emits
-// PhaseTierDrain/PhaseTierError/PhaseTierResync events with Slot = tier
-// index, and failover emits PhaseTierFailover.
+// WithTierObserver attaches an observer for the PhaseTierDrain, TierError,
+// TierResync (Slot = tier index) and TierFailover events.
 func WithTierObserver(o obs.Observer) TieredOption {
 	return func(t *Tiered) { t.obsv = o }
 }
 
-// WithTierRetry sets the per-operation drain retry budget for transient tier
-// faults (defaults: 4 attempts, 200µs base backoff, 5ms cap).
+// WithTierRetry sets the per-operation retry budget for transient tier faults
+// (defaults: 4 attempts, 200µs base backoff, 5ms cap).
 func WithTierRetry(attempts int, base, cap time.Duration) TieredOption {
-	return func(t *Tiered) {
-		t.retryMax, t.retryBase, t.retryCap = attempts, base, cap
-	}
+	return func(t *Tiered) { t.retryMax, t.retryBase, t.retryCap = attempts, base, cap }
 }
 
 // WithFailoverThreshold sets how many consecutive permanent front-tier
@@ -168,47 +184,41 @@ func WithTierRetry(attempts int, base, cap time.Duration) TieredOption {
 func WithFailoverThreshold(n int) TieredOption {
 	return func(t *Tiered) {
 		if n > 0 {
-			t.failAfter = n
+			t.failAfter = int32(n)
 		}
 	}
 }
 
-// NewTiered builds a tiered device over levels (fastest first). All
-// operations complete at the front level; the background drainer replicates
-// to the rest. Every lower level must be at least as large as tier 0.
-// Tiered owns the levels: Close closes them all.
+// NewTiered builds a tiered device over levels (fastest first), each at least
+// as large as tier 0. Tiered owns the levels: Close closes them all.
 func NewTiered(levels []Device, opts ...TieredOption) (*Tiered, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("storage: tiered device needs at least one level")
 	}
-	size := levels[0].Size()
-	for i, l := range levels[1:] {
-		if l.Size() < size {
-			return nil, fmt.Errorf("storage: tier %d is %d bytes, smaller than tier 0's %d", i+1, l.Size(), size)
-		}
-	}
 	t := &Tiered{
-		levels:     append([]Device(nil), levels...),
-		hasLower:   len(levels) > 1,
-		interval:   2 * time.Millisecond,
-		maxPending: 64 << 20,
-		retryMax:   4,
-		retryBase:  200 * time.Microsecond,
-		retryCap:   5 * time.Millisecond,
-		failAfter:  3,
-		stop:       make(chan struct{}),
-		kick:       make(chan struct{}, 1),
-		dead:       make([]bool, len(levels)),
+		tiers:    make([]tier, len(levels)),
+		retryMax: 4, retryBase: 200 * time.Microsecond, retryCap: 5 * time.Millisecond,
+		failAfter: 3,
+		stop:      make(chan struct{}),
+		kick:      make(chan struct{}, 1),
+	}
+	for i, l := range levels {
+		if l.Size() < levels[0].Size() {
+			return nil, fmt.Errorf("storage: tier %d is %d bytes, smaller than tier 0's %d", i, l.Size(), levels[0].Size())
+		}
+		t.tiers[i] = tier{dev: l, t: t, level: i, tail: extent{0, l.Size()}}
 	}
 	for _, o := range opts {
 		o(t)
 	}
 	t.drained = sync.NewCond(&t.mu)
-	for i := range t.levels {
-		t.states = append(t.states, &tierState{level: i})
-	}
-	t.tiers = append([]*tierState(nil), t.states[1:]...)
-	if t.hasLower {
+	t.src.t = t
+	t.tailOff.Store(t.Size()) // nothing is tail until a shipper says so
+	if len(levels) > 1 {
+		if newShipper == nil {
+			return nil, fmt.Errorf("storage: tiered device has lower tiers but no Shipper is registered (import pccheck/internal/core)")
+		}
+		t.shipper = newShipper()
 		t.wg.Add(1)
 		go t.drainLoop()
 	}
@@ -218,7 +228,11 @@ func NewTiered(levels []Device, opts ...TieredOption) (*Tiered, error) {
 // Tiers returns the composed levels, fastest first. core.Recover uses this
 // to walk tiers newest-reachable-first after tier 0 is lost.
 func (t *Tiered) Tiers() []Device {
-	return append([]Device(nil), t.levels...)
+	out := make([]Device, len(t.tiers))
+	for i := range t.tiers {
+		out[i] = t.tiers[i].dev
+	}
+	return out
 }
 
 // Active returns the index of the level currently serving the write path
@@ -229,412 +243,242 @@ func (t *Tiered) Active() int {
 	return t.active
 }
 
-// Watermark returns the highest checkpoint counter committed at the front.
-func (t *Tiered) Watermark() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.watermark
+// targetLocked reports whether level is a live drain target: below the active
+// front and not dead. mu held.
+func (t *Tiered) targetLocked(level int) bool {
+	return level > t.active && level < len(t.tiers) && !t.tiers[level].dead
 }
 
-// ScheduleResync forces a full-image resync of the given lower tier on the
-// next drain cycle — the scrubber's repair-by-resync hook for a tier whose
-// copy failed verification. It reports whether the level is a live drain
-// target (scheduling the front or a failed level is a no-op).
+// ScheduleResync makes the next ship to the given lower tier distrust what it
+// holds — the scrubber's repair hook for a tier whose copy failed
+// verification. It reports whether the level is a live drain target.
 func (t *Tiered) ScheduleResync(level int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, ts := range t.tiers {
-		if ts.level == level {
-			ts.needsResync = true
-			t.Kick()
-			return true
-		}
+	if !t.targetLocked(level) {
+		return false
 	}
-	return false
+	t.gen++
+	t.tiers[level].resync = t.gen
+	t.Kick()
+	return true
 }
 
 // --- Device: every operation completes at the active front tier -------------
 
-// beginOp fences an operation against Close: once Close has flipped the
-// closed bit, new operations are rejected, and Close's opWg.Wait() cannot
-// return until every accepted operation has finished journaling.
-func (t *Tiered) beginOp() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return Permanent(fmt.Errorf("storage: tiered device is closed"))
+type devOp uint8
+
+const (
+	opRead devOp = iota
+	opWrite
+	opSync // opSync and up are the durability ops
+	opPersist
+)
+
+func (op devOp) on(dev Device, p []byte, off, n int64) error {
+	switch op {
+	case opRead:
+		return dev.ReadAt(p, off)
+	case opWrite:
+		return dev.WriteAt(p, off)
+	case opSync:
+		return dev.Sync(off, n)
+	default:
+		return dev.Persist(p, off)
 	}
-	t.opWg.Add(1)
-	return nil
 }
 
-// frontApply runs op against the active front tier, journaling via journal
-// on success. Permanent front failures count toward the failover budget;
-// when the budget is exhausted the composite promotes the next healthy
-// lower tier and retries the op there. The shared frontMu is held across
-// apply + journal so a concurrent failover's catch-up replay can never miss
-// an op that succeeded at the old front but had not been journaled yet.
-//
-// Only a successful DURABILITY op (durable=true: Sync, Persist) resets the
-// consecutive-failure budget. A dying device often keeps absorbing buffered
-// WriteAts while every attempt to make them durable fails; if plain writes
-// reset the count, a save loop interleaving writes and persists would
-// starve the budget and never fail over.
-func (t *Tiered) frontApply(durable bool, op func(Device) error, journal func()) error {
+// front applies one operation at the active front tier under the shared
+// frontMu. Permanent failures of a mutating operation count toward the
+// failover budget; when it is exhausted the composite promotes the next
+// healthy lower tier and retries the operation there. Only a successful
+// DURABILITY op resets the budget: a dying device often keeps absorbing
+// buffered WriteAts while every attempt to make them durable fails, and if
+// those reset the count a save loop would never fail over.
+func (t *Tiered) front(op devOp, p []byte, off, n int64) error {
 	for {
 		t.frontMu.RLock()
 		t.mu.Lock()
-		dev := t.levels[t.active]
+		closed, dev := t.closed, t.tiers[t.active].dev
 		t.mu.Unlock()
-		err := op(dev)
-		if err == nil {
-			if journal != nil {
-				journal()
-			}
+		if closed {
 			t.frontMu.RUnlock()
-			if durable {
-				t.mu.Lock()
-				if dev == t.levels[t.active] {
-					t.frontErrs = 0
-				}
-				t.mu.Unlock()
-			}
-			return nil
+			return Permanent(fmt.Errorf("storage: tiered device is closed"))
+		}
+		// Registered before the write applies: a ship that does not see the
+		// mark has read bytes this write had not touched.
+		writes, end := op == opWrite || op == opPersist, off+int64(len(p))
+		if writes && off < t.pinOff+t.pinLen && t.pinOff < end {
+			t.clobbered.Store(true)
+		}
+		err := op.on(dev, p, off, n)
+		if err == nil && op >= opSync && t.frontErrs.Load() != 0 {
+			t.frontErrs.Store(0) // the front cannot change under the shared lock
 		}
 		t.frontMu.RUnlock()
+		// Marked after the write applied: a ship woken by it reads the bytes.
+		if err == nil && writes && end > t.tailOff.Load() {
+			t.tailWrote(extent{off, end})
+		}
+		// Transient/corrupt faults are the caller's to retry, and reads never
+		// fail the write path over.
+		if err == nil || op == opRead || Classify(err) != ClassPermanent {
+			return err
+		}
+		// If a racing failover already replaced the front, count nothing and
+		// let the caller retry against the new one.
 		t.mu.Lock()
-		if Classify(err) != ClassPermanent || dev != t.levels[t.active] {
-			// Transient/corrupt faults are the caller's to retry; if a racing
-			// failover already replaced the front, count nothing and let the
-			// caller retry against the new one.
-			t.mu.Unlock()
-			return err
-		}
-		t.frontErrs++
-		exhausted := t.frontErrs >= t.failAfter
+		stale := dev != t.tiers[t.active].dev
 		t.mu.Unlock()
-		if !exhausted {
+		if stale || t.frontErrs.Add(1) < t.failAfter || !t.failover(dev) {
 			return err
 		}
-		if !t.failover(dev) {
-			return err
-		}
-		// A new front is in place and caught up; retry the op there.
+		// The old front's image is in place on a new one; retry the op there.
 	}
 }
 
-// journalAppend records successfully applied front-tier ops for the drainer.
-// Appending *after* the front-tier forward means any journaled op is visible
-// in the front tier's contents — the invariant the resync snapshot depends
-// on. Commit marks advance the watermark even when no drain targets remain.
-func (t *Tiered) journalAppend(ops ...tierOp) {
+// failover retires the front tier oldDev belongs to: with no front operation
+// mid-apply and no ship running, the shipper makes the next healthy lower tier
+// the front's image (Shipper.Mirror), and that tier is promoted. The new front
+// is identical wherever the format looks, so in-flight saves and the engine's
+// in-memory slot state stay valid. The dying front must still read (one that
+// fails Sync/Persist usually does); if it does not, no tier can become it, the
+// candidate stays the good lower tier it was, and there is no failover — not
+// now and not on the next error. It reports whether a healthy front is in
+// place afterwards (true also when a racing caller completed the failover).
+func (t *Tiered) failover(oldDev Device) bool {
+	t.drainMu.Lock() // no ship is writing a candidate, none starts
+	defer t.drainMu.Unlock()
+	t.frontMu.Lock() // no front op is mid-apply
+	defer t.frontMu.Unlock()
 	t.mu.Lock()
-	for _, op := range ops {
-		if op.kind == tierOpMark && op.mark > t.watermark {
-			t.watermark = op.mark
-		}
-	}
-	if len(t.tiers) > 0 {
-		for _, op := range ops {
-			t.journal = append(t.journal, op)
-			t.pending += int64(len(op.data)) + tierOpOverhead
-		}
-		if t.pending > t.maxPending {
-			t.trimLocked(t.base + int64(len(t.journal)))
-		}
-	}
+	from := t.active
+	old := &t.tiers[from]
+	settled, began := old.dev != oldDev || old.dead, time.Now()
 	t.mu.Unlock()
-}
-
-// trimLocked drops journal entries from the front until the pending bytes
-// fit the limit again, but never past keepMax. Tiers whose cursor falls
-// before the new base lose their incremental path and are scheduled for a
-// full-image resync.
-func (t *Tiered) trimLocked(keepMax int64) {
-	newBase := t.base
-	for t.pending > t.maxPending/2 && newBase < keepMax && len(t.journal) > int(newBase-t.base) {
-		op := t.journal[newBase-t.base]
-		t.pending -= int64(len(op.data)) + tierOpOverhead
-		newBase++
+	if settled {
+		return old.dev != oldDev // someone else's failover went one way or the other
 	}
-	if newBase == t.base {
-		return
-	}
-	t.journal = append([]tierOp(nil), t.journal[newBase-t.base:]...)
-	t.base = newBase
-	for _, ts := range t.tiers {
-		if ts.cursor < newBase && !ts.needsResync {
-			ts.needsResync = true
-			ts.cursor = newBase
+	to, copied := -1, int64(0)
+	var frontErr error
+	for level := from + 1; level < len(t.tiers) && to < 0 && frontErr == nil; level++ {
+		cand := &t.tiers[level]
+		if cand.dead { // only ever set under drainMu
+			continue
+		}
+		cand.wrote, cand.failed = 0, false
+		err := t.shipper.Mirror(oldDev, cand)
+		copied += cand.wrote
+		switch {
+		case err == nil:
+			to = level
+		case cand.failed: // counted where it happened; not a viable front
+			t.mu.Lock()
+			cand.dead = true
+			t.mu.Unlock()
+		default:
+			frontErr = err
 		}
 	}
-}
-
-// gcLocked releases journal entries every tier has replayed (resyncing tiers
-// do not read the journal, so they do not hold it back).
-func (t *Tiered) gcLocked() {
-	min := t.base + int64(len(t.journal))
-	for _, ts := range t.tiers {
-		if !ts.needsResync && ts.cursor < min {
-			min = ts.cursor
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old.dead = true
+	old.failovers++
+	t.frontErrs.Store(0)
+	if to < 0 {
+		if frontErr != nil {
+			old.lastErr = frontErr
 		}
+		t.emitError(from, int(t.failAfter), Permanent(fmt.Errorf("storage: no healthy tier to fail over to from level %d", from)))
+		return false
 	}
-	if min <= t.base {
-		return
-	}
-	for i := t.base; i < min; i++ {
-		op := t.journal[i-t.base]
-		t.pending -= int64(len(op.data)) + tierOpOverhead
-	}
-	t.journal = append([]tierOp(nil), t.journal[min-t.base:]...)
-	t.base = min
+	t.active = to
+	t.emit(obs.Event{
+		TS: began.UnixNano(), Dur: time.Since(began).Nanoseconds(),
+		Phase: obs.PhaseTierFailover, Slot: int32(to),
+		Value: int64(from), Counter: t.watermark, Bytes: copied,
+	})
+	t.Kick() // deeper tiers now drain from the new front
+	return true
 }
 
-// WriteAt implements Device: applied at the front, journaled for the drainer.
-func (t *Tiered) WriteAt(p []byte, off int64) error {
-	if err := t.beginOp(); err != nil {
-		return err
+// tailWrote: a front write landed in the format's tail region, which every
+// lower tier now lacks.
+func (t *Tiered) tailWrote(e extent) {
+	t.mu.Lock()
+	for i := range t.tiers {
+		t.tiers[i].tail.add(e)
 	}
-	defer t.opWg.Done()
-	return t.frontApply(false,
-		func(d Device) error { return d.WriteAt(p, off) },
-		func() {
-			if !t.hasLower {
-				return
-			}
-			cp := append([]byte(nil), p...)
-			t.journalAppend(tierOp{kind: tierOpWrite, off: off, data: cp})
-		})
+	t.gen++
+	t.mu.Unlock()
+	t.Kick()
 }
+
+// WriteAt implements Device: applied at the front, recorded nowhere.
+func (t *Tiered) WriteAt(p []byte, off int64) error { return t.front(opWrite, p, off, 0) }
 
 // ReadAt implements Device: served by the active front, the freshest level.
-func (t *Tiered) ReadAt(p []byte, off int64) error {
-	if err := t.beginOp(); err != nil {
-		return err
-	}
-	defer t.opWg.Done()
-	t.mu.Lock()
-	dev := t.levels[t.active]
-	t.mu.Unlock()
-	return dev.ReadAt(p, off)
-}
+func (t *Tiered) ReadAt(p []byte, off int64) error { return t.front(opRead, p, off, 0) }
 
-// Sync implements Device: a front-tier barrier. Lower tiers get their own
-// covering sync from the drainer after replay.
-func (t *Tiered) Sync(off, n int64) error {
-	if err := t.beginOp(); err != nil {
-		return err
-	}
-	defer t.opWg.Done()
-	return t.frontApply(true,
-		func(d Device) error { return d.Sync(off, n) },
-		func() { t.journalAppend(tierOp{kind: tierOpSync, off: off, n: n}) })
-}
+// Sync implements Device: a front-tier barrier.
+func (t *Tiered) Sync(off, n int64) error { return t.front(opSync, nil, off, n) }
 
-// Persist implements Device: durable at the front tier when it returns — the
-// tentpole contract. Journaled as write + covering sync, like the crash
-// explorer models it.
-func (t *Tiered) Persist(p []byte, off int64) error {
-	if err := t.beginOp(); err != nil {
-		return err
-	}
-	defer t.opWg.Done()
-	return t.frontApply(true,
-		func(d Device) error { return d.Persist(p, off) },
-		func() {
-			if !t.hasLower {
-				return
-			}
-			cp := append([]byte(nil), p...)
-			t.journalAppend(
-				tierOp{kind: tierOpWrite, off: off, data: cp},
-				tierOp{kind: tierOpSync, off: off, n: int64(len(p))})
-		})
-}
+// Persist implements Device: durable at the front tier when it returns.
+func (t *Tiered) Persist(p []byte, off int64) error { return t.front(opPersist, p, off, 0) }
 
-// CommitCheckpoint implements CheckpointCommitter: the engine calls it after
-// the pointer record for counter is durable at the front. The mark rides the
-// journal, so a tier's durable counter only advances once every op that made
-// the checkpoint durable has been replayed and synced there.
+// CommitCheckpoint implements CheckpointCommitter. The pointer record for
+// counter is durable at the front, so a ship that starts now resolves it.
 func (t *Tiered) CommitCheckpoint(counter uint64) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
+	if !t.closed {
+		t.watermark = max(t.watermark, counter)
+		t.gen++
 	}
-	t.opWg.Add(1)
 	t.mu.Unlock()
-	defer t.opWg.Done()
-	t.journalAppend(tierOp{kind: tierOpMark, mark: counter})
 	t.Kick()
 }
 
 // Size implements Device.
-func (t *Tiered) Size() int64 { return t.levels[0].Size() }
+func (t *Tiered) Size() int64 { return t.tiers[0].dev.Size() }
 
-// Kind implements Device: the engine sees the active front's persistence
-// semantics.
+// Kind implements Device: the active front's persistence semantics.
 func (t *Tiered) Kind() Kind {
 	t.mu.Lock()
-	dev := t.levels[t.active]
+	dev := t.tiers[t.active].dev
 	t.mu.Unlock()
 	return dev.Kind()
 }
 
-// Close drains the journal into every reachable tier, stops the drainer and
-// closes all levels. An orderly Close therefore leaves every healthy tier
-// holding the front tier's final image. Concurrent and repeated Closes all
-// block until that final drain has finished.
+// Close waits out in-flight operations, ships the front's final committed
+// state into every reachable tier, stops the drainer and closes all levels.
+// Concurrent and repeated Closes all block until that final ship is done.
 func (t *Tiered) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		done := t.closeDone
+	t.closing.Do(func() {
+		t.mu.Lock()
+		t.closed = true
 		t.mu.Unlock()
-		<-done
-		return t.closeErr
-	}
-	t.closed = true
-	t.closeDone = make(chan struct{})
-	t.mu.Unlock()
-
-	// Wait out in-flight ops: anything accepted before the close fence is
-	// journaled by the time Wait returns, so the final drain below cannot
-	// sample a journal an accepted op has yet to reach.
-	t.opWg.Wait()
-	if t.hasLower {
-		close(t.stop)
-		t.wg.Wait()
-		t.drainAll() // final pass: one full attempt per tier
-	}
-	var first error
-	for _, l := range t.levels {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
+		// Anything accepted before the close fence holds frontMu shared until
+		// it has been applied, so the final ship below cannot miss it.
+		t.frontMu.Lock()
+		t.frontMu.Unlock() //nolint:staticcheck // empty critical section: a barrier
+		if t.shipper != nil {
+			close(t.stop)
+			t.wg.Wait()
+			t.drainAll(true) // one full attempt per tier, caught up or not
 		}
-	}
-	t.closeErr = first
-	close(t.closeDone)
-	return first
-}
-
-// --- failover ---------------------------------------------------------------
-
-// failover retires the front tier oldDev belongs to and promotes the next
-// healthy lower tier, catching it up from the journal first. It reports
-// whether a healthy front is in place afterwards (true also when a racing
-// caller already completed the failover).
-func (t *Tiered) failover(oldDev Device) bool {
-	t.frontMu.Lock()
-	defer t.frontMu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.levels[t.active] != oldDev {
-		return true // someone else already failed over; retry on the new front
-	}
-	from := t.active
-	t.dead[from] = true
-	t.states[from].failovers++
-	t.frontErrs = 0
-	began := time.Now()
-	for {
-		var cand *tierState
-		for _, ts := range t.tiers {
-			if ts.level > from && !t.dead[ts.level] && !ts.needsResync {
-				cand = ts
-				break
+		for i := range t.tiers {
+			if err := t.tiers[i].dev.Close(); err != nil && t.closeErr == nil {
+				t.closeErr = err
 			}
 		}
-		if cand == nil {
-			t.emitError(from, t.failAfter, Permanent(fmt.Errorf("storage: no healthy tier to fail over to from level %d", from)))
-			return false
-		}
-		// Wait out an in-flight drain replay into the candidate so the
-		// catch-up below cannot interleave with it.
-		for cand.busy {
-			t.drained.Wait()
-		}
-		if t.dead[cand.level] || cand.needsResync {
-			continue
-		}
-		bytes, ok := t.catchUpLocked(cand)
-		if !ok {
-			t.dead[cand.level] = true
-			continue
-		}
-		t.active = cand.level
-		var keep []*tierState
-		for _, ts := range t.tiers {
-			if ts.level > cand.level && !t.dead[ts.level] {
-				keep = append(keep, ts)
-			}
-		}
-		t.tiers = keep
-		t.emit(obs.Event{
-			TS: began.UnixNano(), Dur: time.Since(began).Nanoseconds(),
-			Phase: obs.PhaseTierFailover, Slot: int32(cand.level),
-			Value: int64(from), Counter: t.watermark, Bytes: bytes,
-		})
-		return true
-	}
-}
-
-// catchUpLocked synchronously replays the journal suffix ts has not seen
-// into its level, with covering syncs at the journaled barriers. Called with
-// frontMu and mu held: the journal is frozen and no new front op can land,
-// so a successful replay makes the level an exact image of the front. One
-// attempt only — a failover target that cannot absorb the replay is not a
-// viable front.
-func (t *Tiered) catchUpLocked(ts *tierState) (int64, bool) {
-	dev := t.levels[ts.level]
-	head := t.base + int64(len(t.journal))
-	ops := t.journal[ts.cursor-t.base : head-t.base]
-	var bytes int64
-	dirty := false
-	flush := func() bool {
-		if !dirty {
-			return true
-		}
-		if err := dev.Sync(0, dev.Size()); err != nil {
-			ts.errors++
-			ts.lastErr = err
-			return false
-		}
-		dirty = false
-		return true
-	}
-	for i := range ops {
-		op := &ops[i]
-		switch op.kind {
-		case tierOpWrite:
-			if err := dev.WriteAt(op.data, op.off); err != nil {
-				ts.errors++
-				ts.lastErr = err
-				return bytes, false
-			}
-			bytes += int64(len(op.data))
-			dirty = true
-		case tierOpSync:
-			if !flush() {
-				return bytes, false
-			}
-		}
-	}
-	if !flush() {
-		return bytes, false
-	}
-	ts.cursor = head
-	ts.drains++
-	ts.drainedB += bytes
-	if t.watermark > ts.durable {
-		ts.durable = t.watermark
-		ts.durableNS = time.Now().UnixNano()
-	}
-	return bytes, true
+	})
+	return t.closeErr
 }
 
 // --- drainer ----------------------------------------------------------------
 
-// Kick wakes the drainer immediately instead of waiting out the interval.
+// Kick wakes the drainer. Commits, resync requests and WaitDrained do so by
+// themselves; a caller only needs it to cut the backoff short after a heal.
 func (t *Tiered) Kick() {
 	select {
 	case t.kick <- struct{}{}:
@@ -642,337 +486,262 @@ func (t *Tiered) Kick() {
 	}
 }
 
+// drainLoop sleeps until a commit (or Kick) wakes it. Only after a failed
+// pass does it wake by itself, backing off from retryCap to a second, so a
+// tier that comes back converges without waiting for the next commit.
 func (t *Tiered) drainLoop() {
 	defer t.wg.Done()
-	timer := time.NewTimer(t.interval)
-	defer timer.Stop()
+	var retry <-chan time.Time
+	backoff := t.retryCap
 	for {
 		select {
 		case <-t.stop:
 			return
 		case <-t.kick:
-		case <-timer.C:
+			backoff = t.retryCap
+		case <-retry:
 		}
-		t.drainAll()
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
+		if retry = nil; !t.drainAll(false) {
+			retry = time.After(backoff)
+			backoff = min(2*backoff, time.Second)
 		}
-		timer.Reset(t.interval)
 	}
 }
 
-// drainAll runs one drain cycle for every current lower tier, then
-// garbage-collects the journal and signals waiters.
-func (t *Tiered) drainAll() {
+// drainAll runs one ship per lower tier that is behind (force: per live lower
+// tier) and reports whether none failed.
+func (t *Tiered) drainAll(force bool) bool {
+	t.drainMu.Lock()
+	defer t.drainMu.Unlock()
 	t.mu.Lock()
-	targets := append([]*tierState(nil), t.tiers...)
+	t.src.Device = t.tiers[t.active].dev
 	t.mu.Unlock()
-	for _, ts := range targets {
-		t.drainTier(ts)
+	ok := true
+	for level := 1; level < len(t.tiers); level++ {
+		ok = t.drainTier(&t.tiers[level], force) && ok
 	}
-	t.mu.Lock()
-	t.gcLocked()
-	t.drained.Broadcast()
-	t.mu.Unlock()
+	return ok
 }
 
-// drainTier replays the journal suffix this tier has not seen (or the whole
-// front-tier image when it lost its incremental path), then syncs the tier.
-func (t *Tiered) drainTier(ts *tierState) {
+// drainTier ships the front's newest committed checkpoint to one lower tier
+// and accounts the outcome; what became durable counts even if it then failed.
+func (t *Tiered) drainTier(ts *tier, force bool) bool {
 	t.mu.Lock()
-	if t.dead[ts.level] || ts.level <= t.active {
+	if !t.targetLocked(ts.level) || (!force && ts.gen == t.gen) {
 		t.mu.Unlock()
-		return
+		return true
 	}
-	ts.busy = true
-	defer func() {
-		t.mu.Lock()
-		ts.busy = false
-		t.drained.Broadcast()
-		t.mu.Unlock()
-	}()
-	if ts.needsResync {
-		t.resyncLocked(ts) // unlocks internally
-		return
-	}
-	start := ts.cursor
-	end := t.base + int64(len(t.journal))
-	if start >= end {
-		t.mu.Unlock()
-		return
-	}
-	ops := t.journal[start-t.base : end-t.base]
+	// Sampled before the ship resolves the front: every commit counted here
+	// has its pointer record durable there already.
+	gen, distrust := t.gen, ts.resync != 0
 	t.mu.Unlock()
 
-	dev := t.levels[ts.level]
+	ts.wrote, ts.failed, ts.took = 0, false, extent{}
+	t.src.ts = ts
 	began := time.Now()
-	var bytes int64
-	var hiMark uint64
-	dirty := false
-	for i := range ops {
-		op := &ops[i]
-		switch op.kind {
-		case tierOpWrite:
-			if err := t.retryTier(ts, func() error { return dev.WriteAt(op.data, op.off) }); err != nil {
-				return
-			}
-			bytes += int64(len(op.data))
-			dirty = true
-		case tierOpSync:
-			// Sync barriers replay *in order* (coalescing only runs of syncs
-			// with no intervening write): a pointer-record write must never
-			// reach this tier ahead of the payload sync the front tier
-			// ordered before it, or a crash image here could pair a live
-			// record with a torn payload — a state the front can never be in.
-			if !dirty {
-				continue
-			}
-			if err := t.retryTier(ts, func() error { return dev.Sync(0, dev.Size()) }); err != nil {
-				return
-			}
-			dirty = false
-		case tierOpMark:
-			if op.mark > hiMark {
-				hiMark = op.mark
-			}
-		}
-	}
-	if dirty {
-		if err := t.retryTier(ts, func() error { return dev.Sync(0, dev.Size()) }); err != nil {
-			return
-		}
-	}
+	durable, err := t.shipper.Ship(&t.src, ts, distrust)
+	now := time.Now()
 
 	t.mu.Lock()
-	advanced := false
-	if !ts.needsResync && ts.cursor == start {
-		ts.cursor = end
-		advanced = true
-		if hiMark > ts.durable {
-			ts.durable = hiMark
-			ts.durableNS = time.Now().UnixNano()
-		}
-		ts.drains++
-		ts.drainedB += bytes
-		durable := ts.durable
-		t.mu.Unlock()
-		if m, ok := dev.(Marker); ok && durable > 0 {
-			m.Mark(durable)
-		}
-	} else {
-		t.mu.Unlock()
+	ts.drainedB += ts.wrote
+	if err != nil || ts.failed {
+		ts.tail.add(ts.took) // the next ship's to copy
 	}
+	advanced := durable > ts.durable
 	if advanced {
-		t.emit(obs.Event{
-			TS: began.UnixNano(), Dur: time.Since(began).Nanoseconds(),
-			Phase: obs.PhaseTierDrain, Slot: int32(ts.level),
-			Counter: hiMark, Bytes: bytes,
-		})
+		ts.durable, ts.durableNS = durable, now.UnixNano()
 	}
-}
-
-// resyncLocked recopies the full front-tier image into ts's level. Called
-// with t.mu held; the snapshot read happens under the lock so no new op can
-// be journaled (and no commit mark can advance) while the image is taken —
-// in-flight front-tier writes not yet journaled land at positions ≥ the cut
-// and are replayed later, idempotently.
-func (t *Tiered) resyncLocked(ts *tierState) {
-	cut := t.base + int64(len(t.journal))
-	wm := t.watermark
-	front := t.levels[t.active]
-	size := front.Size()
-	img := make([]byte, size)
-	if err := front.ReadAt(img, 0); err != nil {
+	switch {
+	case err == nil:
+		if ts.wrote > 0 {
+			ts.drains++
+		}
+		if distrust {
+			ts.resyncs++
+		}
+	case !ts.failed: // not a tier fault, which is counted where it happens
 		ts.errors++
 		ts.lastErr = err
-		t.mu.Unlock()
+	}
+	t.mu.Unlock()
+
+	if m, ok := ts.dev.(Marker); ok && advanced {
+		m.Mark(durable) // after, never before, the persist that covers it
+	}
+	if err != nil && !ts.failed {
 		t.emitError(ts.level, 1, err)
-		return
 	}
-	t.mu.Unlock()
-
-	dev := t.levels[ts.level]
-	began := time.Now()
-	const chunk = 1 << 20
-	for off := int64(0); off < size; off += chunk {
-		n := size - off
-		if n > chunk {
-			n = chunk
-		}
-		if err := t.retryTier(ts, func() error { return dev.WriteAt(img[off:off+n], off) }); err != nil {
-			return
-		}
+	if err == nil && distrust {
+		t.emit(obs.Event{TS: began.UnixNano(), Phase: obs.PhaseTierResync, Slot: int32(ts.level), Bytes: ts.wrote})
 	}
-	if err := t.retryTier(ts, func() error { return dev.Sync(0, dev.Size()) }); err != nil {
-		return
+	if ts.wrote > 0 {
+		t.emit(obs.Event{
+			TS: began.UnixNano(), Dur: now.Sub(began).Nanoseconds(),
+			Phase: obs.PhaseTierDrain, Slot: int32(ts.level),
+			Counter: durable, Bytes: ts.wrote,
+		})
 	}
-
+	// Caught up only now: whoever WaitDrained releases finds the mark and the
+	// events in place. A resync asked for while this ship ran still stands.
 	t.mu.Lock()
-	ts.resyncs++
-	ts.drains++
-	ts.drainedB += size
-	if wm > ts.durable {
-		ts.durable = wm
-		ts.durableNS = time.Now().UnixNano()
+	if err == nil {
+		if ts.gen = gen; ts.resync <= gen {
+			ts.resync = 0
+		}
 	}
-	if t.base > cut {
-		// The journal was force-trimmed past our snapshot while we copied:
-		// ops in [cut, base) are gone, so this tier must resync again.
-		ts.cursor = t.base
-	} else {
-		ts.needsResync = false
-		ts.cursor = cut
-	}
-	durable := ts.durable
+	t.drained.Broadcast()
 	t.mu.Unlock()
-	if m, ok := dev.(Marker); ok && durable > 0 {
-		m.Mark(durable)
-	}
-	t.emit(obs.Event{
-		TS: began.UnixNano(), Phase: obs.PhaseTierResync,
-		Slot: int32(ts.level), Bytes: size,
-	})
-	t.emit(obs.Event{
-		TS: began.UnixNano(), Dur: time.Since(began).Nanoseconds(),
-		Phase: obs.PhaseTierDrain, Slot: int32(ts.level),
-		Counter: wm, Bytes: size,
-	})
+	return err == nil
 }
 
-// retryTier runs op with the per-tier retry budget: transient faults back
-// off exponentially and try again, anything else (or an exhausted budget)
-// aborts the cycle and counts a tier error. A nil return means op succeeded.
-func (t *Tiered) retryTier(ts *tierState, op func() error) error {
+// shipSource is the active front as the shipper reads it.
+type shipSource struct {
+	Device // set by drainAll; no failover can change the front while a pass runs
+	t      *Tiered
+	ts     *tier // the tier being shipped
+}
+
+func (s *shipSource) Pin(f func() (off, n int64)) {
+	s.t.frontMu.Lock()
+	s.t.pinOff, s.t.pinLen = f()
+	s.t.clobbered.Store(false)
+	s.t.frontMu.Unlock()
+}
+
+func (s *shipSource) Clobbered() bool { return s.t.clobbered.Load() }
+
+func (s *shipSource) Tail(from int64) (off, n int64) {
+	// Announced before taken: a write that missed the announcement had been
+	// applied by then, so the copy about to be made reads it.
+	s.t.tailOff.Store(from)
+	s.t.mu.Lock()
+	s.ts.took, s.ts.tail = s.ts.tail, extent{}
+	s.t.mu.Unlock()
+	off = max(s.ts.took.lo, from)
+	return off, max(min(s.ts.took.hi, s.Size())-off, 0)
+}
+
+// do runs one of the shipper's operations on a lower level under the retry
+// budget: transient faults back off exponentially and try again, anything
+// else (or an exhausted budget) fails it and counts a tier error. Bytes that
+// landed are counted as drained.
+func (ts *tier) do(op devOp, p []byte, off, n int64) error {
+	t := ts.t
 	backoff := t.retryBase
-	var err error
-	for attempt := 1; attempt <= t.retryMax; attempt++ {
-		err = op()
+	for attempt := 1; ; attempt++ {
+		err := op.on(ts.dev, p, off, n)
 		if err == nil {
+			if op == opWrite || op == opPersist {
+				ts.wrote += int64(len(p))
+			}
 			return nil
 		}
-		if !IsTransient(err) || attempt == t.retryMax {
-			break
+		if !IsTransient(err) || attempt >= t.retryMax {
+			ts.failed = true
+			t.mu.Lock()
+			ts.errors++
+			ts.lastErr = err
+			t.mu.Unlock()
+			t.emitError(ts.level, attempt, err)
+			return err
 		}
 		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > t.retryCap {
-			backoff = t.retryCap
-		}
+		backoff = min(2*backoff, t.retryCap)
 	}
-	t.mu.Lock()
-	ts.errors++
-	ts.lastErr = err
-	t.mu.Unlock()
-	t.emitError(ts.level, t.retryMax, err)
-	return err
 }
 
+func (ts *tier) ReadAt(p []byte, off int64) error  { return ts.do(opRead, p, off, 0) }
+func (ts *tier) WriteAt(p []byte, off int64) error { return ts.do(opWrite, p, off, 0) }
+func (ts *tier) Sync(off, n int64) error           { return ts.do(opSync, nil, off, n) }
+func (ts *tier) Persist(p []byte, off int64) error { return ts.do(opPersist, p, off, 0) }
+func (ts *tier) Size() int64                       { return ts.dev.Size() }
+func (ts *tier) Kind() Kind                        { return ts.dev.Kind() }
+func (ts *tier) Close() error                      { return nil } // Tiered closes the levels
+
 func (t *Tiered) emit(ev obs.Event) {
-	if t.obsv == nil {
-		return
+	if t.obsv != nil {
+		ev.Writer, ev.Rank = -1, -1
+		t.obsv.Emit(ev)
 	}
-	ev.Writer, ev.Rank = -1, -1
-	t.obsv.Emit(ev)
 }
 
 func (t *Tiered) emitError(level, attempt int, err error) {
-	if t.obsv == nil {
-		return
-	}
-	t.obsv.Emit(obs.Event{
+	t.emit(obs.Event{
 		TS: time.Now().UnixNano(), Phase: obs.PhaseTierError,
-		Slot: int32(level), Attempt: int32(attempt),
-		Value: int64(Classify(err)), Writer: -1, Rank: -1,
+		Slot: int32(level), Attempt: int32(attempt), Value: int64(Classify(err)),
 	})
 }
 
-// WaitDrained blocks until every live lower tier has replayed and synced the
-// whole journal (no pending ops, no outstanding resyncs), or until timeout.
-// It reports whether the tiers converged.
-func (t *Tiered) WaitDrained(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	t.Kick()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		idle := true
-		head := t.base + int64(len(t.journal))
-		for _, ts := range t.tiers {
-			if ts.needsResync || ts.cursor < head {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			return true
-		}
-		if time.Now().After(deadline) {
+// caughtUpLocked: every live lower tier has shipped every commit and resync
+// request so far (trivially so when there never was one). mu held.
+func (t *Tiered) caughtUpLocked() bool {
+	for i := range t.tiers {
+		if ts := &t.tiers[i]; t.targetLocked(i) && ts.gen != t.gen {
 			return false
 		}
-		// The drainer broadcasts after every cycle; poll with a timeout so a
-		// permanently failing tier cannot park us forever.
-		t.mu.Unlock()
-		time.Sleep(200 * time.Microsecond)
-		t.Kick()
-		t.mu.Lock()
 	}
+	return true
 }
 
-// TierStatus is one level's durability standing.
+// WaitDrained blocks until every live lower tier has caught up with the
+// commits (and resync requests) made so far, or until timeout. It reports
+// whether the tiers converged.
+func (t *Tiered) WaitDrained(timeout time.Duration) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.caughtUpLocked() && !t.closed {
+		t.Kick()
+		// The drainer broadcasts whenever a tier moves, the timer at the
+		// deadline, so a permanently failing tier cannot park us forever.
+		deadline := time.Now().Add(timeout)
+		timer := time.AfterFunc(timeout, func() {
+			t.mu.Lock()
+			t.drained.Broadcast()
+			t.mu.Unlock()
+		})
+		defer timer.Stop()
+		for !t.caughtUpLocked() && time.Now().Before(deadline) {
+			t.drained.Wait()
+		}
+	}
+	return t.caughtUpLocked()
+}
+
+// TierStatus is one level's durability standing. The drainer's accounting is
+// cumulative, and zero for a level that was never a drain target.
 type TierStatus struct {
-	// Level is the tier index (0 = the fastest level).
-	Level int
-	// Kind is the level's persistence technology.
-	Kind Kind
-	// DurableCounter is the newest checkpoint counter durable at this
-	// level; for the active front it is the engine's commit watermark.
+	Level int  // 0 = the fastest level
+	Kind  Kind // the level's persistence technology
+	// DurableCounter is the newest checkpoint counter durable at this level
+	// (at the active front: the commit watermark), DurableAt when it advanced.
 	DurableCounter uint64
-	// DurableAt is when DurableCounter last advanced (zero for a level that
-	// never drained).
-	DurableAt time.Time
-	// Drains / DrainedBytes / Errors / Resyncs are cumulative drainer
-	// accounting (zero for a level that was never a drain target).
-	Drains       uint64
-	DrainedBytes int64
-	Errors       uint64
-	Resyncs      uint64
-	// Failovers counts write-path failovers away from this level.
-	Failovers uint64
-	// Active marks the level currently serving the write path; Failed marks
-	// a level the write path has permanently abandoned.
-	Active bool
-	Failed bool
-	// PendingOps is how many journaled ops this tier has not replayed;
-	// Resyncing marks a tier that lost its incremental path.
+	DurableAt      time.Time
+	Drains         uint64
+	DrainedBytes   int64 // every byte written to the level: payloads, headers, records
+	Errors         uint64
+	Resyncs        uint64
+	Failovers      uint64 // write-path failovers away from this level
+	Active         bool   // the level serving the write path
+	Failed         bool   // a level the write path has permanently abandoned
+	// PendingOps is how many commits (and resync requests) this tier has not
+	// caught up with; Resyncing marks a tier whose next ship distrusts it.
 	PendingOps int64
 	Resyncing  bool
-	// LastErr is the most recent drain error (nil when healthy).
-	LastErr error
+	LastErr    error // the most recent drain error (nil when healthy)
 }
 
 // Status reports every level's durability standing, tier 0 first.
 func (t *Tiered) Status() []TierStatus {
+	out := make([]TierStatus, len(t.tiers))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	head := t.base + int64(len(t.journal))
-	draining := make(map[int]bool, len(t.tiers))
-	for _, ts := range t.tiers {
-		draining[ts.level] = true
-	}
-	out := make([]TierStatus, 0, len(t.levels))
-	for i, ts := range t.states {
-		st := TierStatus{
-			Level: i, Kind: t.levels[i].Kind(),
-			DurableCounter: ts.durable,
-			Drains:         ts.drains, DrainedBytes: ts.drainedB,
-			Errors: ts.errors, Resyncs: ts.resyncs,
-			Failovers: ts.failovers,
-			Active:    i == t.active && !t.dead[i],
-			Failed:    t.dead[i],
-			LastErr:   ts.lastErr,
+	for i := range t.tiers {
+		ts, st := &t.tiers[i], &out[i]
+		*st = TierStatus{
+			Level: i, Kind: ts.dev.Kind(), DurableCounter: ts.durable,
+			Drains: ts.drains, DrainedBytes: ts.drainedB,
+			Errors: ts.errors, Resyncs: ts.resyncs, Failovers: ts.failovers,
+			Active: i == t.active && !ts.dead, Failed: ts.dead, LastErr: ts.lastErr,
 		}
 		if st.Active {
 			st.DurableCounter = t.watermark
@@ -980,19 +749,12 @@ func (t *Tiered) Status() []TierStatus {
 		if ts.durableNS > 0 {
 			st.DurableAt = time.Unix(0, ts.durableNS)
 		}
-		if draining[i] {
-			st.PendingOps = head - ts.cursor
-			st.Resyncing = ts.needsResync
-			if ts.needsResync {
-				st.PendingOps = head - t.base
-			}
+		if t.targetLocked(i) {
+			st.PendingOps, st.Resyncing = int64(t.gen-ts.gen), ts.resync != 0
 		}
-		out = append(out, st)
 	}
 	return out
 }
 
-var (
-	_ Device              = (*Tiered)(nil)
-	_ CheckpointCommitter = (*Tiered)(nil)
-)
+var _ Device = (*Tiered)(nil)
+var _ CheckpointCommitter = (*Tiered)(nil)
