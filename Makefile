@@ -93,13 +93,14 @@ metrics-lint:
 	$(GO) run ./cmd/pccheck-metrics-lint
 
 # Fault scenario with the flight recorder attached; validates the exported
-# Chrome trace carries every pipeline phase.
+# Chrome trace carries every pipeline phase of an in-memory save (copy and
+# chunk-wait belong to staged sources only; the scenario has none).
 trace-smoke:
 	$(GO) run ./cmd/pccheck-bench -faults -trace-out /tmp/pccheck-trace.json
 	python3 -c "import json; \
 	  doc = json.load(open('/tmp/pccheck-trace.json')); \
 	  names = {e['name'] for e in doc['traceEvents']}; \
-	  need = {'save', 'slot-wait', 'copy', 'persist', 'barrier', 'publish'}; \
+	  need = {'save', 'slot-wait', 'persist', 'barrier', 'publish'}; \
 	  missing = need - names; \
 	  assert not missing, f'trace missing spans: {missing}'; \
 	  print('trace OK:', len(doc['traceEvents']), 'events')"

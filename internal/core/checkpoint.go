@@ -20,10 +20,10 @@ import (
 	"pccheck/internal/storage"
 )
 
-// Source supplies a checkpoint payload. The engine pulls it range by range
-// so that device→DRAM copies (the GPU snapshot) pipeline with DRAM→storage
-// persists. Implementations must allow concurrent ReadInto calls on disjoint
-// ranges.
+// Source supplies a checkpoint payload the engine cannot address: it pulls
+// the payload range by range into pooled DRAM chunks, so that device→DRAM
+// copies (the GPU snapshot) pipeline with DRAM→storage persists.
+// Implementations must allow concurrent ReadInto calls on disjoint ranges.
 type Source interface {
 	// Size returns the payload length in bytes.
 	Size() int64
@@ -34,10 +34,12 @@ type Source interface {
 // bytesSource adapts an in-memory payload.
 type bytesSource struct{ b []byte }
 
-// BytesSource wraps an in-memory payload as a Source. The engine reads the
-// slice during Checkpoint; the caller must not mutate it until Checkpoint
-// returns (the paper's equivalent: the GPU must not update weights being
-// snapshotted, §3.1).
+// BytesSource wraps a payload that already lies in host memory — the DRAM
+// copy of §3.1. The engine persists it from where it lies, without staging:
+// it reads the slice during Checkpoint (checksum, delta hashes, the writers'
+// device writes) and never writes it. The caller must not mutate it until
+// Checkpoint returns (the paper's equivalent: the GPU must not update
+// weights being snapshotted); reading it meanwhile is fine.
 func BytesSource(b []byte) Source { return bytesSource{b} }
 
 func (s bytesSource) Size() int64 { return int64(len(s.b)) }
@@ -96,6 +98,8 @@ type Checkpointer struct {
 	recordHighest uint64
 	recordSeq     uint64
 	pendingFree   []int
+	recordBuf     [recordSize]byte // encode scratch, under recordMu
+	saves         []saveState      // per-slot save plumbing
 
 	// obsv receives lifecycle events when observability is on. Every
 	// probe is guarded by a nil check so a disabled observer costs one
@@ -344,6 +348,15 @@ func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, la
 		dec:       decision.Find(cfg.Observer),
 	}
 	c.committer, _ = dev.(storage.CheckpointCommitter)
+	c.saves = make([]saveState, sb.slots)
+	for slot := range c.saves {
+		st := &c.saves[slot]
+		st.tasks = make(chan task, cfg.Writers)
+		st.lanes = make([]*storage.Throttle, cfg.Writers)
+		for w := 0; w < cfg.Writers; w++ {
+			st.run = append(st.run, func() { c.writer(st, slot, w) })
+		}
+	}
 	c.perWriterBW.Store(math.Float64bits(cfg.PerWriterBW))
 	// The published slot is never free (§4.1), nor any slot of its chain.
 	pinned := make(map[int]bool)
@@ -570,8 +583,9 @@ func (c *Checkpointer) claimSlot(ctx context.Context, counter uint64, start time
 func (c *Checkpointer) sealSlot(ctx context.Context, slot int, hdr slotHeader) error {
 	hdrStart := c.obsNow()
 	hdr.hasCRC, hdr.epoch = c.cfg.VerifyPayload, c.sb.epoch
+	buf := hdr.put(c.saves[slot].hdr[:])
 	if err := c.retryIO(ctx, func() error {
-		return c.dev.Persist(encodeSlotHeader(hdr), slotBase(c.sb, slot))
+		return c.dev.Persist(buf, slotBase(c.sb, slot))
 	}); err != nil {
 		c.failSlot(slot, hdr.counter)
 		return err
@@ -657,21 +671,107 @@ func (c *Checkpointer) redriveRecord(ctx context.Context) error {
 	return c.persistRecord(ctx, *m)
 }
 
-// writePayload streams src into the slot's payload area through the DRAM
-// chunk pool, persisting with the configured number of writer goroutines,
-// and returns the bytes stored and their CRC (0 when verification is off).
+// task is one piece of a payload on its way to a writer: buf lands at off
+// within the slot's payload area. chunk is the pooled chunk buf lives in,
+// released once the piece is written; it is nil when buf is a window of the
+// caller's own memory. The zero task tells a writer its save is over.
+type task struct {
+	buf   []byte
+	chunk *chunkpool.Chunk
+	off   int64
+}
+
+// saveState is one slot's save plumbing, built once at attach: a save owns
+// its slot from claimSlot until it publishes or fails, so nothing here is
+// shared between saves and a save allocates none of it.
+type saveState struct {
+	tasks chan task            // producer → writers, capacity p; never closed
+	run   []func()             // the p writer bodies each save starts with `go`
+	lanes []*storage.Throttle  // per-writer pacing, kept while the rate stands
+	hdr   [slotHeaderSize]byte // slot header scratch
+	wg    sync.WaitGroup
+	// The running save's: what its writers must know, and what they report.
+	ctx       context.Context
+	counter   uint64
+	persisted atomic.Int64
+	failed    atomic.Bool
+	err       error // why it failed; written by whoever flips failed, read after wg.Wait
+}
+
+// fail ends the save unless it has failed already: no more pieces are cut
+// and the writers drop those still queued.
+func (st *saveState) fail(err error) {
+	if st.failed.CompareAndSwap(false, true) {
+		st.err = err
+	}
+}
+
+// writer is one of a save's p writer goroutines. Each paces itself at the
+// per-thread bandwidth, mirroring that one OS thread cannot saturate a
+// storage device (§3.3/§5.4.2). Transient device faults are absorbed per
+// the retry policy right here at the piece granularity — rewriting one
+// piece is idempotent and far cheaper than restarting the whole checkpoint
+// (the FastPersist lesson: per-write failure handling belongs in the
+// parallel-writer path).
+func (c *Checkpointer) writer(st *saveState, slot, w int) {
+	defer st.wg.Done()
+	base, lane := payloadBase(c.sb, slot), st.lanes[w]
+	for {
+		t := <-st.tasks
+		if t.buf == nil {
+			return
+		}
+		if !st.failed.Load() {
+			// The per-writer lane and the device's own pacing overlap:
+			// reserve the lane, let the device pace the write, then sleep
+			// out whatever lane budget remains. The piece's effective rate is
+			// min(laneBW, device share), as on real hardware — not the series.
+			laneDeadline := lane.Reserve(len(t.buf))
+			persistStart := c.obsNow()
+			err := c.writeRange(st.ctx, t.buf, base+t.off)
+			if c.obsv != nil {
+				c.obsv.Emit(obs.Event{
+					TS: persistStart, Dur: time.Now().UnixNano() - persistStart,
+					Counter: st.counter, Bytes: int64(len(t.buf)), Value: t.off,
+					Phase: obs.PhasePersist, Slot: int32(slot), Writer: int32(w), Rank: -1,
+				})
+			}
+			if wait := time.Until(laneDeadline); wait > 0 {
+				time.Sleep(wait)
+			}
+			if err != nil {
+				st.fail(err)
+			} else {
+				st.persisted.Add(int64(len(t.buf)))
+			}
+		}
+		if t.chunk != nil {
+			c.pool.Release(t.chunk)
+		}
+	}
+}
+
+// writePayload cuts src into ChunkBytes pieces, persists them into the slot's
+// payload area with the configured number of writer goroutines, and returns
+// the bytes stored and their CRC (0 when verification is off).
 //
-// Pipelining (§4.1 "Pipelining and Using Chunks"): the source fill of chunk
-// k+1 overlaps the device persist of chunk k, bounded by pool capacity — a
-// full pool is exactly the "checkpoint waits for free chunks in DRAM"
-// condition of §3.2. The producer fills chunks in payload order, so the
-// payload CRC folds incrementally there, off the device critical path.
+// A payload that already lies in host memory (BytesSource) is persisted where
+// it lies: a piece is a window of the caller's buffer, which the CRC, the
+// delta stage and the writers read and nothing ever writes. Any other source
+// is staged — the paper's step ③: the copy engine moves the range into a
+// pooled DRAM chunk (for a GPU source this is the paced D2H copy).
 //
-// A non-nil dp turns the delta stage on (see deltaPass): each filled chunk
-// is hashed and diffed, and with dp.filter only its dirty granules are
-// queued, at the running offset of a delta record whose header ‖ bitmap is
-// written last. The pass returns errDenseDelta as soon as the record stops
-// being smaller than the payload.
+// Pipelining (§4.1 "Pipelining and Using Chunks"): the staging of piece k+1
+// overlaps the device persist of piece k, bounded by pool capacity — a full
+// pool is exactly the "checkpoint waits for free chunks in DRAM" condition of
+// §3.2. Pieces are cut in payload order, so the payload CRC folds
+// incrementally on the producer, off the device critical path.
+//
+// A non-nil dp turns the delta stage on (see deltaPass): each piece is
+// hashed and diffed, and with dp.filter only its dirty granules are queued,
+// at the running offset of a delta record whose header ‖ bitmap is written
+// last. The pass returns errDenseDelta as soon as the record stops being
+// smaller than the payload.
 func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, counter uint64, dp *deltaPass) (int64, uint32, error) {
 	size := src.Size()
 	base := payloadBase(c.sb, slot)
@@ -680,131 +780,99 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 			return 0, 0, errDenseDelta // the bare header ‖ bitmap already loses
 		}
 	}
+	mem, inPlace := src.(bytesSource)
 
-	type task struct {
-		chunk *chunkpool.Chunk
-		off   int64 // offset within the slot's payload area
-		n     int
+	st := &c.saves[slot]
+	st.ctx, st.counter, st.err = ctx, counter, nil
+	st.persisted.Store(0)
+	st.failed.Store(false)
+	// SetPerWriterBW applies to checkpoints started after the call: a lane
+	// outlives its save unless the rate moved meanwhile. (A finished save has
+	// slept its lanes out, so a kept lane paces like a fresh one.)
+	rate := math.Float64frombits(c.perWriterBW.Load())
+	for w, lane := range st.lanes {
+		if lane.Rate() != rate {
+			st.lanes[w] = storage.NewThrottle(rate)
+		}
 	}
-
-	writers := c.cfg.Writers
-	tasks := make(chan task, writers)
-	errCh := make(chan error, writers)
-	var persisted atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-
-	// p writer goroutines persist chunks to the device. Each paces itself
-	// at the per-thread bandwidth, mirroring that one OS thread cannot
-	// saturate a storage device (§3.3/§5.4.2). Transient device faults are
-	// absorbed per the retry policy right here at the chunk granularity —
-	// rewriting one chunk is idempotent and far cheaper than restarting
-	// the whole checkpoint (the FastPersist lesson: per-write failure
-	// handling belongs in the parallel-writer path).
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(writer int32) {
-			defer wg.Done()
-			lane := storage.NewThrottle(math.Float64frombits(c.perWriterBW.Load()))
-			for t := range tasks {
-				// The per-writer lane and the device's own pacing overlap:
-				// reserve the lane, let the device pace the write, then
-				// sleep out whatever lane budget remains. The chunk's
-				// effective rate is min(laneBW, device share), as on real
-				// hardware — not the series of the two.
-				laneDeadline := lane.Reserve(t.n)
-				persistStart := c.obsNow()
-				err := c.writeRange(ctx, t.chunk.Bytes()[:t.n], base+t.off)
-				if c.obsv != nil {
-					c.obsv.Emit(obs.Event{
-						TS: persistStart, Dur: time.Now().UnixNano() - persistStart,
-						Counter: counter, Bytes: int64(t.n), Value: t.off,
-						Phase: obs.PhasePersist, Slot: int32(slot), Writer: writer, Rank: -1,
-					})
-				}
-				if wait := time.Until(laneDeadline); wait > 0 {
-					time.Sleep(wait)
-				}
-				c.pool.Release(t.chunk)
-				if err != nil {
-					failed.Store(true)
-					select {
-					case errCh <- err:
-					default:
-					}
-					continue
-				}
-				persisted.Add(int64(t.n))
-			}
-		}(int32(w))
+	st.wg.Add(len(st.run))
+	for _, run := range st.run {
+		go run()
 	}
 
 	var crc uint32
 	var queued int64 // bytes handed to the writers
-	var produceErr error
-	for off := int64(0); off < size && produceErr == nil; {
-		if failed.Load() {
-			// A writer already failed past its retry budget; producing
-			// more chunks would only burn device bandwidth. errCh carries
-			// the error out.
+	for off := int64(0); off < size && !st.failed.Load(); {
+		// A writer that failed past its retry budget, or a cancelled caller,
+		// ends the save at the next piece: more would only burn bandwidth.
+		if err := ctx.Err(); err != nil {
+			st.fail(err)
 			break
 		}
-		waitStart := c.obsNow()
-		chunk, err := c.pool.Acquire(ctx)
-		if err != nil {
-			produceErr = err
-			break
+		n := min(int64(c.pool.ChunkSize()), size-off)
+		t := task{off: off}
+		if !inPlace || dp != nil && dp.filter {
+			// A staged piece lives in a pooled chunk; so do the dirty granules
+			// a delta compacts out of a view, whose own memory the engine never
+			// writes (the chunk goes straight back when the window is clean).
+			waitStart := c.obsNow()
+			chunk, err := c.pool.Acquire(ctx)
+			if err != nil {
+				st.fail(err)
+				break
+			}
+			t.chunk = chunk
+			if !inPlace {
+				c.span(obs.PhaseChunkWait, waitStart, counter, slot, 0, off)
+			}
 		}
-		c.span(obs.PhaseChunkWait, waitStart, counter, slot, 0, off)
-		n := chunk.Cap()
-		if int64(n) > size-off {
-			n = int(size - off)
+		if inPlace {
+			t.buf = mem.b[off : off+n]
+		} else {
+			t.buf = t.chunk.Bytes()[:n]
+			copyStart := c.obsNow()
+			read, err := dp.fill(src, t.buf, off)
+			if err != nil {
+				c.pool.Release(t.chunk)
+				st.fail(err)
+				break
+			}
+			c.span(obs.PhaseCopy, copyStart, counter, slot, int64(read), off)
 		}
-		// The paper's step ③: the copy engine moves the range into the DRAM
-		// chunk (for a GPU source this is the paced D2H copy).
-		buf, wOff := chunk.Bytes()[:n], off
-		copyStart := c.obsNow()
-		read, err := dp.fill(src, buf, off)
-		if err != nil {
-			c.pool.Release(chunk)
-			produceErr = err
-			break
-		}
-		c.span(obs.PhaseCopy, copyStart, counter, slot, int64(read), off)
 		if dp != nil {
+			in, out := t.buf, t.buf
 			if dp.filter {
-				wOff = dp.recLen // the record so far ends where these granules land
+				t.off, out = dp.recLen, t.chunk.Bytes() // they land where the record so far ends
 			}
 			encStart := c.obsNow()
-			buf = buf[:dp.encode(buf, off)]
+			t.buf = out[:dp.encode(in, out, off)]
 			dp.encNS += c.obsNow() - encStart
 			if dp.filter && dp.recLen >= size {
-				produceErr = errDenseDelta
+				st.fail(errDenseDelta)
 			}
 		}
 		if c.cfg.VerifyPayload {
-			crc = crc32.Update(crc, crc32.IEEETable, buf)
+			crc = crc32.Update(crc, crc32.IEEETable, t.buf)
 		}
-		off += int64(n)
-		if len(buf) == 0 || produceErr != nil {
-			c.pool.Release(chunk) // nothing here is dirty, or the pass is over
+		off += n
+		if len(t.buf) == 0 || st.failed.Load() {
+			if t.chunk != nil {
+				c.pool.Release(t.chunk) // nothing here is dirty, or the pass is over
+			}
 			continue
 		}
-		tasks <- task{chunk: chunk, off: wOff, n: len(buf)}
-		queued += int64(len(buf))
+		st.tasks <- t
+		queued += int64(len(t.buf))
 	}
-	close(tasks)
-	wg.Wait()
+	for range st.run {
+		st.tasks <- task{}
+	}
+	st.wg.Wait()
 
-	select {
-	case err := <-errCh:
-		return 0, 0, err
-	default:
+	if st.failed.Load() {
+		return 0, 0, st.err
 	}
-	if produceErr != nil {
-		return 0, 0, produceErr
-	}
-	if got := persisted.Load(); got != queued {
+	if got := st.persisted.Load(); got != queued {
 		return 0, 0, fmt.Errorf("core: persisted %d of %d bytes", got, queued)
 	}
 	stored := size
@@ -819,7 +887,7 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 		stored = dp.recLen
 	}
 
-	// SSD path: a single sync covers all writers' chunks (§4.1: "the main
+	// SSD path: a single sync covers all writers' pieces (§4.1: "the main
 	// thread can call a single msync"). PMEM writers already fenced.
 	if c.dev.Kind() != storage.KindPMEM {
 		syncStart := c.obsNow()
@@ -882,8 +950,9 @@ func (c *Checkpointer) persistRecordLocked(ctx context.Context, meta checkMeta) 
 	if c.recordSeq%2 == 1 {
 		off = recordBOff
 	}
+	buf := meta.putRecord(c.recordBuf[:])
 	if err := c.retryIO(ctx, func() error {
-		return c.dev.Persist(encodeRecord(meta), off)
+		return c.dev.Persist(buf, off)
 	}); err != nil {
 		return err
 	}

@@ -84,13 +84,14 @@ type Config struct {
 	// Writers is p, the number of parallel writer goroutines per
 	// checkpoint. Defaults to 1.
 	Writers int
-	// ChunkBytes is b, the DRAM staging chunk size for the pipelined path.
-	// Zero disables pipelining: each checkpoint stages through a single
-	// slot-sized buffer.
+	// ChunkBytes is b, the size of the pieces a payload is persisted in and
+	// of the DRAM chunks a staged one is pipelined through. Zero disables
+	// pipelining: one slot-sized piece per checkpoint.
 	ChunkBytes int
-	// DRAMBudget is M, the total staging DRAM. The pool holds
-	// DRAMBudget/ChunkBytes chunks (at least one). Zero defaults to
-	// 2×SlotBytes, the paper's default (§5.2.1).
+	// DRAMBudget is M, the DRAM the engine itself stages in: the pool holds
+	// DRAMBudget/ChunkBytes chunks (at least one). A BytesSource payload is
+	// persisted in place and draws on it only for a delta's dirty granules.
+	// Zero defaults to 2×SlotBytes, the paper's default (§5.2.1).
 	DRAMBudget int64
 	// VerifyPayload adds a CRC32 over each payload, checked on read.
 	VerifyPayload bool
@@ -324,11 +325,15 @@ func decodeSuperblock(buf []byte) (superblock, error) {
 
 // encodeRecord serializes a pointer record. A record is self-validating
 // (CRC) so recovery can detect torn writes and fall back to the other copy.
-func encodeRecord(meta checkMeta) []byte {
-	buf := make([]byte, recordSize)
-	binary.LittleEndian.PutUint64(buf[0:], meta.counter)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(meta.slot))
-	binary.LittleEndian.PutUint64(buf[12:], uint64(meta.size))
+func encodeRecord(meta checkMeta) []byte { return meta.putRecord(make([]byte, recordSize)) }
+
+// putRecord encodes into buf, setting all recordSize bytes, and returns it:
+// the save path keeps one scratch per engine.
+func (m checkMeta) putRecord(buf []byte) []byte {
+	clear(buf[:recordSize])
+	binary.LittleEndian.PutUint64(buf[0:], m.counter)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(m.slot))
+	binary.LittleEndian.PutUint64(buf[12:], uint64(m.size))
 	binary.LittleEndian.PutUint32(buf[24:], crc32.ChecksumIEEE(buf[:24]))
 	return buf
 }
@@ -375,8 +380,12 @@ type slotHeader struct {
 // quarantined reports whether the header is a scrubber tombstone.
 func (h slotHeader) quarantined() bool { return h.flags&slotFlagQuarantined != 0 }
 
-func encodeSlotHeader(h slotHeader) []byte {
-	buf := make([]byte, slotHeaderSize)
+func encodeSlotHeader(h slotHeader) []byte { return h.put(make([]byte, slotHeaderSize)) }
+
+// put encodes into buf, setting all slotHeaderSize bytes, and returns it: the
+// save path keeps one scratch per slot.
+func (h slotHeader) put(buf []byte) []byte {
+	clear(buf[:slotHeaderSize])
 	binary.LittleEndian.PutUint64(buf[0:], h.counter)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(h.size))
 	binary.LittleEndian.PutUint32(buf[16:], h.payloadCRC)

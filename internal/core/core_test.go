@@ -133,44 +133,49 @@ func TestNoCheckpointYet(t *testing.T) {
 }
 
 func TestPipelinedChunks(t *testing.T) {
-	// 64 KB payload through 4 KB chunks with a 16 KB DRAM budget: the
-	// producer must block on the pool and recycle chunks.
+	// 64 KB payload through 4 KB chunks with a 16 KB DRAM budget: staging it,
+	// the producer must recycle the pool's four chunks; in memory it is
+	// persisted in place, in the same 16 pieces.
 	c := ramEngine(t, Config{
 		Concurrent: 2, SlotBytes: 64 << 10,
 		Writers: 3, ChunkBytes: 4 << 10, DRAMBudget: 16 << 10,
 		VerifyPayload: true,
 	})
-	want := payload(7, 64<<10)
-	if _, err := c.Checkpoint(context.Background(), BytesSource(want)); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 64<<10)
-	if _, _, err := c.ReadLatest(got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("pipelined payload mismatch")
+	for i, source := range []func([]byte) Source{staged, BytesSource} {
+		want := payload(int64(7+i), 64<<10)
+		if _, err := c.Checkpoint(context.Background(), source(want)); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 64<<10)
+		if _, _, err := c.ReadLatest(got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("pipelined payload mismatch")
+		}
 	}
 }
 
 func TestUnalignedPayloadAndChunks(t *testing.T) {
 	// Payload not a multiple of the chunk size exercises the short final
-	// chunk.
+	// piece, staged and in place.
 	c := ramEngine(t, Config{
 		Concurrent: 1, SlotBytes: 10_000,
 		Writers: 2, ChunkBytes: 3000, DRAMBudget: 6000,
 		VerifyPayload: true,
 	})
-	want := payload(9, 9999)
-	if _, err := c.Checkpoint(context.Background(), BytesSource(want)); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 9999)
-	if _, _, err := c.ReadLatest(got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("unaligned payload mismatch")
+	for i, source := range []func([]byte) Source{staged, BytesSource} {
+		want := payload(int64(9+i), 9999)
+		if _, err := c.Checkpoint(context.Background(), source(want)); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 9999)
+		if _, _, err := c.ReadLatest(got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("unaligned payload mismatch")
+		}
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -170,12 +171,12 @@ func (t *DirtyTracker) restore(ranges [][2]int64, all, fed bool) {
 var errDenseDelta = errors.New("core: delta record would not be smaller than the payload")
 
 // deltaPass is the hash/diff stage writePayload runs in delta mode, one
-// pooled chunk at a time: hash the chunk's granules, diff them against the
-// tip's hashes and, with filter on, compact the dirty ones to the front of
-// the chunk so only they reach the writers. With filter off (a keyframe) the
-// same pass collects the hashes while the whole payload streams and counts
-// what a delta would have persisted. The engine reuses one deltaPass under
-// deltaMu, so a save allocates nothing here.
+// piece at a time: hash the piece's granules, diff them against the tip's
+// hashes and, with filter on, compact the dirty ones into a pooled chunk so
+// only they reach the writers. With filter off (a keyframe) the same pass
+// collects the hashes while the whole payload streams and counts what a
+// delta would have persisted. The engine reuses one deltaPass under deltaMu,
+// so a save allocates nothing here.
 //
 // Hashes are hash/maphash under a per-engine random seed; they live only in
 // DRAM (an attach starts with a keyframe), so they need not be stable. A
@@ -208,8 +209,10 @@ type deltaPass struct {
 // tails must travel for apply to rebuild the exact new length).
 func (dp *deltaPass) begin(size int64) {
 	n := ceilDiv(size, dp.gran)
-	dp.head = append(dp.head[:0], make([]byte, deltaHdrSize+(n+7)/8)...)
-	dp.next = append(dp.next[:0], make([]uint64, n)...)
+	dp.head = slices.Grow(dp.head[:0], deltaHdrSize+(n+7)/8)[:deltaHdrSize+(n+7)/8]
+	dp.next = slices.Grow(dp.next[:0], n)[:n]
+	clear(dp.head)
+	clear(dp.next)
 	dp.recLen, dp.encNS = int64(len(dp.head)), 0
 	from := 0
 	if dp.old != nil && !dp.all {
@@ -238,47 +241,46 @@ func (dp *deltaPass) marked(i int) bool { return dp.head[deltaHdrSize+i/8]&(1<<(
 // skipsClean: a delta against trusted marks reads only the marked granules.
 func (dp *deltaPass) skipsClean() bool { return dp.filter && dp.trust }
 
-// fill is writePayload's source read of payload[off, off+len(buf)) and
+// fill is the staged path's source read of payload[off, off+len(buf)) and
 // returns the bytes read: all of buf, except that a pass that skipsClean
-// reads only the marked granules, one source read per run, compacted to the
-// front of buf. A nil pass (full mode) is the plain read.
+// reads only the marked granules, one source read per run, each where it
+// belongs in buf. A nil pass (full mode) is the plain read.
 func (dp *deltaPass) fill(src Source, buf []byte, off int64) (int, error) {
 	if dp == nil || !dp.skipsClean() {
 		return len(buf), src.ReadInto(buf, off)
 	}
-	w, first := 0, int(off/int64(dp.gran))
+	read, first := 0, int(off/int64(dp.gran))
 	for lo := 0; lo < len(buf); {
 		hi := lo
 		for hi < len(buf) && dp.marked(first+hi/dp.gran) {
 			hi = min(hi+dp.gran, len(buf))
 		}
 		if hi > lo {
-			if err := src.ReadInto(buf[w:w+hi-lo], off+int64(lo)); err != nil {
+			if err := src.ReadInto(buf[lo:hi], off+int64(lo)); err != nil {
 				return 0, err
 			}
-			w += hi - lo
+			read += hi - lo
 		}
 		lo = hi + dp.gran
 	}
-	return w, nil
+	return read, nil
 }
 
-// encode hashes and diffs the granules of payload[off, off+len(buf)) held in
-// buf and returns how many leading bytes of buf go to the device: all of
-// them for a keyframe, the compacted dirty granules for a delta.
-func (dp *deltaPass) encode(buf []byte, off int64) int {
+// encode hashes and diffs the granules of payload[off, off+len(in)) held in
+// in and returns how many bytes go to the device: for a delta the dirty
+// granules, compacted into out; for a keyframe all of in, out untouched. in is
+// only read (it may be the caller's own memory), its clean granules not even
+// that when the pass skipsClean. A staged piece passes its chunk as both.
+func (dp *deltaPass) encode(in, out []byte, off int64) int {
 	w, first := 0, int(off/int64(dp.gran))
-	for lo := 0; lo < len(buf); lo += dp.gran {
-		i, l := first+lo/dp.gran, min(dp.gran, len(buf)-lo)
+	for lo := 0; lo < len(in); lo += dp.gran {
+		i, l := first+lo/dp.gran, min(dp.gran, len(in)-lo)
 		dirty := dp.marked(i)
-		g := buf[lo : lo+l]
-		if dp.skipsClean() {
-			if !dirty {
-				dp.next[i] = dp.old[i]
-				continue
-			}
-			g = buf[w : w+l] // where fill left it
+		if !dirty && dp.skipsClean() {
+			dp.next[i] = dp.old[i]
+			continue
 		}
+		g := in[lo : lo+l]
 		dp.next[i] = maphash.Bytes(dp.seed, g)
 		if !dirty && (dp.trust || dp.next[i] == dp.old[i]) {
 			continue
@@ -286,11 +288,11 @@ func (dp *deltaPass) encode(buf []byte, off int64) int {
 		dp.mark(i)
 		dp.recLen += int64(l)
 		if dp.filter {
-			w += copy(buf[w:], g)
+			w += copy(out[w:], g)
 		}
 	}
 	if !dp.filter {
-		return len(buf)
+		return len(in)
 	}
 	return w
 }

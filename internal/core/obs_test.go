@@ -30,59 +30,83 @@ func newObservedEngine(t *testing.T, rec *obs.Recorder) *Checkpointer {
 	return ck
 }
 
+// stagedSource hides a payload's memory behind ReadInto, as a source the
+// engine cannot address (accelerator memory, SaveFrom) does: saves from it
+// take the staged path through the chunk pool, where BytesSource saves are
+// persisted in place.
+type stagedSource struct{ Source }
+
+func staged(p []byte) Source { return stagedSource{BytesSource(p)} }
+
 // TestObservedCheckpointEvents drives a few saves through an instrumented
-// engine and checks the flight recorder saw the full phase pipeline.
+// engine and checks the flight recorder saw the full phase pipeline: with
+// chunk-wait and copy spans per piece for a staged source, with neither for
+// a payload persisted from where it lies.
 func TestObservedCheckpointEvents(t *testing.T) {
-	rec := obs.NewRecorder(obs.DefaultCapacity)
-	ck := newObservedEngine(t, rec)
-	defer ck.Close()
+	for _, tc := range []struct {
+		name   string
+		source func([]byte) Source
+		staged uint64 // copy and chunk-wait spans expected
+	}{
+		// 3000-byte payload through 1024-byte chunks = 3 pieces per save.
+		{"staged", staged, 15},
+		{"view", BytesSource, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder(obs.DefaultCapacity)
+			ck := newObservedEngine(t, rec)
+			defer ck.Close()
 
-	payload := make([]byte, 3000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := ck.Checkpoint(context.Background(), BytesSource(payload)); err != nil {
-			t.Fatalf("Checkpoint %d: %v", i, err)
-		}
-	}
-
-	snap := rec.Snapshot()
-	if snap.Published == 0 {
-		t.Fatalf("recorder saw no published checkpoints: %+v", snap)
-	}
-	if got := snap.Phase(obs.PhaseSave).Count; got != 5 {
-		t.Errorf("save span count = %d, want 5", got)
-	}
-	if snap.Phase(obs.PhaseSlotWait).Count != 5 {
-		t.Errorf("slot-wait span count = %d, want 5 (one per save)", snap.Phase(obs.PhaseSlotWait).Count)
-	}
-	// 3000-byte payload through 1024-byte chunks = 3 copy spans per save.
-	if got := snap.Phase(obs.PhaseCopy).Count; got != 15 {
-		t.Errorf("copy span count = %d, want 15", got)
-	}
-	if snap.Phase(obs.PhasePersist).Count != 15 {
-		t.Errorf("persist span count = %d, want 15", snap.Phase(obs.PhasePersist).Count)
-	}
-	if snap.Phase(obs.PhaseBarrier).Count == 0 {
-		t.Error("no barrier spans recorded")
-	}
-	if snap.Phase(obs.PhaseHeader).Count != 5 {
-		t.Errorf("header span count = %d, want 5", snap.Phase(obs.PhaseHeader).Count)
-	}
-
-	events := rec.TakeEvents()
-	var persistBytes int64
-	for _, ev := range events {
-		if ev.Phase == obs.PhasePersist {
-			persistBytes += ev.Bytes
-			if ev.Writer < 0 {
-				t.Errorf("persist event missing writer index: %+v", ev)
+			payload := make([]byte, 3000)
+			for i := range payload {
+				payload[i] = byte(i)
 			}
-		}
-	}
-	if persistBytes != 5*3000 {
-		t.Errorf("persist spans cover %d bytes, want %d", persistBytes, 5*3000)
+			for i := 0; i < 5; i++ {
+				if _, err := ck.Checkpoint(context.Background(), tc.source(payload)); err != nil {
+					t.Fatalf("Checkpoint %d: %v", i, err)
+				}
+			}
+
+			snap := rec.Snapshot()
+			if snap.Published == 0 {
+				t.Fatalf("recorder saw no published checkpoints: %+v", snap)
+			}
+			if got := snap.Phase(obs.PhaseSave).Count; got != 5 {
+				t.Errorf("save span count = %d, want 5", got)
+			}
+			if snap.Phase(obs.PhaseSlotWait).Count != 5 {
+				t.Errorf("slot-wait span count = %d, want 5 (one per save)", snap.Phase(obs.PhaseSlotWait).Count)
+			}
+			if got := snap.Phase(obs.PhaseCopy).Count; got != tc.staged {
+				t.Errorf("copy span count = %d, want %d", got, tc.staged)
+			}
+			if got := snap.Phase(obs.PhaseChunkWait).Count; got != tc.staged {
+				t.Errorf("chunk-wait span count = %d, want %d", got, tc.staged)
+			}
+			if snap.Phase(obs.PhasePersist).Count != 15 {
+				t.Errorf("persist span count = %d, want 15", snap.Phase(obs.PhasePersist).Count)
+			}
+			if snap.Phase(obs.PhaseBarrier).Count == 0 {
+				t.Error("no barrier spans recorded")
+			}
+			if snap.Phase(obs.PhaseHeader).Count != 5 {
+				t.Errorf("header span count = %d, want 5", snap.Phase(obs.PhaseHeader).Count)
+			}
+
+			events := rec.TakeEvents()
+			var persistBytes int64
+			for _, ev := range events {
+				if ev.Phase == obs.PhasePersist {
+					persistBytes += ev.Bytes
+					if ev.Writer < 0 {
+						t.Errorf("persist event missing writer index: %+v", ev)
+					}
+				}
+			}
+			if persistBytes != 5*3000 {
+				t.Errorf("persist spans cover %d bytes, want %d", persistBytes, 5*3000)
+			}
+		})
 	}
 }
 
@@ -93,8 +117,22 @@ func TestObservedTraceExport(t *testing.T) {
 	ck := newObservedEngine(t, rec)
 	defer ck.Close()
 
+	// One save persisted in place, whose trace must show no staging, then
+	// one staged save, which brings the copy spans.
 	payload := make([]byte, 2048)
 	if _, err := ck.Checkpoint(context.Background(), BytesSource(payload)); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	var view strings.Builder
+	if err := rec.WriteTrace(&view); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	for _, name := range []string{`"copy"`, `"chunk-wait"`} {
+		if strings.Contains(view.String(), name) {
+			t.Errorf("trace of an in-place save has %s events", name)
+		}
+	}
+	if _, err := ck.Checkpoint(context.Background(), staged(payload)); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 
@@ -242,55 +280,83 @@ func TestNilObserverAddsNoAllocations(t *testing.T) {
 	}
 }
 
-// TestObservedDeltaSavePhases: in delta mode PhaseCopy must time the real
-// source reads (its Bytes sum to the payload size for every save, delta or
-// keyframe), and each delta save emits exactly one PhaseDeltaEncode whose
-// Bytes are the stored record length and Value the logical size.
+// TestObservedDeltaSavePhases: in delta mode a staged save's PhaseCopy must
+// time the real source reads (its Bytes sum to the payload size for every
+// save, delta or keyframe) and a save persisted in place has no copy or
+// chunk-wait spans at all; either way the persist spans sum to what was
+// stored (less the record head, written apart), and each delta save emits
+// exactly one PhaseDeltaEncode whose Bytes are the stored record length and
+// Value the logical size.
 func TestObservedDeltaSavePhases(t *testing.T) {
-	rec := obs.NewRecorder(obs.DefaultCapacity)
-	cfg := Config{Concurrent: 1, SlotBytes: 8192, ChunkBytes: 1024, Writers: 2, DeltaKeyframe: 4, Observer: rec}
-	ck, err := New(storage.NewRAM(DeviceBytesFor(cfg)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck.Close()
-	p := sparsePayload(8, 0, 6000)
-	stored := map[uint64]int64{} // counter → record length, delta saves only
-	for i := 0; i < 6; i++ {
-		if i > 0 {
-			mutateSparse(p, 8, uint64(i))
-		}
-		ctr, err := ck.Checkpoint(context.Background(), BytesSource(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m := ck.checkAddr.Load(); m.kind == slotKindDelta {
-			stored[ctr] = m.size
-		}
-	}
-	if len(stored) == 0 {
-		t.Fatal("no delta saves")
-	}
-	copied := map[uint64]int64{}
-	encodes := map[uint64]int{}
-	for _, ev := range rec.TakeEvents() {
-		switch ev.Phase {
-		case obs.PhaseCopy:
-			copied[ev.Counter] += ev.Bytes
-		case obs.PhaseDeltaEncode:
-			encodes[ev.Counter]++
-			if ev.Bytes != stored[ev.Counter] || ev.Value != int64(len(p)) || ev.Dur < 0 {
-				t.Errorf("delta-encode event for save %d: bytes=%d (stored %d) value=%d (logical %d) dur=%d",
-					ev.Counter, ev.Bytes, stored[ev.Counter], ev.Value, len(p), ev.Dur)
+	for _, tc := range []struct {
+		name   string
+		source func([]byte) Source
+	}{{"staged", staged}, {"view", BytesSource}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder(obs.DefaultCapacity)
+			cfg := Config{Concurrent: 1, SlotBytes: 8192, ChunkBytes: 1024, Writers: 2, DeltaKeyframe: 4, Observer: rec}
+			ck, err := New(storage.NewRAM(DeviceBytesFor(cfg)), cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	for ctr := uint64(1); ctr <= 6; ctr++ {
-		if copied[ctr] != int64(len(p)) {
-			t.Errorf("save %d: copy spans cover %d bytes, want the %d-byte payload", ctr, copied[ctr], len(p))
-		}
-		if _, isDelta := stored[ctr]; (encodes[ctr] == 1) != isDelta || encodes[ctr] > 1 {
-			t.Errorf("save %d: %d delta-encode events, delta=%v", ctr, encodes[ctr], isDelta)
-		}
+			defer ck.Close()
+			p := sparsePayload(8, 0, 6000)
+			stored := map[uint64]int64{}  // counter → record length, delta saves only
+			payload := map[uint64]int64{} // counter → bytes the writers were handed
+			for i := 0; i < 6; i++ {
+				if i > 0 {
+					mutateSparse(p, 8, uint64(i))
+				}
+				ctr, err := ck.Checkpoint(context.Background(), tc.source(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := ck.checkAddr.Load()
+				payload[ctr] = m.size
+				if m.kind == slotKindDelta {
+					stored[ctr] = m.size
+					payload[ctr] -= int64(len(ck.pass.head))
+				}
+			}
+			if len(stored) == 0 {
+				t.Fatal("no delta saves")
+			}
+			copied := map[uint64]int64{}
+			persisted := map[uint64]int64{}
+			encodes := map[uint64]int{}
+			for _, ev := range rec.TakeEvents() {
+				switch ev.Phase {
+				case obs.PhaseCopy:
+					copied[ev.Counter] += ev.Bytes
+				case obs.PhaseChunkWait:
+					if tc.name == "view" {
+						t.Errorf("save %d persisted in place has a chunk-wait span", ev.Counter)
+					}
+				case obs.PhasePersist:
+					persisted[ev.Counter] += ev.Bytes
+				case obs.PhaseDeltaEncode:
+					encodes[ev.Counter]++
+					if ev.Bytes != stored[ev.Counter] || ev.Value != int64(len(p)) || ev.Dur < 0 {
+						t.Errorf("delta-encode event for save %d: bytes=%d (stored %d) value=%d (logical %d) dur=%d",
+							ev.Counter, ev.Bytes, stored[ev.Counter], ev.Value, len(p), ev.Dur)
+					}
+				}
+			}
+			for ctr := uint64(1); ctr <= 6; ctr++ {
+				want := int64(len(p))
+				if tc.name == "view" {
+					want = 0
+				}
+				if copied[ctr] != want {
+					t.Errorf("save %d: copy spans cover %d bytes, want %d of the %d-byte payload", ctr, copied[ctr], want, len(p))
+				}
+				if persisted[ctr] != payload[ctr] {
+					t.Errorf("save %d: persist spans cover %d bytes, want %d", ctr, persisted[ctr], payload[ctr])
+				}
+				if _, isDelta := stored[ctr]; (encodes[ctr] == 1) != isDelta || encodes[ctr] > 1 {
+					t.Errorf("save %d: %d delta-encode events, delta=%v", ctr, encodes[ctr], isDelta)
+				}
+			}
+		})
 	}
 }

@@ -365,8 +365,9 @@ func TestTieredSaveAllocs(t *testing.T) {
 	if bytesPer > payloadBytes/100 {
 		t.Errorf("%.0f bytes allocated per %d-byte save, want at most 1 %%", bytesPer, payloadBytes)
 	}
-	if mallocsPer > 25 {
-		t.Errorf("%.1f mallocs per save (drainer included), want at most 25", mallocsPer)
+	// Measured 8: the engine's 3 (TestSaveAllocs) and the ship's 5.
+	if mallocsPer > 12 {
+		t.Errorf("%.1f mallocs per save (drainer included), want at most 12", mallocsPer)
 	}
 }
 

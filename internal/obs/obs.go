@@ -39,10 +39,12 @@ const (
 	PhaseSlotWait
 	// PhaseCopy spans one chunk's staging copy, source → DRAM chunk (the
 	// paper's GPU→DRAM step ③). Bytes is the chunk length, Value the
-	// payload offset.
+	// payload offset. Staged sources only: a payload already in host
+	// memory is persisted where it lies and is never copied.
 	PhaseCopy
 	// PhaseChunkWait spans the producer's wait for a free DRAM chunk —
-	// the "checkpoint waits for free chunks" condition of §3.2.
+	// the "checkpoint waits for free chunks" condition of §3.2. Staged
+	// sources only, like PhaseCopy.
 	PhaseChunkWait
 	// PhasePersist spans one writer goroutine persisting one chunk to the
 	// device. Writer is the writer index, Bytes the chunk length, Value

@@ -13,6 +13,7 @@ package storage
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sync"
 
@@ -62,7 +63,9 @@ func (k Kind) String() string {
 // store + sfence).
 type Device interface {
 	io.Closer
-	// WriteAt stores p at off. Durability requires a subsequent Sync.
+	// WriteAt stores p at off. Durability requires a subsequent Sync. p is
+	// the caller's (often the trainer's own state, written without a staging
+	// copy): a device reads it during the call and must not retain it.
 	WriteAt(p []byte, off int64) error
 	// ReadAt fills p from off.
 	ReadAt(p []byte, off int64) error
@@ -365,9 +368,15 @@ func (d *PMEM) Close() error { return nil }
 
 // RAM is a volatile in-memory device. Sync succeeds but provides no crash
 // durability. It backs unit tests and models DRAM checkpoint targets.
+//
+// Calls are atomic with respect to each other, as under one device-wide
+// lock, but calls on disjoint ranges copy in parallel: the address space is
+// cut into 1 MiB units hashed onto 64 lock stripes, and a call holds every
+// stripe its range touches for the whole copy (all at once, not stripe by
+// stripe: a reader must never see half of a record that straddles a unit).
 type RAM struct {
-	mu   sync.RWMutex
-	data []byte
+	stripes [64]sync.RWMutex
+	data    []byte
 }
 
 // NewRAM allocates a zeroed volatile device.
@@ -378,25 +387,56 @@ func NewRAM(size int64) *RAM { return &RAM{data: make([]byte, size)} }
 // device owns data from here on.
 func NewRAMFromBytes(data []byte) *RAM { return &RAM{data: data} }
 
-// WriteAt implements Device.
+// ramStripeMask returns the stripes covering [off, off+n) as a bit set. The
+// unit index is hashed (Fibonacci multiply, top six bits) rather than taken
+// modulo 64: checkpoint slots are a payload apart, so a modulus would put the
+// same relative offset of every slot on the same stripe and writers moving
+// through two slots in step would still serialise.
+func ramStripeMask(off int64, n int) uint64 {
+	if n == 0 {
+		return 0
+	}
+	first, last := uint64(off)>>20, uint64(off+int64(n)-1)>>20
+	if last-first >= 62 { // 63 units or more: every stripe
+		return ^uint64(0)
+	}
+	var mask uint64
+	for u := first; u <= last; u++ {
+		mask |= 1 << (u * 0x9E3779B97F4A7C15 >> 58)
+	}
+	return mask
+}
+
+// WriteAt implements Device. Stripes are taken in ascending index, so calls
+// with overlapping stripe sets cannot deadlock.
 func (d *RAM) WriteAt(p []byte, off int64) error {
 	if err := checkRange(int64(len(d.data)), off, len(p)); err != nil {
 		return err
 	}
-	d.mu.Lock()
+	mask := ramStripeMask(off, len(p))
+	for m := mask; m != 0; m &= m - 1 {
+		d.stripes[bits.TrailingZeros64(m)].Lock()
+	}
 	copy(d.data[off:], p)
-	d.mu.Unlock()
+	for m := mask; m != 0; m &= m - 1 {
+		d.stripes[bits.TrailingZeros64(m)].Unlock()
+	}
 	return nil
 }
 
-// ReadAt implements Device.
+// ReadAt implements Device; it shares its stripes with other readers.
 func (d *RAM) ReadAt(p []byte, off int64) error {
 	if err := checkRange(int64(len(d.data)), off, len(p)); err != nil {
 		return err
 	}
-	d.mu.RLock()
+	mask := ramStripeMask(off, len(p))
+	for m := mask; m != 0; m &= m - 1 {
+		d.stripes[bits.TrailingZeros64(m)].RLock()
+	}
 	copy(p, d.data[off:])
-	d.mu.RUnlock()
+	for m := mask; m != 0; m &= m - 1 {
+		d.stripes[bits.TrailingZeros64(m)].RUnlock()
+	}
 	return nil
 }
 

@@ -11,6 +11,7 @@ package storagetest
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"pccheck/internal/storage"
@@ -28,15 +29,16 @@ const Size = int64(4096)
 func Run(t *testing.T, factory Factory) {
 	t.Helper()
 
-	open := func(t *testing.T) storage.Backend {
+	openSized := func(t *testing.T, size int64) storage.Backend {
 		t.Helper()
-		dev := factory(t, Size)
+		dev := factory(t, size)
 		if dev == nil {
 			t.Fatal("factory returned nil backend")
 		}
 		t.Cleanup(func() { dev.Close() })
 		return dev
 	}
+	open := func(t *testing.T) storage.Backend { return openSized(t, Size) }
 
 	pattern := func(n int, seed byte) []byte {
 		p := make([]byte, n)
@@ -45,6 +47,9 @@ func Run(t *testing.T, factory Factory) {
 		}
 		return p
 	}
+
+	// uniform: every byte of p equals the first, as one writer's fill does.
+	uniform := func(p []byte) bool { return bytes.Count(p, p[:1]) == len(p) }
 
 	t.Run("RoundTrip", func(t *testing.T) {
 		dev := open(t)
@@ -174,6 +179,123 @@ func Run(t *testing.T, factory Factory) {
 		}
 		if err := dev.Sync(8, math.MaxInt64-4); err == nil {
 			t.Error("Sync with overflowing length accepted")
+		}
+	})
+
+	// Calls are atomic with respect to each other: a device may run calls on
+	// disjoint ranges in parallel (storage.RAM does, one lock stripe per 1 MiB
+	// unit), but a reader never sees part of a write. Bulk writers on disjoint
+	// ranges run against writers and readers of a 64-byte record placed across
+	// a unit boundary; every read of the record must be one writer's bytes.
+	// The file-backed SSD answers for race-cleanliness and for the final state
+	// only: the kernel orders a file's writes among themselves but lets a read
+	// overlap one.
+	t.Run("ConcurrentCallsDoNotTear", func(t *testing.T) {
+		const (
+			unit       = 1 << 20
+			bulk       = 64 << 10
+			bulkRounds = 150
+			recRounds  = 4000
+		)
+		dev := openSized(t, 2*unit)
+		_, fileBacked := dev.(*storage.SSD)
+		recOff := int64(unit - 32)
+		var wg sync.WaitGroup
+		start := make(chan struct{}) // so that the short loops really overlap
+		// The middle two bulk ranges share the record's units.
+		bulkOffs := []int64{0, unit - 32 - bulk, unit + 32, 2*unit - bulk}
+		for w, off := range bulkOffs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]byte, bulk)
+				<-start
+				for r := 1; r <= bulkRounds; r++ {
+					for i := range buf {
+						buf[i] = byte(w<<6 | r&63)
+					}
+					if err := dev.WriteAt(buf, off); err != nil {
+						t.Errorf("bulk WriteAt(%d): %v", off, err)
+						return
+					}
+				}
+			}()
+		}
+		for w := 0; w < 2; w++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				images := [2][]byte{bytes.Repeat([]byte{byte(2*w + 1)}, 64), bytes.Repeat([]byte{byte(2*w + 2)}, 64)}
+				<-start
+				for r := 0; r < recRounds; r++ {
+					if err := dev.WriteAt(images[r&1], recOff); err != nil {
+						t.Errorf("record WriteAt: %v", err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				got := make([]byte, 64)
+				<-start
+				for r := 0; r < recRounds; r++ {
+					if err := dev.ReadAt(got, recOff); err != nil {
+						t.Errorf("record ReadAt: %v", err)
+						return
+					}
+					if !fileBacked && !uniform(got) {
+						t.Errorf("torn record read: %x", got)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		got := make([]byte, bulk)
+		for w, off := range bulkOffs {
+			if err := dev.ReadAt(got, off); err != nil {
+				t.Fatalf("ReadAt(%d): %v", off, err)
+			}
+			if want := byte(w<<6 | bulkRounds&63); !uniform(got) || got[0] != want {
+				t.Errorf("bulk range at %d holds %#x…, want its writer's last round %#x throughout", off, got[0], want)
+			}
+		}
+		if err := dev.ReadAt(got[:64], recOff); err != nil || !uniform(got[:64]) {
+			t.Errorf("record after the run: err=%v bytes=%x", err, got[:64])
+		}
+	})
+
+	// Overlapping WriteAts that race leave, per call, one writer's bytes: the
+	// overlap is all of one or all of the other, never a mix — also across a
+	// unit boundary, where storage.RAM holds two stripes.
+	t.Run("OverlappingWritesDoNotMix", func(t *testing.T) {
+		const unit = 1 << 20
+		dev := openSized(t, 2*unit)
+		offs := [2]int64{unit - 48, unit - 16} // 96 bytes each; overlap [unit-16, unit+48)
+		got := make([]byte, 64)
+		for r := 0; r < 500; r++ {
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for w, off := range offs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					p := bytes.Repeat([]byte{byte(w<<7 | r&127)}, 96)
+					<-start
+					if err := dev.WriteAt(p, off); err != nil {
+						t.Errorf("WriteAt(%d): %v", off, err)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if err := dev.ReadAt(got, offs[1]); err != nil {
+				t.Fatalf("ReadAt: %v", err)
+			}
+			if !uniform(got) {
+				t.Fatalf("round %d: racing writes mixed in their overlap: %x", r, got)
+			}
 		}
 	})
 

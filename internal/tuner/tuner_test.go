@@ -31,16 +31,19 @@ func TestProfileUnthrottledExploitsConcurrency(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock profiling is unreliable under the race detector")
 	}
-	// On an unthrottled RAM device Tw barely grows with N, so the §3.4
+	// On an unthrottled RAM device, whose writers on disjoint ranges copy in
+	// parallel, Tw barely grows with N while there are idle CPUs, so the §3.4
 	// objective min Tw/N is served by more concurrency: the tuner should
-	// pick N > 1.
-	const m = 64 << 10
+	// pick N > 1. One writer per save and a payload large enough that the
+	// copy, not goroutine start-up, is what Tw measures.
+	const m = 4 << 20
 	dev := storage.NewRAM(core.DeviceBytes(8, m))
 	res, err := Profile(dev, Input{
 		IterTime:        time.Millisecond,
 		CheckpointBytes: m,
 		MaxOverhead:     1.10,
 		MaxN:            4,
+		Writers:         1,
 		Rounds:          2,
 	})
 	if err != nil {

@@ -38,8 +38,8 @@ type Phase = obs.Phase
 const (
 	PhaseSave          = obs.PhaseSave          // one Save end to end
 	PhaseSlotWait      = obs.PhaseSlotWait      // waiting for a free slot (§3.2)
-	PhaseCopy          = obs.PhaseCopy          // source → DRAM chunk staging copy
-	PhaseChunkWait     = obs.PhaseChunkWait     // waiting for a free DRAM chunk
+	PhaseCopy          = obs.PhaseCopy          // source → DRAM chunk staging copy (SaveFrom only)
+	PhaseChunkWait     = obs.PhaseChunkWait     // waiting for a free DRAM chunk (SaveFrom only)
 	PhasePersist       = obs.PhasePersist       // one writer persisting one chunk
 	PhaseSync          = obs.PhaseSync          // whole-payload sync (SSD path)
 	PhaseHeader        = obs.PhaseHeader        // slot header persist

@@ -61,6 +61,24 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if snap.Phase(PhaseSnapshot).Count != 10 {
 		t.Errorf("snapshot spans = %d, want 10 (Loop instrumentation)", snap.Phase(PhaseSnapshot).Count)
 	}
+	// The Loop's snapshots are host memory, persisted where they lie: no
+	// staging. Each is three 16 KiB pieces.
+	if c, w := snap.Phase(PhaseCopy).Count, snap.Phase(PhaseChunkWait).Count; c != 0 || w != 0 {
+		t.Errorf("in-memory saves staged: %d copy spans, %d chunk-wait spans", c, w)
+	}
+	if got := snap.Phase(PhasePersist).Count; got != 30 {
+		t.Errorf("persist spans = %d, want 30", got)
+	}
+	// SaveFrom is the staged path, for memory the engine cannot address.
+	if _, err := ck.SaveFrom(ctx, int64(len(state)), func(p []byte, off int64) error {
+		copy(p, state[off:])
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Snapshot().Phase(PhaseCopy).Count; got != 3 {
+		t.Errorf("copy spans after one staged save = %d, want 3", got)
+	}
 
 	// Metrics endpoint: scrape and check the summary quantiles are present.
 	srv, addr, err := ServeMetrics("127.0.0.1:0", rec)

@@ -68,10 +68,13 @@ type Config struct {
 	Concurrent int
 	// Writers is p, parallel persist goroutines per checkpoint. Default 3.
 	Writers int
-	// ChunkBytes is b, the DRAM staging chunk size; 0 disables pipelining
-	// (whole-checkpoint staging).
+	// ChunkBytes is b, the size of the pieces a payload is persisted in (and
+	// of the DRAM chunks SaveFrom stages through); 0 disables pipelining
+	// (one piece per checkpoint).
 	ChunkBytes int
-	// DRAMBudget is M, the total staging DRAM; 0 defaults to 2·MaxBytes.
+	// DRAMBudget is M, the DRAM the engine itself stages in (SaveFrom, and a
+	// delta Save's dirty granules); 0 defaults to 2·MaxBytes. A payload
+	// handed to Save is not staged and does not count against it.
 	DRAMBudget int64
 	// Verify adds payload checksums, validated on load. Default off adds
 	// zero read overhead; Create with Verify on is recommended whenever the
@@ -307,15 +310,20 @@ func CreateVolatile(cfg Config) (*Checkpointer, *Memory, error) {
 // blocks until the checkpoint is durable (or durably superseded by a newer
 // concurrent checkpoint); run it in a goroutine to overlap with the
 // workload — up to Config.Concurrent Saves proceed in parallel, additional
-// ones wait for a slot. The payload must not be mutated until Save returns.
+// ones wait for a slot. The payload is persisted from where it lies: the
+// writers read it in place, nothing copies it first and nothing ever writes
+// it. It must not be mutated until Save returns; reading it is fine.
 func (c *Checkpointer) Save(ctx context.Context, payload []byte) (uint64, error) {
 	return c.engine.Checkpoint(ctx, core.BytesSource(payload))
 }
 
-// SaveFrom persists a checkpoint pulled from an arbitrary source, enabling
-// zero-copy pipelines (e.g. staged reads from accelerator memory). size is
-// the payload length; read fills p with payload bytes starting at off and
-// must support concurrent calls on disjoint ranges.
+// SaveFrom persists a checkpoint pulled from memory the engine cannot
+// address (e.g. accelerator memory): the staged path, which reads the payload
+// piece by piece into Config.DRAMBudget's chunks, overlapping the read of one
+// piece with the persist of the one before. For a payload already in host
+// memory use Save, which needs no staging. size is the payload length; read
+// fills p with payload bytes starting at off and must support concurrent
+// calls on disjoint ranges.
 func (c *Checkpointer) SaveFrom(ctx context.Context, size int64, read func(p []byte, off int64) error) (uint64, error) {
 	return c.engine.Checkpoint(ctx, funcSource{size: size, read: read})
 }
