@@ -1036,7 +1036,7 @@ func (c *Checkpointer) ReadLatest(dst []byte) (uint64, int64, error) {
 			runtime.Gosched()
 			continue
 		}
-		err := stream(c.dev, c.sb, chain, dst[:size], nil)
+		err := stream(c.dev, c.sb, chain, dst[:size], nil, 0)
 		if c.slotSeq[m.slot].Load() != s1 {
 			runtime.Gosched()
 			continue // recycled mid-read; retry against the newer state

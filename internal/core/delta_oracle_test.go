@@ -503,7 +503,7 @@ func TestApplyLinkRejectsBadRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make([]byte, len(next))
-		err := stream(dev, c.sb, []checkMeta{c.chain[0], tip}, got, nil)
+		err := stream(dev, c.sb, []checkMeta{c.chain[0], tip}, got, nil, 0)
 		switch {
 		case tc.ok && (err != nil || !bytes.Equal(got, next)):
 			t.Errorf("%s: err=%v, payload equal=%v", tc.name, err, bytes.Equal(got, next))

@@ -181,7 +181,7 @@ func Inspect(dev storage.Device, verify bool) (Report, error) {
 			if verify && hdr.hasCRC && herr == nil {
 				// A read failure leaves the verdict open; anything else
 				// stream rejects is a payload recovery would not serve.
-				err := stream(dev, sb, []checkMeta{hdr.meta(i)}, nil, scratch)
+				err := stream(dev, sb, []checkMeta{hdr.meta(i)}, nil, scratch, 0)
 				if ok := err == nil; ok || storage.IsCorrupt(err) {
 					info.PayloadOK = &ok
 				}

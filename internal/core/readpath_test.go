@@ -328,6 +328,30 @@ func TestScrubSweepAllocs(t *testing.T) {
 	}
 }
 
+// badHeaders are the ways a tip's slot header (or the record naming it) can
+// be wrong, each with the verdict every read path must reach.
+var badHeaders = []struct {
+	name string
+	ok   bool
+	// recordOnly: the fault is in the pointer records, so only the entry
+	// points that start from them can see it; by-counter reads and the live
+	// engine (whose pointer is in memory) serve the intact slot.
+	recordOnly bool
+	forge      func(h *slotHeader, rec *checkMeta, sb superblock)
+	tear       func(hdr []byte)
+}{
+	{name: "honest", ok: true},
+	{name: "wrong counter", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.counter += 5 }},
+	{name: "wrong size", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.size-- }},
+	{name: "stale epoch", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.epoch++ }},
+	{name: "quarantined", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.flags |= slotFlagQuarantined }},
+	{name: "bad CRC", tear: func(hdr []byte) { hdr[61] ^= 1 }},
+	{name: "unknown kind", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.kind = 7 }},
+	{name: "slot index out of range", recordOnly: true, forge: func(_ *slotHeader, rec *checkMeta, sb superblock) { rec.slot = sb.slots }},
+	{name: "size > slotBytes", forge: func(h *slotHeader, rec *checkMeta, sb superblock) { h.size, rec.size = sb.slotBytes+1, sb.slotBytes+1 }},
+	{name: "torn header", tear: func(hdr []byte) { clear(hdr[:32]) }},
+}
+
 // TestReadPathsAgreeOnBadHeaders feeds the same bad slot headers to every
 // way of reading a committed checkpoint and checks that they agree on what
 // is servable — the agreement the single validator (slotHeld) buys. The
@@ -338,29 +362,8 @@ func TestScrubSweepAllocs(t *testing.T) {
 // whether the slot survives the sweep un-tombstoned: with no second tier to
 // repair from, whatever it rejects it quarantines.
 func TestReadPathsAgreeOnBadHeaders(t *testing.T) {
-	cases := []struct {
-		name string
-		ok   bool
-		// recordOnly: the fault is in the pointer records, so only the entry
-		// points that start from them can see it; by-counter reads and the
-		// live engine (whose pointer is in memory) serve the intact slot.
-		recordOnly bool
-		forge      func(h *slotHeader, rec *checkMeta, sb superblock)
-		tear       func(hdr []byte)
-	}{
-		{name: "honest", ok: true},
-		{name: "wrong counter", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.counter += 5 }},
-		{name: "wrong size", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.size-- }},
-		{name: "stale epoch", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.epoch++ }},
-		{name: "quarantined", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.flags |= slotFlagQuarantined }},
-		{name: "bad CRC", tear: func(hdr []byte) { hdr[61] ^= 1 }},
-		{name: "unknown kind", forge: func(h *slotHeader, _ *checkMeta, _ superblock) { h.kind = 7 }},
-		{name: "slot index out of range", recordOnly: true, forge: func(_ *slotHeader, rec *checkMeta, sb superblock) { rec.slot = sb.slots }},
-		{name: "size > slotBytes", forge: func(h *slotHeader, rec *checkMeta, sb superblock) { h.size, rec.size = sb.slotBytes+1, sb.slotBytes+1 }},
-		{name: "torn header", tear: func(hdr []byte) { clear(hdr[:32]) }},
-	}
 	for _, delta := range []bool{false, true} {
-		for _, tc := range cases {
+		for _, tc := range badHeaders {
 			cfg := Config{Concurrent: 1, SlotBytes: 8192, VerifyPayload: true}
 			if delta {
 				cfg.DeltaEvery, cfg.DeltaKeyframe = 1, 4

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 
 	"pccheck/internal/storage"
 )
@@ -31,6 +34,11 @@ var (
 // streamPiece is how much stream reads at a time. A piece is folded into the
 // slot CRC right after it lands, so it has to still be in cache then.
 const streamPiece = 256 << 10
+
+// streamFloor is the fewest logical bytes stream gives a reader of its own.
+// Below 32 MiB a second reader does not pay reliably on 2 vCPUs: across
+// BenchmarkStream runs it read a 16 MiB tmpfs file at 0.85–1.9× one.
+const streamFloor = 16 << 20
 
 // readSuperblock reads and validates the device's superblock.
 func readSuperblock(dev storage.Device) (superblock, error) {
@@ -102,8 +110,9 @@ func unreadable(err error) bool {
 
 // resolve finds the newest complete chain, keyframe first and tip last,
 // without touching a payload. With counter 0 the tip comes from the pointer
-// records, and loc says which location held it (0 = A, 1 = B) so an engine
-// resumes alternating correctly; otherwise it is the slot holding counter.
+// records (kept in recs), and loc says which location held it (0 = A, 1 = B)
+// so an engine resumes alternating correctly; otherwise it is the slot
+// holding counter.
 //
 // The records are tried highest counter first. A record is only durable
 // after every link of its chain is (headers persist before the record, and
@@ -111,7 +120,7 @@ func unreadable(err error) bool {
 // a tip or link slotHeld rejects means this record is the torn or stale one
 // and the other names the newest complete chain. An unreadable record or
 // header is skipped likewise; its error surfaces only if nothing resolves.
-func resolve(dev storage.Device, sb superblock, counter uint64) (chain []checkMeta, loc int, err error) {
+func resolve(dev storage.Device, sb superblock, counter uint64, recs *[2 * recordSize]byte) (chain []checkMeta, loc int, err error) {
 	type candidate struct {
 		meta checkMeta
 		loc  int
@@ -125,11 +134,12 @@ func resolve(dev storage.Device, sb superblock, counter uint64) (chain []checkMe
 	cands := append(make([]candidate, 0, 2), candidate{meta: checkMeta{slot: -1, counter: counter}})
 	if counter == 0 {
 		cands = cands[:0]
-		buf := make([]byte, recordSize)
+		recs = cmp.Or(recs, new([2 * recordSize]byte))
 		for loc, off := range recordOffs {
-			if err := dev.ReadAt(buf, off); err != nil {
+			rec := recs[loc*recordSize:][:recordSize]
+			if err := dev.ReadAt(rec, off); err != nil {
 				skip(err)
-			} else if m, ok := decodeRecord(buf); ok && m.size >= 0 { // a negative size would ask slotHeld for "any"
+			} else if m, ok := decodeRecord(rec); ok && m.size >= 0 { // a negative size would ask slotHeld for "any"
 				cands = append(cands, candidate{m, loc})
 			}
 		}
@@ -191,7 +201,7 @@ func resolve(dev storage.Device, sb superblock, counter uint64) (chain []checkMe
 // heldAt is checkpoint counter as dev holds it, wherever it is stored: a
 // lower tier's slot indices are its own, so a copy there is found by counter.
 func heldAt(dev storage.Device, sb superblock, counter uint64) (checkMeta, bool) {
-	chain, _, err := resolve(dev, sb, counter)
+	chain, _, err := resolve(dev, sb, counter, nil)
 	if err != nil {
 		return checkMeta{}, false
 	}
@@ -202,7 +212,7 @@ func heldAt(dev storage.Device, sb superblock, counter uint64) (checkMeta, bool)
 // valid when err is nil or ErrNoCheckpoint.
 func newest(dev storage.Device) (sb superblock, chain []checkMeta, loc int, err error) {
 	if sb, err = readSuperblock(dev); err == nil {
-		chain, loc, err = resolve(dev, sb, 0)
+		chain, loc, err = resolve(dev, sb, 0, nil)
 	}
 	return sb, chain, loc, err
 }
@@ -212,6 +222,7 @@ type pieces struct {
 	dev     storage.Device
 	scratch []byte // bytes nobody keeps pass through here; made on first use
 	crc     uint32
+	n       int64 // bytes folded
 }
 
 // read takes n bytes at off: the first len(dst) land in dst, all are folded.
@@ -230,87 +241,146 @@ func (p *pieces) read(dst []byte, off, n int64) error {
 		}
 		p.crc = crc32.Update(p.crc, crc32.IEEETable, buf)
 		dst = dst[min(len(dst), len(buf)):]
-		off, n = off+int64(len(buf)), n-int64(len(buf))
+		off, n, p.n = off+int64(len(buf)), n-int64(len(buf)), p.n+int64(len(buf))
 	}
 	return nil
 }
 
-// stream reads chain off the device link by link: the keyframe into dst,
-// then every run of adjacent dirty chunks of every delta straight into the
-// bytes of dst it replaces, so a chain of any length costs no buffer beyond
-// dst. Each link's header is re-judged by slotHeld (a live reader's slot can
-// be recycled under it); its stored bytes are folded into the slot CRC in
-// record order as they pass and checked once the link is through. Whatever
-// is inconsistent is classified corrupt.
-//
-// Only dst[:len(dst)] is written. Bytes of a link past len(dst) pass through
-// scratch (made when nil) just to be folded: dst need only hold the tip,
-// because a delta's clean (absent) chunk may not reach past its base's size
-// — the encoder's boundary rule always marks grown tails dirty — so what an
-// intermediate link holds beyond the tip is never carried forward, and stale
-// bytes a shrink left behind are never served. With dst nil stream only
-// verifies; chain may then be a single delta link, checked without its base.
-func stream(dev storage.Device, sb superblock, chain []checkMeta, dst, scratch []byte) error {
+// planned is a judged link: its granules (a keyframe is one) stored from off.
+type planned struct {
+	hdr  slotHeader
+	rec  deltaRecord
+	off  int64
+	head uint32 // CRC of what is stored before off: a delta's header and bitmap
+}
+
+// whole is a keyframe's bitmap: one granule, present.
+var whole = []byte{1}
+
+// streamWork is what one stream call works in, pooled so that a sweep that
+// verifies slot after slot, or a small read, allocates none of it.
+type streamWork struct {
+	plan []planned
+	got  []pieces // link i as reader r of n read it, at i*n+r
+	errs []error  // reader r's
+	wg   sync.WaitGroup
+}
+
+var streamWorks = sync.Pool{New: func() any { return new(streamWork) }}
+
+// read is reader r of n: in chain order, it reads every planned link's runs
+// of present granules in logical bytes [lo, hi) into dst, or through buf past
+// its end. A granule is stored after one granule per present granule before it.
+func (w *streamWork) read(dev storage.Device, dst, buf []byte, r, n int, lo, hi int64) {
+	for i, l := range w.plan {
+		rd := &w.got[i*n+r]
+		*rd = pieces{dev: dev, scratch: buf}
+		d, g, pos, end := l.rec, int64(l.rec.gran), l.off, min(hi, l.rec.fullSize)
+		for j := 0; int64(j)*g < end; j++ {
+			if !d.dirtyAt(j) {
+				continue
+			}
+			k := j + 1
+			for int64(k)*g < end && d.dirtyAt(k) {
+				k++
+			}
+			a, b := max(lo, int64(j)*g), max(lo, min(end, int64(k)*g))
+			if w.errs[r] = rd.read(dst[min(a, int64(len(dst))):min(b, int64(len(dst)))], pos+a-int64(j)*g, b-a); w.errs[r] != nil {
+				return
+			}
+			pos, j = pos+int64(k-j)*g, k
+		}
+		buf = rd.scratch
+	}
+}
+
+// stream reads chain into dst: plan, read, judge (docs/ALGORITHM.md). The plan
+// re-judges each link's header with slotHeld (a live reader's slot can be
+// recycled under it) and checks each delta's header and bitmap. Then readers
+// goroutines (0: one per streamFloor bytes of the largest link, at most
+// GOMAXPROCS) walk every link in chain order, each clipped to its own
+// granule-aligned range, so later links overwrite earlier ones and each stored
+// byte is folded once; each link's CRCs are joined in record order and judged.
+// Only dst[:len(dst)] is written: dst need only hold the tip (no clean chunk
+// of a delta reaches past its base), and bytes past it go through a reader's
+// scratch (the first's is scratch). With dst nil stream only verifies, on one
+// reader unless told otherwise; chain may then be one delta, without its base.
+func stream(dev storage.Device, sb superblock, chain []checkMeta, dst, scratch []byte, readers int) error {
 	if len(chain) == 0 || (len(dst) > 0 && chain[0].kind != slotKindFull) {
 		return storage.Corrupt(fmt.Errorf("core: delta chain does not start at a keyframe"))
 	}
-	rd := pieces{dev: dev, scratch: scratch}
-	window := func(lo, hi int64) []byte { return dst[min(lo, int64(len(dst))):min(hi, int64(len(dst)))] }
+	w := streamWorks.Get().(*streamWork)
+	defer func() { // pooled empty: it must not keep devices or buffers alive
+		clear(w.plan)
+		clear(w.got)
+		clear(w.errs)
+		streamWorks.Put(w)
+	}()
+	w.plan = slices.Grow(w.plan[:0], len(chain))[:len(chain)]
+	var size int64 // the largest link's logical bytes
 	for i, link := range chain {
 		hdr, err := slotHeld(dev, sb, link.slot, link.counter, link.size)
 		if err != nil {
 			return err
 		}
-		rd.crc = 0
-		base, size := payloadBase(sb, link.slot), hdr.size
-		if i == 0 && link.kind == slotKindFull {
-			if err := rd.read(window(0, size), base, size); err != nil {
-				return err
-			}
-		} else {
+		l := &w.plan[i]
+		l.hdr, l.off, l.rec = hdr, payloadBase(sb, link.slot), deltaRecord{fullSize: hdr.size, gran: int(max(hdr.size, 1)), bitmap: whole}
+		if i > 0 || link.kind != slotKindFull {
 			// Header and bitmap come off the device through a few bytes.
-			head := make([]byte, min(size, deltaHdrSize))
-			if err := rd.read(head, base, int64(len(head))); err != nil {
-				return err
-			}
-			if bm := size - deltaHdrSize; bm > 0 {
+			head := make([]byte, min(hdr.size, deltaHdrSize))
+			err = dev.ReadAt(head, l.off)
+			if bm := hdr.size - deltaHdrSize; err == nil && bm > 0 {
 				head = append(head, make([]byte, min(bm, int64(bitmapLen(head))))...)
-				if err := rd.read(head[deltaHdrSize:], base+deltaHdrSize, int64(len(head)-deltaHdrSize)); err != nil {
-					return err
-				}
+				err = dev.ReadAt(head[deltaHdrSize:], l.off+deltaHdrSize)
+			}
+			if err != nil {
+				return err
 			}
 			prev, baseLen := link.base, int64(math.MaxInt64)
 			if i > 0 {
 				prev, baseLen = chain[i-1].counter, chain[i-1].logicalSize()
 			}
 			d, err := decodeDeltaHead(head)
-			if err == nil && (d.base != prev || d.fullSize != link.fullSize || d.recLen != size) {
+			if err == nil && (d.base != prev || d.fullSize != link.fullSize || d.recLen != hdr.size) {
 				err = fmt.Errorf("core: delta %d encodes base %d, %d logical and %d stored bytes; its chain and slot header say %d, %d and %d",
-					link.counter, d.base, d.fullSize, d.recLen, prev, link.fullSize, size)
+					link.counter, d.base, d.fullSize, d.recLen, prev, link.fullSize, hdr.size)
 			}
-			pos := base + int64(len(head))
 			for j := 0; err == nil && j < d.nchunk; j++ {
 				lo := int64(j) * int64(d.gran)
-				if !d.dirtyAt(j) {
-					if hi := min(lo+int64(d.gran), d.fullSize); hi > baseLen {
-						err = fmt.Errorf("core: delta leaves chunk %d (bytes %d–%d) undefined: base is only %d bytes", j, lo, hi, baseLen)
-					}
-					continue
+				if hi := min(lo+int64(d.gran), d.fullSize); !d.dirtyAt(j) && hi > baseLen {
+					err = fmt.Errorf("core: delta leaves chunk %d (bytes %d–%d) undefined: base is only %d bytes", j, lo, hi, baseLen)
 				}
-				for j+1 < d.nchunk && d.dirtyAt(j+1) {
-					j++
-				}
-				hi := min(int64(j+1)*int64(d.gran), d.fullSize)
-				if err := rd.read(window(lo, hi), pos, hi-lo); err != nil {
-					return err
-				}
-				pos += hi - lo
 			}
 			if err != nil {
 				return storage.Corrupt(err)
 			}
+			l.rec, l.off, l.head = d, l.off+int64(len(head)), crc32.ChecksumIEEE(head)
 		}
-		if err := hdr.checkPayload(rd.crc); err != nil {
+		size = max(size, l.rec.fullSize)
+	}
+	if readers == 0 && dst != nil {
+		readers = min(runtime.GOMAXPROCS(0), int(size/streamFloor))
+	}
+	n, gran := max(readers, 1), int64(deltaGranularity(sb.slotBytes))
+	cut := func(r int) int64 { return (size*int64(r)/int64(n) + gran - 1) / gran * gran }
+	w.got = slices.Grow(w.got[:0], len(chain)*n)[:len(chain)*n]
+	w.errs = slices.Grow(w.errs[:0], n)[:n]
+	w.wg.Add(n - 1)
+	for r := 1; r < n; r++ {
+		lo, hi := cut(r), cut(r+1)
+		go func() { defer w.wg.Done(); w.read(dev, dst, nil, r, n, lo, hi) }()
+	}
+	w.read(dev, dst, scratch, 0, n, 0, cut(1))
+	w.wg.Wait()
+	if err := cmp.Or(w.errs...); err != nil {
+		return err
+	}
+	for i, l := range w.plan {
+		crc := l.head
+		for _, rd := range w.got[i*n : (i+1)*n] {
+			crc = crc32Combine(crc, rd.crc, rd.n)
+		}
+		if err := l.hdr.checkPayload(crc); err != nil {
 			return err
 		}
 	}
@@ -320,7 +390,7 @@ func stream(dev storage.Device, sb superblock, chain []checkMeta, dst, scratch [
 // load streams chain into a fresh buffer and returns the tip's payload.
 func load(dev storage.Device, sb superblock, chain []checkMeta) ([]byte, error) {
 	dst := make([]byte, chain[len(chain)-1].logicalSize())
-	if err := stream(dev, sb, chain, dst, nil); err != nil {
+	if err := stream(dev, sb, chain, dst, nil, 0); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -361,7 +431,7 @@ func loadVersion(dev storage.Device, sb superblock, counter uint64) ([]byte, []c
 	if counter == 0 {
 		return nil, nil, ErrNoCheckpoint // resolve would read 0 as "the newest"
 	}
-	chain, _, err := resolve(dev, sb, counter)
+	chain, _, err := resolve(dev, sb, counter, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -494,7 +494,7 @@ func (s *scrubber) healthyCopy(m checkMeta) (src storage.Device, at checkMeta, t
 			continue
 		}
 		src = s.reads(dev)
-		if at, ok := heldAt(src, s.c.sb, m.counter); ok && stream(src, s.c.sb, []checkMeta{at}, nil, s.piece) == nil {
+		if at, ok := heldAt(src, s.c.sb, m.counter); ok && stream(src, s.c.sb, []checkMeta{at}, nil, s.piece, 0) == nil {
 			return src, at, i, true
 		}
 	}
@@ -542,7 +542,7 @@ func (s *scrubber) scrubCommitted() {
 		if s1%2 == 1 {
 			return // slot being rewritten: m is already superseded
 		}
-		verr := stream(s.front, c.sb, chain[i:i+1], nil, s.piece)
+		verr := stream(s.front, c.sb, chain[i:i+1], nil, s.piece, 0)
 		if c.slotSeq[link.slot].Load() != s1 || c.checkAddr.Load() != m {
 			return // recycled or superseded mid-verify: stale, not damage
 		}
@@ -698,7 +698,7 @@ func (s *scrubber) scrubTiers(frontOK bool) {
 			for _, m := range chain {
 				s.st.BytesVerified += uint64(slotHeaderSize + m.size)
 			}
-			if stream(rd, sb, chain, nil, s.piece) == nil {
+			if stream(rd, sb, chain, nil, s.piece, 0) == nil {
 				continue
 			}
 		}

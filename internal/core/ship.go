@@ -167,7 +167,7 @@ func (s *shipper) Ship(src storage.ShipSource, dst storage.Device, distrust bool
 		}
 		src.Pin(func() (off, n int64) {
 			var front []checkMeta
-			if front, _, r.err = resolve(src, sb, 0); r.err != nil {
+			if front, _, r.err = resolve(src, sb, 0, nil); r.err != nil {
 				return 0, 0
 			}
 			// A tier ahead of a front that quarantined its tip keeps what it has.
@@ -237,9 +237,9 @@ func (s *shipper) attach(sb superblock, dst storage.Device, distrust bool) (*tie
 		return nil, err
 	}
 	if err == nil && old == sb {
-		chain, loc, err := resolve(dst, sb, 0)
+		chain, loc, err := resolve(dst, sb, 0, nil)
 		if err == nil && distrust {
-			err = stream(dst, sb, chain, nil, s.bufs[0][:min(len(s.bufs[0]), streamPiece)])
+			err = stream(dst, sb, chain, nil, s.bufs[0][:min(len(s.bufs[0]), streamPiece)], 0)
 		}
 		switch {
 		case err == nil:
@@ -311,7 +311,7 @@ func (s *shipper) Mirror(src, dst storage.Device) error {
 		return ErrNotFormatted
 	}
 	sb := img.sb
-	front, loc, err := resolve(src, sb, 0)
+	front, loc, err := resolve(src, sb, 0, nil)
 	if err != nil && !errors.Is(err, ErrNoCheckpoint) {
 		return err
 	}

@@ -60,6 +60,25 @@ func (d *flakyTier) Persist(p []byte, off int64) error {
 // deterministic: a drainer that rewrote the tier operation by operation left
 // it unrecoverable whenever its record named a slot being replayed into.
 func TestLowerTierAlwaysRecoverable(t *testing.T) {
+	lowerTierRecoverable(t, func(ram *storage.RAM, img []byte) ([]byte, uint64, error) {
+		if err := ram.ReadAt(img, 0); err != nil {
+			return nil, 0, fmt.Errorf("image of tier 1: %w", err)
+		}
+		return Recover(storage.NewRAMFromBytes(img))
+	})
+}
+
+// TestLowerTierLiveRecoverable is the same run with a cold Recover of the
+// live tier itself in place of an image: a standby restoring from a tier the
+// drainer is still shipping to. Its read can straddle a publish and find a
+// slot recycled under it; that must cost a retry, never a failure.
+func TestLowerTierLiveRecoverable(t *testing.T) {
+	lowerTierRecoverable(t, func(ram *storage.RAM, _ []byte) ([]byte, uint64, error) { return Recover(ram) })
+}
+
+// lowerTierRecoverable drives the tier through back-to-back saves and an
+// outage while a reader recovers it with recoverTier, again and again.
+func lowerTierRecoverable(t *testing.T, recoverTier func(ram *storage.RAM, img []byte) ([]byte, uint64, error)) {
 	cfg := Config{Concurrent: 2, SlotBytes: 32 << 10, VerifyPayload: true}
 	size := DeviceBytesFor(cfg)
 	ram := storage.NewRAM(size)
@@ -88,12 +107,8 @@ func TestLowerTierAlwaysRecoverable(t *testing.T) {
 			default:
 			}
 			floor := tiered.Status()[1].DurableCounter
-			if err := ram.ReadAt(img, 0); err != nil {
-				t.Errorf("image of tier 1: %v", err)
-				return
-			}
 			images++
-			p, ctr, err := Recover(storage.NewRAMFromBytes(img))
+			p, ctr, err := recoverTier(ram, img)
 			switch {
 			case err != nil && floor == 0:
 				continue // nothing acknowledged yet
@@ -428,7 +443,7 @@ func TestMirrorKeepsCandidateRecoverable(t *testing.T) {
 				ship = nil
 			}
 			front, sb, payloads := mirrorFront(t, tc.cfg, tc.saves, ship)
-			chain, _, err := resolve(front, sb, 0)
+			chain, _, err := resolve(front, sb, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

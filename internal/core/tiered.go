@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sort"
 
 	"pccheck/internal/storage"
@@ -43,28 +44,57 @@ type TierReader interface {
 // next-best if it fails verification. The cross-tier durability floor is
 // therefore max over reachable tiers of each tier's drained watermark: as
 // long as one tier the drainer acknowledged survives, its checkpoints do.
+//
+// A live level may recycle a slot under the resolve or the read, but only
+// after a newer record is durable; so unchanged records mean the verdict is
+// the level's (damage, not a race), and moved ones a second try.
 func RecoverTiered(levels ...storage.Device) (payload []byte, counter uint64, err error) {
 	type level struct {
 		i     int // index in levels
 		dev   storage.Device
 		sb    superblock
 		chain []checkMeta
+		recs  [2 * recordSize]byte // as resolve read them
 	}
-	tip := func(l level) uint64 { return l.chain[len(l.chain)-1].counter }
+	tip := func(l *level) uint64 { return l.chain[len(l.chain)-1].counter }
+	// settle resolves l and, with read, streams it (the first read by the
+	// ranking resolve), again while the records move or a slot is lost: ≤ 3×.
+	settle := func(l *level, read bool) (payload []byte, err error) {
+		for attempt := 1; ; attempt++ {
+			if attempt > 1 || !read {
+				if l.sb, err = readSuperblock(l.dev); err == nil {
+					l.chain, _, err = resolve(l.dev, l.sb, 0, &l.recs)
+				}
+			}
+			if err == nil && read {
+				payload, err = load(l.dev, l.sb, l.chain)
+			}
+			if attempt == 3 || err == nil && !read {
+				return payload, err
+			}
+			resolved := l.recs
+			for loc, off := range recordOffs { // a failed read leaves the record as resolve saw it
+				l.dev.ReadAt(l.recs[loc*recordSize:][:recordSize], off) //nolint:errcheck
+			}
+			if l.recs == resolved && !errors.Is(err, errSlotRecycled) {
+				return payload, err
+			}
+		}
+	}
 	errs := make([]error, len(levels))
-	var found []level
+	var found []*level
 	for i, dev := range levels {
 		if dev == nil {
 			continue
 		}
-		l := level{i: i, dev: dev}
-		if l.sb, l.chain, _, errs[i] = newest(dev); errs[i] == nil {
+		l := &level{i: i, dev: dev}
+		if _, errs[i] = settle(l, false); errs[i] == nil {
 			found = append(found, l)
 		}
 	}
 	sort.SliceStable(found, func(a, b int) bool { return tip(found[a]) > tip(found[b]) })
 	for _, l := range found {
-		if payload, err = load(l.dev, l.sb, l.chain); err == nil {
+		if payload, err = settle(l, true); err == nil {
 			return payload, tip(l), nil
 		}
 		errs[l.i] = err
