@@ -382,6 +382,7 @@ func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, la
 		// (there is no in-memory hash state to diff against).
 		c.tracker = &DirtyTracker{}
 		c.pass = deltaPass{seed: maphash.MakeSeed(), gran: int(gran)}
+		c.pass.workers(runtime.GOMAXPROCS(0))
 	}
 	if latest != nil {
 		c.checkAddr.Store(latest)
@@ -767,20 +768,24 @@ func (c *Checkpointer) writer(st *saveState, slot, w int) {
 // §3.2. Pieces are cut in payload order, so the payload CRC folds
 // incrementally on the producer, off the device critical path.
 //
-// A non-nil dp turns the delta stage on (see deltaPass): each piece is
-// hashed and diffed, and with dp.filter only its dirty granules are queued,
-// at the running offset of a delta record whose header ‖ bitmap is written
-// last. The pass returns errDenseDelta as soon as the record stops being
-// smaller than the payload.
+// A non-nil dp turns the delta stage on (see deltaPass): an in-memory payload
+// is diffed before its first piece on coresFor(size) cores, a staged piece as
+// it arrives. With dp.filter only dirty granules are queued, at the running
+// offset of a record whose header ‖ bitmap is written last. A record that
+// already loses makes the save a keyframe, hashes kept; a staged pass that
+// finds out mid-stream returns errDenseDelta.
 func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, counter uint64, dp *deltaPass) (int64, uint32, error) {
 	size := src.Size()
 	base := payloadBase(c.sb, slot)
-	if dp != nil {
-		if dp.begin(size); dp.filter && dp.recLen >= size {
-			return 0, 0, errDenseDelta // the bare header ‖ bitmap already loses
-		}
-	}
 	mem, inPlace := src.(bytesSource)
+	if dp != nil {
+		encStart := c.obsNow()
+		if dp.begin(size); inPlace {
+			dp.diffAll(mem.b, coresFor(size))
+		}
+		dp.filter = dp.filter && dp.recLen < size
+		dp.encNS = c.obsNow() - encStart
+	}
 
 	st := &c.saves[slot]
 	st.ctx, st.counter, st.err = ctx, counter, nil
@@ -839,13 +844,15 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 			}
 			c.span(obs.PhaseCopy, copyStart, counter, slot, int64(read), off)
 		}
-		if dp != nil {
-			in, out := t.buf, t.buf
-			if dp.filter {
-				t.off, out = dp.recLen, t.chunk.Bytes() // they land where the record so far ends
-			}
+		if dp != nil && (!inPlace || dp.filter) {
 			encStart := c.obsNow()
-			t.buf = out[:dp.encode(in, out, off)]
+			if !inPlace {
+				dp.recLen += dp.diff(t.buf, off)
+			}
+			if dp.filter { // the dirty granules land where the record so far ends
+				out := t.chunk.Bytes()
+				t.off, t.buf = int64(len(dp.head))+queued, out[:dp.compact(t.buf, out, off)]
+			}
 			dp.encNS += c.obsNow() - encStart
 			if dp.filter && dp.recLen >= size {
 				st.fail(errDenseDelta)

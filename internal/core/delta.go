@@ -42,6 +42,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pccheck/internal/obs"
@@ -167,16 +168,17 @@ func (t *DirtyTracker) restore(ranges [][2]int64, all, fed bool) {
 	t.ranges = append(t.ranges, ranges...)
 }
 
-// errDenseDelta ends a delta pass whose record would not beat the payload.
+// errDenseDelta ends a staged delta pass whose record would not beat the payload.
 var errDenseDelta = errors.New("core: delta record would not be smaller than the payload")
 
-// deltaPass is the hash/diff stage writePayload runs in delta mode, one
-// piece at a time: hash the piece's granules, diff them against the tip's
-// hashes and, with filter on, compact the dirty ones into a pooled chunk so
-// only they reach the writers. With filter off (a keyframe) the same pass
-// collects the hashes while the whole payload streams and counts what a
-// delta would have persisted. The engine reuses one deltaPass under deltaMu,
-// so a save allocates nothing here.
+// deltaPass is the hash/diff stage writePayload runs in delta mode: diff
+// hashes granules, compares them with the tip's hashes and marks the dirty
+// ones; with filter on, compact copies those into a pooled chunk so only they
+// reach the writers. An in-memory payload is diffed whole up front on p
+// workers (diffAll), a staged one piece by piece. With filter off (a
+// keyframe) the diff collects the hashes and counts what a delta would have
+// persisted. The engine reuses one deltaPass under deltaMu, so a save
+// allocates nothing here.
 //
 // Hashes are hash/maphash under a per-engine random seed; they live only in
 // DRAM (an attach starts with a keyframe), so they need not be stable. A
@@ -196,9 +198,17 @@ type deltaPass struct {
 	trust    bool       // fed tracker: only marked granules are dirty (or even read)
 
 	next   []uint64 // this save's hashes; swapped with the engine's at publish
-	head   []byte   // record header ‖ bitmap; bits accumulate as chunks pass
+	head   []byte   // record header ‖ bitmap; bits accumulate as granules are diffed
 	recLen int64    // record length so far (what a delta would persist)
-	encNS  int64    // summed hash+diff+compact time, for PhaseDeltaEncode
+	encNS  int64    // summed diff+compact time, for PhaseDeltaEncode
+
+	// The up-front diff (diffAll): the payload it splits p ways, the dirty
+	// bytes its workers count, and helpers 1..p−1's bodies, built once.
+	src     []byte
+	p       int
+	dirty   atomic.Int64
+	helpers []func()
+	wg      sync.WaitGroup
 }
 
 // begin resets the pass for a size-byte payload and presets the bitmap bits
@@ -213,7 +223,7 @@ func (dp *deltaPass) begin(size int64) {
 	dp.next = slices.Grow(dp.next[:0], n)[:n]
 	clear(dp.head)
 	clear(dp.next)
-	dp.recLen, dp.encNS = int64(len(dp.head)), 0
+	dp.recLen = int64(len(dp.head))
 	from := 0
 	if dp.old != nil && !dp.all {
 		from = n
@@ -266,35 +276,74 @@ func (dp *deltaPass) fill(src Source, buf []byte, off int64) (int, error) {
 	return read, nil
 }
 
-// encode hashes and diffs the granules of payload[off, off+len(in)) held in
-// in and returns how many bytes go to the device: for a delta the dirty
-// granules, compacted into out; for a keyframe all of in, out untouched. in is
-// only read (it may be the caller's own memory), its clean granules not even
-// that when the pass skipsClean. A staged piece passes its chunk as both.
-func (dp *deltaPass) encode(in, out []byte, off int64) int {
-	w, first := 0, int(off/int64(dp.gran))
+// diff hashes the granules of payload[off, off+len(in)) held in in, compares
+// each with the tip's hash, marks the dirty ones and returns their bytes
+// (preset bits count too). in is only read, its clean granules not even that
+// when the pass skipsClean. Concurrent calls are safe on ranges that share no
+// bitmap byte.
+func (dp *deltaPass) diff(in []byte, off int64) int64 {
+	var dirty int64
+	first := int(off / int64(dp.gran))
 	for lo := 0; lo < len(in); lo += dp.gran {
-		i, l := first+lo/dp.gran, min(dp.gran, len(in)-lo)
-		dirty := dp.marked(i)
-		if !dirty && dp.skipsClean() {
+		i, g := first+lo/dp.gran, in[lo:min(lo+dp.gran, len(in))]
+		marked := dp.marked(i)
+		if !marked && dp.skipsClean() {
 			dp.next[i] = dp.old[i]
 			continue
 		}
-		g := in[lo : lo+l]
 		dp.next[i] = maphash.Bytes(dp.seed, g)
-		if !dirty && (dp.trust || dp.next[i] == dp.old[i]) {
+		if !marked && (dp.trust || dp.next[i] == dp.old[i]) {
 			continue
 		}
 		dp.mark(i)
-		dp.recLen += int64(l)
-		if dp.filter {
-			w += copy(out[w:], g)
+		dirty += int64(len(g))
+	}
+	return dirty
+}
+
+// compact copies the marked granules of payload[off, off+len(in)), held in
+// in, to the front of out and returns their bytes. in is only read (it may be
+// the caller's own memory); a staged piece passes its chunk as both.
+func (dp *deltaPass) compact(in, out []byte, off int64) int {
+	w, first := 0, int(off/int64(dp.gran))
+	for lo := 0; lo < len(in); lo += dp.gran {
+		if dp.marked(first + lo/dp.gran) {
+			w += copy(out[w:], in[lo:min(lo+dp.gran, len(in))])
 		}
 	}
-	if !dp.filter {
-		return len(in)
-	}
 	return w
+}
+
+// diffAll diffs the whole in-memory payload b on p workers, the caller and
+// p−1 helpers, over granule ranges cut on multiples of 8 granules so no two
+// write one bitmap byte, and sums their dirty bytes into recLen.
+func (dp *deltaPass) diffAll(b []byte, p int) {
+	dp.workers(p)
+	dp.src, dp.p = b, p
+	dp.wg.Add(p - 1)
+	for _, h := range dp.helpers[:p-1] {
+		go h()
+	}
+	dp.share(0)
+	dp.wg.Wait()
+	dp.recLen += dp.dirty.Swap(0)
+	dp.src = nil // the caller's buffer is not kept past the save
+}
+
+// workers builds diffAll's helper bodies for up to p workers; attach builds
+// them for GOMAXPROCS, so a save starts them without allocating.
+func (dp *deltaPass) workers(p int) {
+	for r := len(dp.helpers) + 1; r < p; r++ {
+		dp.helpers = append(dp.helpers, func() { defer dp.wg.Done(); dp.share(r) })
+	}
+}
+
+// share is worker r's granule range of diffAll.
+func (dp *deltaPass) share(r int) {
+	n := len(dp.next)
+	cut := func(k int) int { return min(len(dp.src), min(n, (n*k/dp.p+7)/8*8)*dp.gran) }
+	lo, hi := cut(r), cut(r+1)
+	dp.dirty.Add(dp.diff(dp.src[lo:hi], int64(lo)))
 }
 
 // finish completes the record header once the bitmap is final.
@@ -422,9 +471,10 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 
 	// A save is a delta when there is hash state to diff against, the chain
 	// has room under K, the DeltaEvery cadence selects it and the previous
-	// save was not dense. A pass whose record would not be smaller than the
-	// payload restarts as a keyframe into the same slot; saves then stay
-	// one-pass keyframes until one counts a record that would win again.
+	// save was not dense. A staged pass whose record stops being smaller than
+	// the payload restarts as a keyframe into the same slot (an in-memory one
+	// is diffed up front and never does); saves then stay one-pass keyframes
+	// until one counts a record that would win again.
 	marks, all, fed := c.tracker.take()
 	dp := &c.pass
 	dp.old, dp.lastSize = c.hashes, c.lastSize

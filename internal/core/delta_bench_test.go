@@ -36,9 +36,13 @@ func dirty5(p []byte, step int) {
 }
 
 // BenchmarkDeltaSave is one delta-mode save of a 5 %-dirty payload on RAM:
-// eight of nine iterations store a delta record, the ninth a keyframe.
+// eight of nine iterations store a delta record, the ninth a keyframe. 32 MiB
+// is the first size whose up-front diff gets two workers (coresFor), given
+// -cpu 2 or more.
+//
+//	go test -run '^$' -bench DeltaSave -cpu 1,2 ./internal/core/
 func BenchmarkDeltaSave(b *testing.B) {
-	for _, size := range []int{4 << 20, 64 << 20} {
+	for _, size := range []int{4 << 20, 32 << 20, 64 << 20} {
 		b.Run(fmt.Sprintf("%dMiB", size>>20), func(b *testing.B) {
 			c, _ := benchDeltaEngine(b, size)
 			p := payload(1, size)

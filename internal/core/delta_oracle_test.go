@@ -330,45 +330,81 @@ func (s *countingSource) ReadInto(p []byte, off int64) error {
 	return s.Source.ReadInto(p, off)
 }
 
-// TestDeltaDenseFallback: the first dense save may read the source twice
-// (an aborted delta pass, then the keyframe pass into the same slot); while
-// updates stay dense each save is one pass; the first sparse save after
-// that is still a one-pass keyframe, and deltas resume on the next.
+// countingDevice counts the bytes WriteAt puts on the device: payload pieces
+// and delta record heads (slot headers and pointer records go via Persist).
+type countingDevice struct {
+	storage.Device
+	wrote atomic.Int64
+}
+
+func (d *countingDevice) WriteAt(p []byte, off int64) error {
+	d.wrote.Add(int64(len(p)))
+	return d.Device.WriteAt(p, off)
+}
+
+// TestDeltaDenseFallback: a staged source's first dense save may read the
+// source twice (an aborted delta pass, then the keyframe pass into the same
+// slot); an in-memory payload is diffed before its first write, so its first
+// dense save writes one payload and no abandoned record. While updates stay
+// dense each save is one pass; the first sparse save after that is still a
+// one-pass keyframe, and deltas resume on the next.
 func TestDeltaDenseFallback(t *testing.T) {
 	const n = 32 << 10
-	cfg := Config{Concurrent: 1, SlotBytes: n, ChunkBytes: 4096, VerifyPayload: true, DeltaKeyframe: 8}
-	c, dev := deltaEngine(t, cfg)
-	p := sparsePayload(9, 0, n)
-	save := func(tag string, wantPasses float64, wantKind uint8) {
-		t.Helper()
-		src := &countingSource{Source: BytesSource(p)}
-		if _, err := c.Checkpoint(context.Background(), src); err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		if got := float64(src.read.Load()) / n; got > wantPasses {
-			t.Errorf("%s: read the source %.2f times, want at most %.0f", tag, got, wantPasses)
-		}
-		if hdr, _ := slotRecord(t, c, dev); hdr.kind != wantKind {
-			t.Errorf("%s: stored kind %d, want %d", tag, hdr.kind, wantKind)
-		}
-		if free, want := c.FreeSlots(), c.TotalSlots()-c.PinnedSlots(); free != want {
-			t.Errorf("%s: %d free slots, want %d", tag, free, want)
-		}
-		if got, _, err := Recover(dev); err != nil || !bytes.Equal(got, p) {
-			t.Fatalf("%s: recover: err=%v equal=%v", tag, err, bytes.Equal(got, p))
-		}
+	for _, tc := range []struct {
+		name       string
+		inPlace    bool
+		firstDense float64 // passes the first dense save may take
+	}{{"staged", false, 2}, {"in place", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Concurrent: 1, SlotBytes: n, ChunkBytes: 4096, VerifyPayload: true, DeltaKeyframe: 8}
+			dev := &countingDevice{Device: storage.NewRAM(DeviceBytesFor(cfg))}
+			c, err := New(dev, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head := int64(deltaHdrSize + (ceilDiv(n, deltaGranularity(n))+7)/8)
+			p := sparsePayload(9, 0, n)
+			save := func(tag string, wantPasses float64, wantKind uint8) {
+				t.Helper()
+				counted := &countingSource{Source: BytesSource(p)}
+				var src Source = counted
+				if tc.inPlace {
+					src = BytesSource(p)
+				}
+				wrote := dev.wrote.Load()
+				if _, err := c.Checkpoint(context.Background(), src); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if got := float64(counted.read.Load()) / n; !tc.inPlace && got > wantPasses {
+					t.Errorf("%s: read the source %.2f times, want at most %.0f", tag, got, wantPasses)
+				}
+				// A save writes at most its passes' payloads plus one record head.
+				if got := float64(dev.wrote.Load()-wrote-head) / n; tc.inPlace && got > wantPasses {
+					t.Errorf("%s: wrote %.3f payloads to the device, want at most %.0f", tag, got, wantPasses)
+				}
+				if hdr, _ := slotRecord(t, c, dev); hdr.kind != wantKind {
+					t.Errorf("%s: stored kind %d, want %d", tag, hdr.kind, wantKind)
+				}
+				if free, want := c.FreeSlots(), c.TotalSlots()-c.PinnedSlots(); free != want {
+					t.Errorf("%s: %d free slots, want %d", tag, free, want)
+				}
+				if got, _, err := Recover(dev); err != nil || !bytes.Equal(got, p) {
+					t.Fatalf("%s: recover: err=%v equal=%v", tag, err, bytes.Equal(got, p))
+				}
+			}
+			save("initial keyframe", 1, slotKindFull)
+			mutateSparse(p, 9, 1)
+			save("sparse delta", 1, slotKindDelta)
+			p = payload(50, n)
+			save("first dense", tc.firstDense, slotKindFull)
+			p = payload(51, n)
+			save("second dense", 1, slotKindFull)
+			p[100] ^= 1
+			save("sparse after dense", 1, slotKindFull)
+			p[200] ^= 1
+			save("deltas resume", 1, slotKindDelta)
+		})
 	}
-	save("initial keyframe", 1, slotKindFull)
-	mutateSparse(p, 9, 1)
-	save("sparse delta", 1, slotKindDelta)
-	p = payload(50, n)
-	save("first dense", 2, slotKindFull)
-	p = payload(51, n)
-	save("second dense", 1, slotKindFull)
-	p[100] ^= 1
-	save("sparse after dense", 1, slotKindFull)
-	p[200] ^= 1
-	save("deltas resume", 1, slotKindDelta)
 }
 
 // TestDeltaFailedSaveLeavesNoTrace: a save that fails before publishing must

@@ -35,10 +35,17 @@ var (
 // slot CRC right after it lands, so it has to still be in cache then.
 const streamPiece = 256 << 10
 
-// streamFloor is the fewest logical bytes stream gives a reader of its own.
-// Below 32 MiB a second reader does not pay reliably on 2 vCPUs: across
-// BenchmarkStream runs it read a 16 MiB tmpfs file at 0.85–1.9× one.
-const streamFloor = 16 << 20
+// minBytesPerCore is the fewest bytes a pass over a payload (stream's reads,
+// the up-front delta diff) gives a core of its own. Below 32 MiB a second
+// reader does not pay reliably on 2 vCPUs: across BenchmarkStream runs it
+// read a 16 MiB tmpfs file at 0.85–1.9× one.
+const minBytesPerCore = 16 << 20
+
+// coresFor is how many goroutines a pass over size bytes gets: one per
+// minBytesPerCore, at most GOMAXPROCS, at least one.
+func coresFor(size int64) int {
+	return max(1, min(runtime.GOMAXPROCS(0), int(size/minBytesPerCore)))
+}
 
 // readSuperblock reads and validates the device's superblock.
 func readSuperblock(dev storage.Device) (superblock, error) {
@@ -297,10 +304,10 @@ func (w *streamWork) read(dev storage.Device, dst, buf []byte, r, n int, lo, hi 
 // stream reads chain into dst: plan, read, judge (docs/ALGORITHM.md). The plan
 // re-judges each link's header with slotHeld (a live reader's slot can be
 // recycled under it) and checks each delta's header and bitmap. Then readers
-// goroutines (0: one per streamFloor bytes of the largest link, at most
-// GOMAXPROCS) walk every link in chain order, each clipped to its own
-// granule-aligned range, so later links overwrite earlier ones and each stored
-// byte is folded once; each link's CRCs are joined in record order and judged.
+// goroutines (0: coresFor the largest link's logical bytes) walk every link
+// in chain order, each clipped to its own granule-aligned range, so later
+// links overwrite earlier ones and each stored byte is folded once; each
+// link's CRCs are joined in record order and judged.
 // Only dst[:len(dst)] is written: dst need only hold the tip (no clean chunk
 // of a delta reaches past its base), and bytes past it go through a reader's
 // scratch (the first's is scratch). With dst nil stream only verifies, on one
@@ -359,7 +366,7 @@ func stream(dev storage.Device, sb superblock, chain []checkMeta, dst, scratch [
 		size = max(size, l.rec.fullSize)
 	}
 	if readers == 0 && dst != nil {
-		readers = min(runtime.GOMAXPROCS(0), int(size/streamFloor))
+		readers = coresFor(size)
 	}
 	n, gran := max(readers, 1), int64(deltaGranularity(sb.slotBytes))
 	cut := func(r int) int64 { return (size*int64(r)/int64(n) + gran - 1) / gran * gran }

@@ -128,7 +128,7 @@ func TestStreamReaders(t *testing.T) {
 }
 
 // BenchmarkStream reads a committed chain with as many readers as -cpu gives
-// it, past streamFloor — the evidence the floor is set from: full
+// it, past minBytesPerCore — the evidence the floor is set from: full
 // checkpoints of 4 to 128 MiB and a keyframe plus 8 deltas of 64 MiB, on
 // storage.RAM and on a storage.SSD file on tmpfs (/dev/shm when there is
 // one), each into a buffer that is already faulted in.

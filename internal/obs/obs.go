@@ -108,9 +108,10 @@ const (
 	// validation — out-of-range rank, stale or duplicated round, unknown
 	// kind (instant). Rank is the claimed sender, Value the reason code.
 	PhaseFrameDropped
-	// PhaseDeltaEncode is emitted once per save stored as a delta. The diff
-	// runs chunk by chunk inside the save pipeline, so Dur is the summed
-	// hash + diff + compact time, not a contiguous interval. Bytes is the
+	// PhaseDeltaEncode is emitted once per save stored as a delta. An
+	// in-memory payload is diffed up front (on p cores), a staged one piece
+	// by piece, and both are compacted piece by piece, so Dur is the summed
+	// diff + compact wall time, not a contiguous interval. Bytes is the
 	// record length, Value the logical payload size — their ratio is this
 	// save's delta ratio.
 	PhaseDeltaEncode
