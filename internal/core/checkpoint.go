@@ -752,9 +752,9 @@ func (c *Checkpointer) writer(st *saveState, slot, w int) {
 	}
 }
 
-// writePayload cuts src into ChunkBytes pieces, persists them into the slot's
-// payload area with the configured number of writer goroutines, and returns
-// the bytes stored and their CRC (0 when verification is off).
+// writePayload cuts src into pieces of at most ChunkBytes, persists them into
+// the slot's payload area with the configured number of writer goroutines,
+// and returns the bytes stored and their CRC (0 when verification is off).
 //
 // A payload that already lies in host memory (BytesSource) is persisted where
 // it lies: a piece is a window of the caller's buffer, which the CRC, the
@@ -805,16 +805,29 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 		go run()
 	}
 
+	// A stored length known up front is cut so every lane ends together, on
+	// pages, or on granules where the staged diff indexes them from a piece's
+	// offset. A delta record keeps one piece per ChunkBytes window: each is
+	// compacted while the writers persist the one before.
+	chunk := int64(c.pool.ChunkSize())
+	lanes, align := len(st.run), int64(pageBytes)
+	if dp != nil && dp.filter {
+		lanes, align = 1, chunk
+	} else if dp != nil && !inPlace {
+		align = int64(dp.gran)
+	}
+	cut := cutPieces(size, chunk, lanes, align)
+
 	var crc uint32
 	var queued int64 // bytes handed to the writers
-	for off := int64(0); off < size && !st.failed.Load(); {
+	for i, off := int64(0), int64(0); off < size && !st.failed.Load(); i++ {
 		// A writer that failed past its retry budget, or a cancelled caller,
 		// ends the save at the next piece: more would only burn bandwidth.
 		if err := ctx.Err(); err != nil {
 			st.fail(err)
 			break
 		}
-		n := min(int64(c.pool.ChunkSize()), size-off)
+		n := cut.start(i+1) - off
 		t := task{off: off}
 		if !inPlace || dp != nil && dp.filter {
 			// A staged piece lives in a pooled chunk; so do the dirty granules

@@ -84,9 +84,10 @@ type Config struct {
 	// Writers is p, the number of parallel writer goroutines per
 	// checkpoint. Defaults to 1.
 	Writers int
-	// ChunkBytes is b, the size of the pieces a payload is persisted in and
-	// of the DRAM chunks a staged one is pipelined through. Zero disables
-	// pipelining: one slot-sized piece per checkpoint.
+	// ChunkBytes is b, the largest piece a payload is persisted in and the
+	// size of the DRAM chunks a staged one is pipelined through. A save is
+	// cut into a multiple of Writers near-equal pieces (a delta record into
+	// ChunkBytes windows). Zero makes the chunk slot-sized: no pipelining.
 	ChunkBytes int
 	// DRAMBudget is M, the DRAM the engine itself stages in: the pool holds
 	// DRAMBudget/ChunkBytes chunks (at least one). A BytesSource payload is
@@ -212,6 +213,35 @@ func alignSector(n int64) int64 {
 		n += blackbox.SectorBytes - rem
 	}
 	return n
+}
+
+// pageBytes is what a save's pieces are aligned to within the payload, so no
+// device write straddles a page.
+const pageBytes = 4 << 10
+
+// pieceCut is how a save cuts size bytes for p writer lanes (cutPieces): k
+// pieces of whole units, the first extra of them base+1 units long and the
+// rest base, the last clipped to size. Piece i spans [start(i), start(i+1)).
+type pieceCut struct{ size, unit, base, extra int64 }
+
+// cutPieces cuts size bytes into k = ⌈size/chunk⌉ pieces rounded up to a
+// multiple of p, so each of p lanes persists the same share and the last
+// round of a save does not run on fewer lanes (§3.3: Tw prices a save as each
+// thread writing 1/p of it). The unit is gcd(align, chunk), so a piece is
+// aligned and never exceeds chunk; k never exceeds the units in size.
+func cutPieces(size, chunk int64, p int, align int64) pieceCut {
+	unit := align
+	for r := chunk; r != 0; {
+		unit, r = r, unit%r
+	}
+	units := (size + unit - 1) / unit
+	k := max(1, min(units, ((size+chunk-1)/chunk+int64(p)-1)/int64(p)*int64(p)))
+	return pieceCut{size, unit, units / k, units % k}
+}
+
+// start is the payload offset piece i starts at; start(k) is size.
+func (pc pieceCut) start(i int64) int64 {
+	return min(pc.size, pc.unit*(i*pc.base+min(i, pc.extra)))
 }
 
 // Slot payload kinds. A delta slot's payload is a delta record (see

@@ -1,0 +1,169 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	"pccheck/internal/obs"
+	"pccheck/internal/storage"
+)
+
+// TestPieceCut holds cutPieces to its contract over a grid of sizes, chunk
+// sizes, lane counts and both alignments: the pieces tile the payload, none
+// exceeds the chunk, all but the last are aligned and within one unit of each
+// other, and their count is a multiple of p whenever the payload and the
+// chunk each hold p units.
+func TestPieceCut(t *testing.T) {
+	for _, chunk := range []int64{192, 3000, 4 << 10, 64 << 10, 100 << 10, 1 << 20} {
+		for _, align := range []int64{pageBytes, 1 << 10} {
+			for p := 1; p <= 4; p++ {
+				sizes := []int64{0, 1, 2, chunk - 1, chunk, chunk + 1, 12_345, 13 * chunk, 13*64<<10 + 7, 32 << 20,
+					int64(p)*align - 1, int64(p) * align, int64(p)*chunk + 1}
+				for _, size := range sizes {
+					if size < 0 {
+						continue
+					}
+					t.Run(fmt.Sprintf("chunk=%d/align=%d/p=%d/size=%d", chunk, align, p, size), func(t *testing.T) {
+						checkCut(t, size, chunk, p, align)
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkCut(t *testing.T, size, chunk int64, p int, align int64) {
+	pc := cutPieces(size, chunk, p, align)
+	unit := pc.unit
+	if align%unit != 0 || chunk%unit != 0 || (chunk%align == 0 && unit != align) {
+		t.Fatalf("unit %d is not gcd(%d, %d)", unit, align, chunk)
+	}
+	var lens []int64
+	off := int64(0)
+	for i := int64(0); off < size; i++ {
+		if pc.start(i) != off {
+			t.Fatalf("piece %d starts at %d, want %d", i, pc.start(i), off)
+		}
+		n := pc.start(i+1) - off
+		if n <= 0 || n > chunk {
+			t.Fatalf("piece %d at %d is %d bytes, want 1..%d", i, off, n, chunk)
+		}
+		lens = append(lens, n)
+		off += n
+	}
+	if off != size {
+		t.Fatalf("pieces cover %d of %d bytes", off, size)
+	}
+	k := int64(len(lens))
+	if least := (size + chunk - 1) / chunk; k < least || k > least+int64(p)-1 {
+		t.Fatalf("%d pieces, want %d..%d", k, least, least+int64(p)-1)
+	}
+	if size >= int64(p)*unit && chunk >= int64(p)*unit && k%int64(p) != 0 {
+		t.Fatalf("%d pieces for %d lanes", k, p)
+	}
+	if k < 2 {
+		return
+	}
+	lo, hi := lens[0], lens[0]
+	for _, n := range lens[:k-1] {
+		if n%unit != 0 {
+			t.Fatalf("pieces %v: %d is not a multiple of %d", lens, n, unit)
+		}
+		lo, hi = min(lo, n), max(hi, n)
+	}
+	if hi-lo > unit || lens[k-1] > hi {
+		t.Fatalf("pieces %v differ by more than one %d-byte unit", lens, unit)
+	}
+}
+
+// TestSavePiecesFillEveryLane: a save through three writers is persisted in a
+// multiple of three pieces of nearly equal size — in place, staged and as a
+// delta keyframe — so no writer lane idles through the save's last round.
+// 13 pieces of 64 KiB would leave two lanes idle for one.
+func TestSavePiecesFillEveryLane(t *testing.T) {
+	const chunk, size = 64 << 10, 13 * 64 << 10
+	for _, tc := range []struct {
+		name   string
+		delta  bool
+		source func([]byte) Source
+	}{
+		{"in-place", false, BytesSource},
+		{"staged", false, staged},
+		{"keyframe/in-place", true, BytesSource},
+		{"keyframe/staged", true, staged},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder(obs.DefaultCapacity)
+			cfg := Config{Concurrent: 1, SlotBytes: 1 << 20, Writers: 3, ChunkBytes: chunk, VerifyPayload: true, Observer: rec}
+			if tc.delta {
+				cfg.DeltaKeyframe = 4
+			}
+			dev := storage.NewRAM(DeviceBytesFor(cfg))
+			c, err := New(dev, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			counter, err := c.Checkpoint(context.Background(), tc.source(payload(3, size)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.delta && c.Stats().KeyframeSaves != 1 {
+				t.Fatalf("first delta-mode save was not a keyframe: %+v", c.Stats())
+			}
+			var lens []int64
+			var sum int64
+			for _, ev := range rec.TakeEvents() {
+				if ev.Phase == obs.PhasePersist && ev.Counter == counter {
+					lens = append(lens, ev.Bytes)
+					sum += ev.Bytes
+				}
+			}
+			lo, hi := lens[0], lens[0]
+			for _, n := range lens {
+				lo, hi = min(lo, n), max(hi, n)
+			}
+			if len(lens)%3 != 0 || hi-lo > 4<<10 || sum != size {
+				t.Fatalf("%d pieces of %d..%d bytes (%d in all), want a multiple of 3 within 4 KiB of each other covering %d",
+					len(lens), lo, hi, sum, size)
+			}
+		})
+	}
+}
+
+// BenchmarkLanedSave is a full save through p = 3 writer lanes paced at
+// 48 MiB/s each onto storage.RAM, in 1 MiB chunks: the paper's regime, where
+// the lanes, not memory, set the save time. x-model is the save time over the
+// model's size/(3 × 48 MiB/s). A lane slot is 1 MiB/(48 MiB/s) ≈ 20.8 ms; cut
+// evenly, the saves take 1.33, 4.33 and 10.67 slots, where 1 MiB pieces from
+// one queue take 2, 5 and 11.
+//
+//	go test -run '^$' -bench LanedSave -benchtime 10x ./internal/core/
+func BenchmarkLanedSave(b *testing.B) {
+	const lanes, laneBW = 3, 48 << 20
+	for _, size := range []int{4 << 20, 13 << 20, 32 << 20} {
+		b.Run(fmt.Sprintf("%dMiB", size>>20), func(b *testing.B) {
+			cfg := Config{Concurrent: 1, SlotBytes: int64(size), Writers: lanes, ChunkBytes: 1 << 20, PerWriterBW: laneBW}
+			c, err := New(storage.NewRAM(DeviceBytesFor(cfg)), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			p := payload(1, size)
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Checkpoint(context.Background(), BytesSource(p)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perSave := time.Since(start) / time.Duration(b.N)
+			model := time.Duration(float64(size) / (lanes * laneBW) * float64(time.Second))
+			b.ReportMetric(float64(perSave)/float64(time.Millisecond), "ms/op")
+			b.ReportMetric(float64(perSave)/float64(model), "x-model")
+		})
+	}
+}

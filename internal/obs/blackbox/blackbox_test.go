@@ -3,6 +3,7 @@ package blackbox
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -274,6 +275,41 @@ func TestFlusherRequiresRecorder(t *testing.T) {
 	j, _ := OpenJournal(dev, 0, l.RegionBytes(), 1)
 	if _, err := NewFlusher(j, nil, Config{}); err == nil {
 		t.Fatal("flusher accepted a chain without a flight recorder")
+	}
+}
+
+// TestFlushAllocsIndependentOfRingDepth: a flush copies only the event tail
+// a frame keeps, so a flush over 10 000 buffered events allocates no more
+// than one over 100 — not a copy of the whole flight ring each time.
+func TestFlushAllocsIndependentOfRingDepth(t *testing.T) {
+	perFlush := func(buffered int) uint64 {
+		rec := obs.NewRecorder(obs.DefaultCapacity)
+		for i := 0; i < buffered; i++ {
+			rec.Emit(obs.Event{TS: int64(i), Phase: obs.PhasePublish, Counter: uint64(i + 1), Slot: -1, Writer: -1, Rank: -1})
+		}
+		l := testLayout()
+		j, err := OpenJournal(formatRAM(t, l, 1), 0, l.RegionBytes(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err := NewFlusher(j, rec, Config{FlushEvery: -1, EventTail: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const flushes = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < flushes; i++ {
+			if _, err := fl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / flushes
+	}
+	shallow, deep := perFlush(100), perFlush(10000)
+	if deep > shallow+shallow/4 {
+		t.Fatalf("a flush over 10000 buffered events allocates %d bytes, over 100 events %d", deep, shallow)
 	}
 }
 

@@ -89,9 +89,10 @@ type Flusher struct {
 	cfg Config
 	j   *Journal
 
-	rec *obs.Recorder
-	led *obs.Ledger
-	dec *decision.Recorder
+	rec  *obs.Recorder
+	led  *obs.Ledger
+	dec  *decision.Recorder
+	tail []obs.Event // the flight-ring tail of the frame being flushed; under mu
 
 	mu     sync.Mutex // serializes Flush with itself and Stop
 	stop   chan struct{}
@@ -115,12 +116,14 @@ func NewFlusher(j *Journal, chain obs.Observer, cfg Config) (*Flusher, error) {
 	if rec == nil {
 		return nil, fmt.Errorf("blackbox: observer chain has no flight recorder")
 	}
+	cfg = cfg.withDefaults()
 	f := &Flusher{
-		cfg: cfg.withDefaults(),
-		j:   j,
-		rec: rec,
-		led: obs.FindLedger(chain),
-		dec: decision.Find(chain),
+		cfg:  cfg,
+		j:    j,
+		rec:  rec,
+		led:  obs.FindLedger(chain),
+		dec:  decision.Find(chain),
+		tail: make([]obs.Event, 0, cfg.EventTail),
 	}
 	f.lastSeq.Store(j.LastSeq())
 	return f, nil
@@ -169,7 +172,7 @@ func (f *Flusher) Stop() {
 		<-done
 	}
 	if !alreadyClosed {
-		f.flush() //nolint:errcheck // best-effort final frame
+		f.Flush() //nolint:errcheck // best-effort final frame, serialized with Flush
 	}
 }
 
@@ -178,18 +181,12 @@ func (f *Flusher) Stop() {
 func (f *Flusher) Flush() (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.flush()
-}
-
-func (f *Flusher) flush() (uint64, error) {
 	frame := Frame{TS: time.Now().UnixNano()}
 
-	events := f.rec.SnapshotEvents()
-	if len(events) > f.cfg.EventTail {
-		events = events[len(events)-f.cfg.EventTail:]
-	}
-	frame.Events = events
-	f.eventsSnap.Add(uint64(len(events)))
+	// Copy only the tail a frame keeps: the ring is never drained.
+	f.tail = f.rec.SnapshotTail(f.tail, f.cfg.EventTail)
+	frame.Events = f.tail
+	f.eventsSnap.Add(uint64(len(f.tail)))
 
 	if f.led != nil {
 		if data, err := json.Marshal(f.led.Report()); err == nil {

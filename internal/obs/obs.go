@@ -369,6 +369,15 @@ func (r *Recorder) SnapshotEvents() []Event {
 	return r.ring.snapshot()
 }
 
+// SnapshotTail is SnapshotEvents cut to the newest n events and copied into
+// dst[:0], so a consumer of a tail (the black-box flusher) reuses one buffer.
+func (r *Recorder) SnapshotTail(dst []Event, n int) []Event {
+	if r == nil {
+		return dst[:0]
+	}
+	return r.ring.tail(dst, n)
+}
+
 // Dropped reports how many events were discarded because the ring was
 // full (the flight recorder keeps the most recent ones).
 func (r *Recorder) Dropped() uint64 { return r.ring.dropped.Load() }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -397,6 +398,71 @@ func TestSnapshotEventsUnderEmitPressure(t *testing.T) {
 		for j := 1; j < len(evs); j++ {
 			if evs[j].TS < evs[j-1].TS {
 				t.Fatalf("snapshot out of order at %d: %d after %d", j, evs[j].TS, evs[j-1].TS)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestSnapshotTail: on a quiescent ring, including one that has wrapped and
+// dropped its oldest events, SnapshotTail is the end of SnapshotEvents, and a
+// buffer with room for the tail is reused without allocating.
+func TestSnapshotTail(t *testing.T) {
+	r := NewRecorder(256)
+	for i := 0; i < 300; i++ {
+		r.Emit(Event{Phase: PhaseSave, TS: int64(i), Counter: uint64(i)})
+	}
+	all := r.SnapshotEvents()
+	if len(all) != 256 {
+		t.Fatalf("snapshot holds %d events, want 256", len(all))
+	}
+	for _, n := range []int{0, 1, 10, 128, 255, 256, 1000} {
+		want := all[len(all)-min(n, len(all)):]
+		if got := r.SnapshotTail(nil, n); !slices.Equal(got, want) {
+			t.Fatalf("SnapshotTail(%d) = %d events from %v, want %d from %v", n, len(got), got[:min(1, len(got))], len(want), want[:min(1, len(want))])
+		}
+	}
+	buf := make([]Event, 0, 128)
+	if a := testing.AllocsPerRun(100, func() { buf = r.SnapshotTail(buf, 128) }); a != 0 {
+		t.Fatalf("SnapshotTail into a buffer with room allocated %.1f times", a)
+	}
+	if len(r.TakeEvents()) != 256 {
+		t.Fatal("SnapshotTail consumed ring events")
+	}
+	var nilRec *Recorder
+	if got := nilRec.SnapshotTail(buf, 8); len(got) != 0 {
+		t.Fatalf("nil recorder tail = %v, want empty", got)
+	}
+}
+
+// TestSnapshotTailUnderEmitPressure: a tail taken while an emitter laps the
+// ring is a contiguous, in-order run of at most n events.
+func TestSnapshotTailUnderEmitPressure(t *testing.T) {
+	r := NewRecorder(64)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Emit(Event{Phase: PhaseSave, TS: int64(i), Counter: uint64(i)})
+			}
+		}
+	}()
+	buf := make([]Event, 0, 16)
+	for i := 0; i < 2000; i++ {
+		buf = r.SnapshotTail(buf, 16)
+		if len(buf) > 16 {
+			t.Fatalf("tail of %d events, want at most 16", len(buf))
+		}
+		for j := 1; j < len(buf); j++ {
+			if buf[j].Counter != buf[j-1].Counter+1 {
+				t.Fatalf("tail not contiguous at %d: counter %d after %d", j, buf[j].Counter, buf[j-1].Counter)
 			}
 		}
 	}

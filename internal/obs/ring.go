@@ -8,8 +8,8 @@ import (
 // ring is a bounded multi-producer multi-consumer event buffer in the
 // style of Vyukov's MPMC array queue: every cell carries an atomic
 // sequence number that hands exclusive ownership back and forth between
-// producers and consumers, so the Event payload itself is written and read
-// with plain (race-free) copies. When the ring is full, producers discard
+// producers and consumers; a snapshot reads cells it does not own, so the
+// Event is held in atomic words. When the ring is full, producers discard
 // the oldest buffered event instead of blocking or dropping the newest —
 // flight-recorder semantics: the buffer always holds the most recent
 // window of activity.
@@ -27,7 +27,23 @@ type ringCell struct {
 	// means it holds that position's event; seq == pos+capacity means the
 	// event was consumed and the cell is free for the next lap.
 	seq atomic.Uint64
-	ev  Event
+	w   [8]atomic.Uint64 // the Event, packed by store
+}
+
+func (c *ringCell) store(ev Event) {
+	for i, v := range [8]uint64{uint64(ev.TS), uint64(ev.Dur), ev.Counter, uint64(ev.Bytes), uint64(ev.Value),
+		uint64(ev.Phase) | uint64(uint32(ev.Attempt))<<32, uint64(uint32(ev.Slot)) | uint64(uint32(ev.Writer))<<32, uint64(uint32(ev.Rank))} {
+		c.w[i].Store(v)
+	}
+}
+
+func (c *ringCell) load() Event {
+	var w [8]uint64
+	for i := range w {
+		w[i] = c.w[i].Load()
+	}
+	return Event{TS: int64(w[0]), Dur: int64(w[1]), Counter: w[2], Bytes: int64(w[3]), Value: int64(w[4]),
+		Phase: Phase(w[5]), Attempt: int32(w[5] >> 32), Slot: int32(w[6]), Writer: int32(w[6] >> 32), Rank: int32(w[7])}
 }
 
 // newRing allocates a ring holding capacity events, rounded up to a power
@@ -56,7 +72,7 @@ func (r *ring) put(ev Event) {
 		switch {
 		case seq == pos:
 			if r.enq.CompareAndSwap(pos, pos+1) {
-				c.ev = ev
+				c.store(ev)
 				c.seq.Store(pos + 1)
 				return
 			}
@@ -97,34 +113,42 @@ func (r *ring) drain() []Event {
 			return out
 		}
 		if r.deq.CompareAndSwap(pos, pos+1) {
-			ev := c.ev
+			ev := c.load()
 			c.seq.Store(pos + uint64(len(r.cells)))
 			out = append(out, ev)
 		}
 	}
 }
 
-// snapshot copies every buffered event, oldest first, WITHOUT consuming:
-// the cursors do not move, so concurrent consumers (drain, another
-// snapshot) still observe the same events. The copy is weakly consistent
-// under concurrent producers — a cell recycled mid-copy is detected by
-// re-reading its sequence and the walk stops there, so the result is
-// always a valid (possibly shortened) prefix of the buffered window.
+// snapshot copies every buffered event, oldest first (see tail).
 func (r *ring) snapshot() []Event {
-	start := r.deq.Load()
-	out := make([]Event, 0, r.len())
-	for pos := start; pos < start+uint64(len(r.cells)); pos++ {
+	return r.tail(make([]Event, 0, r.len()), len(r.cells))
+}
+
+// tail copies the newest n buffered events into dst[:0], oldest first,
+// WITHOUT consuming: concurrent consumers still observe the same events. It
+// is weakly consistent under concurrent producers — a cell not yet published
+// or recycled mid-copy ends the walk — so it returns a contiguous, in-order
+// run of the buffered window.
+func (r *ring) tail(dst []Event, n int) []Event {
+	dst = dst[:0]
+	start := r.deq.Load() // before enq, so start <= end
+	end := r.enq.Load()
+	if end-start > uint64(n) {
+		start = end - uint64(n)
+	}
+	for pos := start; pos < end; pos++ {
 		c := &r.cells[pos&r.mask]
 		if c.seq.Load() != pos+1 {
-			break // empty cell (or consumed ahead of us): end of window
+			break // not yet published, or consumed ahead of us
 		}
-		ev := c.ev
+		ev := c.load()
 		if c.seq.Load() != pos+1 {
 			break // recycled mid-copy; ev may be torn — stop before it
 		}
-		out = append(out, ev)
+		dst = append(dst, ev)
 	}
-	return out
+	return dst
 }
 
 // len reports how many events are currently buffered (approximate under

@@ -62,12 +62,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("snapshot spans = %d, want 10 (Loop instrumentation)", snap.Phase(PhaseSnapshot).Count)
 	}
 	// The Loop's snapshots are host memory, persisted where they lie: no
-	// staging. Each is three 16 KiB pieces.
+	// staging. Each is cut for the two writers: 48 KiB through 16 KiB chunks
+	// is four 12 KiB pieces, two per lane.
 	if c, w := snap.Phase(PhaseCopy).Count, snap.Phase(PhaseChunkWait).Count; c != 0 || w != 0 {
 		t.Errorf("in-memory saves staged: %d copy spans, %d chunk-wait spans", c, w)
 	}
-	if got := snap.Phase(PhasePersist).Count; got != 30 {
-		t.Errorf("persist spans = %d, want 30", got)
+	if got := snap.Phase(PhasePersist).Count; got != 40 {
+		t.Errorf("persist spans = %d, want 40", got)
 	}
 	// SaveFrom is the staged path, for memory the engine cannot address.
 	if _, err := ck.SaveFrom(ctx, int64(len(state)), func(p []byte, off int64) error {
@@ -76,8 +77,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Snapshot().Phase(PhaseCopy).Count; got != 3 {
-		t.Errorf("copy spans after one staged save = %d, want 3", got)
+	if got := rec.Snapshot().Phase(PhaseCopy).Count; got != 4 {
+		t.Errorf("copy spans after one staged save = %d, want 4", got)
 	}
 
 	// Metrics endpoint: scrape and check the summary quantiles are present.
