@@ -222,7 +222,7 @@ const pageBytes = 4 << 10
 // pieceCut is how a save cuts size bytes for p writer lanes (cutPieces): k
 // pieces of whole units, the first extra of them base+1 units long and the
 // rest base, the last clipped to size. Piece i spans [start(i), start(i+1)).
-type pieceCut struct{ size, unit, base, extra int64 }
+type pieceCut struct{ size, unit, k, base, extra int64 }
 
 // cutPieces cuts size bytes into k = ⌈size/chunk⌉ pieces rounded up to a
 // multiple of p, so each of p lanes persists the same share and the last
@@ -236,7 +236,7 @@ func cutPieces(size, chunk int64, p int, align int64) pieceCut {
 	}
 	units := (size + unit - 1) / unit
 	k := max(1, min(units, ((size+chunk-1)/chunk+int64(p)-1)/int64(p)*int64(p)))
-	return pieceCut{size, unit, units / k, units % k}
+	return pieceCut{size, unit, k, units / k, units % k}
 }
 
 // start is the payload offset piece i starts at; start(k) is size.

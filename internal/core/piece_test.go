@@ -57,6 +57,9 @@ func checkCut(t *testing.T, size, chunk int64, p int, align int64) {
 		t.Fatalf("pieces cover %d of %d bytes", off, size)
 	}
 	k := int64(len(lens))
+	if pc.k != max(k, 1) {
+		t.Fatalf("cut says %d pieces, tiles %d", pc.k, k)
+	}
 	if least := (size + chunk - 1) / chunk; k < least || k > least+int64(p)-1 {
 		t.Fatalf("%d pieces, want %d..%d", k, least, least+int64(p)-1)
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"sync"
 
 	"pccheck/internal/storage"
 )
@@ -17,65 +19,77 @@ import (
 // are its own: a link lands in a slot the tier's durable chain does not use,
 // so what the tier last acknowledged stays recoverable at every instant.
 
-// shipPiece is how much of a link moves at a time — the engine's usual chunk
+// shipPiece is the largest piece a link moves in — the engine's usual chunk
 // size, because a throttled tier forgives nothing below a chunk: each
 // Throttle.Acquire loses its oversleep, so small pieces would be slow pieces.
 const shipPiece = 4 << 20
 
+// shipLanes is how many pieces of a span are in flight at once. A tier is one
+// serial timeline: one lane's write booked while the other's runs keeps it
+// busy between pieces, and more lanes would only add buffers.
+const shipLanes = 2
+
 // errSuperseded: the front recycled a link's source slot under the ship.
 var errSuperseded = errors.New("core: shipped checkpoint superseded at the source")
 
-// copier moves stored bytes between devices through a double buffer: piece
-// i+1 is read from the source, and folded into the CRC, while piece i sits in
-// the destination's write — where a paced tier spends a piece's whole time
-// slot; what happens between two writes is time it never gets back.
+// copier moves stored bytes between devices on shipLanes lanes. A span is cut
+// the way a save is (cutPieces), lane w copies the w-th contiguous run of its
+// pieces through bufs[w] — read, fold into the lane's CRC, write — and the
+// lanes' CRCs are joined in order, as stream joins its readers'.
 type copier struct {
-	bufs  [2][]byte
-	ahead chan error
-	crc   uint32
-	head  [slotHeaderSize]byte // superblocks and slot headers pass through it
+	bufs [shipLanes][]byte
+	crcs [shipLanes]uint32
+	errs [shipLanes]error
+	wg   sync.WaitGroup       // the lanes after the first
+	head [slotHeaderSize]byte // superblocks and slot headers pass through it
 }
 
 func (c *copier) buffers(sb superblock) {
 	if c.bufs[0] == nil {
-		n := min(int64(shipPiece), sb.slotBytes)
-		c.bufs[0], c.bufs[1] = make([]byte, n), make([]byte, n)
-		c.ahead = make(chan error, 1)
+		for w := range c.bufs {
+			c.bufs[w] = make([]byte, min(int64(shipPiece), sb.slotBytes))
+		}
 	}
 }
 
-// fetch reads one piece and folds it into the running CRC.
-func (c *copier) fetch(src storage.Device, p []byte, off int64) error {
-	err := src.ReadAt(p, off)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	return err
+// span copies n bytes from src at from to dst at to and returns their CRC.
+// Each lane gives up between pieces once a stop (when not nil) reports
+// Clobbered; the first lane is the caller.
+func (c *copier) span(src storage.Device, from int64, dst storage.Device, to, n int64, stop storage.ShipSource) (uint32, error) {
+	if n <= 0 {
+		return 0, nil
+	}
+	cut := cutPieces(n, int64(len(c.bufs[0])), shipLanes, pageBytes)
+	lanes := min(shipLanes, cut.k)
+	c.wg.Add(int(lanes - 1))
+	for w := int64(1); w < lanes; w++ {
+		go func() { defer c.wg.Done(); c.lane(w, lanes, cut, src, from, dst, to, stop) }()
+	}
+	c.lane(0, lanes, cut, src, from, dst, to, stop)
+	c.wg.Wait()
+	crc := c.crcs[0]
+	for w := int64(1); w < lanes; w++ {
+		crc = crc32Combine(crc, c.crcs[w], cut.start((w+1)*cut.k/lanes)-cut.start(w*cut.k/lanes))
+	}
+	return crc, cmp.Or(c.errs[:lanes]...)
 }
 
-// span copies n bytes from src at from to dst at to and returns their CRC,
-// giving up between pieces once a stop (when not nil) reports Clobbered.
-func (c *copier) span(src storage.Device, from int64, dst storage.Device, to, n int64, stop storage.ShipSource) (uint32, error) {
-	c.crc = 0
-	piece := int64(len(c.bufs[0]))
-	cur := c.bufs[0][:min(n, piece)]
-	err := c.fetch(src, cur, from)
-	for off, i := int64(0), 1; err == nil && off < n; i++ {
-		done := off + int64(len(cur))
-		next := c.bufs[i%2][:min(n-done, piece)]
-		if len(next) > 0 {
-			go func() { c.ahead <- c.fetch(src, next, from+done) }()
-		}
-		err = dst.WriteAt(cur, to+off)
-		if len(next) > 0 {
-			if rerr := <-c.ahead; err == nil {
-				err = rerr
-			}
+// lane copies lane w's pieces of cut, [w·k/lanes, (w+1)·k/lanes).
+func (c *copier) lane(w, lanes int64, cut pieceCut, src storage.Device, from int64, dst storage.Device, to int64, stop storage.ShipSource) {
+	var crc uint32
+	var err error
+	for i := w * cut.k / lanes; i < (w+1)*cut.k/lanes && err == nil; i++ {
+		off := cut.start(i)
+		p := c.bufs[w][:cut.start(i+1)-off]
+		if err = src.ReadAt(p, from+off); err == nil {
+			crc = crc32.Update(crc, crc32.IEEETable, p)
+			err = dst.WriteAt(p, to+off)
 		}
 		if err == nil && stop != nil && stop.Clobbered() {
 			err = errSuperseded
 		}
-		off, cur = done, next
 	}
-	return c.crc, err
+	c.crcs[w], c.errs[w] = crc, err
 }
 
 // link copies checkpoint m as src holds it (in slot m.slot) into slot to of

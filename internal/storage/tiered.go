@@ -20,17 +20,18 @@ import (
 // the watermark and wakes the drainer (there is no ticker). For every live
 // lower tier the drainer has the registered Shipper (internal/core's, which
 // knows the layout) copy the chain links the tier lacks off the front device
-// through one reused double buffer: payload, one sync, slot header, pointer
-// record LAST, never into a slot the tier's own durable record references. A
-// lower tier is thus a self-contained image that recovers on its own at every
-// instant after its first acknowledgement; a checkpoint superseded before its
-// ship began is never shipped; a scheduled resync is the same routine told to
-// trust nothing the tier holds. Tier faults use the storage error classes:
-// transient ones retry in place, anything else aborts the ship, and the tier
-// goes stale — it keeps its last acknowledged checkpoint and is tried again
-// after a backoff or at the next commit. docs/CRASH_CONSISTENCY.md has the
-// contract, including what protects a ship from the engine recycling the slot
-// it reads (ShipSource.Pin) and what write-path failover needs of the front.
+// on two lanes, so one piece's write is queued while another's runs: payload,
+// one sync, slot header, pointer record LAST, never into a slot the tier's own
+// durable record references. A lower tier is thus a self-contained image that
+// recovers on its own at every instant after its first acknowledgement; a
+// checkpoint superseded before its ship began is never shipped; a scheduled
+// resync is the same routine told to trust nothing the tier holds. Tier faults
+// use the storage error classes: transient ones retry in place, anything else
+// aborts the ship (counted once, however many lanes hit it), and the tier goes
+// stale — it keeps its last acknowledged checkpoint and is tried again after a
+// backoff or at the next commit. docs/CRASH_CONSISTENCY.md has the contract,
+// including what protects a ship from the engine recycling the slot it reads
+// (ShipSource.Pin) and what write-path failover needs of the front.
 //
 // One thing a format may keep outside its checkpoints: a tail region (core's
 // black box) written in place at any time. Once the shipper has said where it
@@ -75,7 +76,8 @@ type Tiered struct {
 }
 
 // tier is one level: the device, its standing (under Tiered.mu), and — being
-// the Device the shipper writes — the ship in flight's tally (drainer only).
+// the Device the shipper writes — the ship in flight's tally, which the
+// shipper's lanes add to at once.
 type tier struct {
 	dev   Device
 	t     *Tiered
@@ -94,9 +96,9 @@ type tier struct {
 	lastErr   error
 	tail      extent // of the tail region, what the front wrote and this tier lacks
 
-	wrote  int64  // bytes the current ship has written
-	failed bool   // the current ship hit a tier fault, already counted
-	took   extent // what the current ship took off tail, put back if it fails
+	wrote  atomic.Int64 // bytes the current ship has written
+	failed atomic.Bool  // the current ship hit a tier fault, already counted
+	took   extent       // what the current ship took off tail, put back if it fails (drainer only)
 }
 
 // extent is the byte range [lo, hi), empty when hi <= lo.
@@ -366,13 +368,14 @@ func (t *Tiered) failover(oldDev Device) bool {
 		if cand.dead { // only ever set under drainMu
 			continue
 		}
-		cand.wrote, cand.failed = 0, false
+		cand.wrote.Store(0)
+		cand.failed.Store(false)
 		err := t.shipper.Mirror(oldDev, cand)
-		copied += cand.wrote
+		copied += cand.wrote.Load()
 		switch {
 		case err == nil:
 			to = level
-		case cand.failed: // counted where it happened; not a viable front
+		case cand.failed.Load(): // counted where it happened; not a viable front
 			t.mu.Lock()
 			cand.dead = true
 			t.mu.Unlock()
@@ -536,15 +539,17 @@ func (t *Tiered) drainTier(ts *tier, force bool) bool {
 	gen, distrust := t.gen, ts.resync != 0
 	t.mu.Unlock()
 
-	ts.wrote, ts.failed, ts.took = 0, false, extent{}
+	ts.wrote.Store(0)
+	ts.failed.Store(false)
+	ts.took = extent{}
 	t.src.ts = ts
 	began := time.Now()
 	durable, err := t.shipper.Ship(&t.src, ts, distrust)
-	now := time.Now()
+	now, wrote, failed := time.Now(), ts.wrote.Load(), ts.failed.Load()
 
 	t.mu.Lock()
-	ts.drainedB += ts.wrote
-	if err != nil || ts.failed {
+	ts.drainedB += wrote
+	if err != nil || failed {
 		ts.tail.add(ts.took) // the next ship's to copy
 	}
 	advanced := durable > ts.durable
@@ -553,13 +558,13 @@ func (t *Tiered) drainTier(ts *tier, force bool) bool {
 	}
 	switch {
 	case err == nil:
-		if ts.wrote > 0 {
+		if wrote > 0 {
 			ts.drains++
 		}
 		if distrust {
 			ts.resyncs++
 		}
-	case !ts.failed: // not a tier fault, which is counted where it happens
+	case !failed: // not a tier fault, which is counted where it happens
 		ts.errors++
 		ts.lastErr = err
 	}
@@ -568,17 +573,17 @@ func (t *Tiered) drainTier(ts *tier, force bool) bool {
 	if m, ok := ts.dev.(Marker); ok && advanced {
 		m.Mark(durable) // after, never before, the persist that covers it
 	}
-	if err != nil && !ts.failed {
+	if err != nil && !failed {
 		t.emitError(ts.level, 1, err)
 	}
 	if err == nil && distrust {
-		t.emit(obs.Event{TS: began.UnixNano(), Phase: obs.PhaseTierResync, Slot: int32(ts.level), Bytes: ts.wrote})
+		t.emit(obs.Event{TS: began.UnixNano(), Phase: obs.PhaseTierResync, Slot: int32(ts.level), Bytes: wrote})
 	}
-	if ts.wrote > 0 {
+	if wrote > 0 {
 		t.emit(obs.Event{
 			TS: began.UnixNano(), Dur: now.Sub(began).Nanoseconds(),
 			Phase: obs.PhaseTierDrain, Slot: int32(ts.level),
-			Counter: durable, Bytes: ts.wrote,
+			Counter: durable, Bytes: wrote,
 		})
 	}
 	// Caught up only now: whoever WaitDrained releases finds the mark and the
@@ -623,8 +628,8 @@ func (s *shipSource) Tail(from int64) (off, n int64) {
 
 // do runs one of the shipper's operations on a lower level under the retry
 // budget: transient faults back off exponentially and try again, anything
-// else (or an exhausted budget) fails it and counts a tier error. Bytes that
-// landed are counted as drained.
+// else (or an exhausted budget) fails it and, first in its ship, counts a tier
+// error. Bytes that landed are counted as drained.
 func (ts *tier) do(op devOp, p []byte, off, n int64) error {
 	t := ts.t
 	backoff := t.retryBase
@@ -632,17 +637,18 @@ func (ts *tier) do(op devOp, p []byte, off, n int64) error {
 		err := op.on(ts.dev, p, off, n)
 		if err == nil {
 			if op == opWrite || op == opPersist {
-				ts.wrote += int64(len(p))
+				ts.wrote.Add(int64(len(p)))
 			}
 			return nil
 		}
 		if !IsTransient(err) || attempt >= t.retryMax {
-			ts.failed = true
-			t.mu.Lock()
-			ts.errors++
-			ts.lastErr = err
-			t.mu.Unlock()
-			t.emitError(ts.level, attempt, err)
+			if !ts.failed.Swap(true) {
+				t.mu.Lock()
+				ts.errors++
+				ts.lastErr = err
+				t.mu.Unlock()
+				t.emitError(ts.level, attempt, err)
+			}
 			return err
 		}
 		time.Sleep(backoff)
