@@ -349,8 +349,10 @@ func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, la
 	}
 	c.committer, _ = dev.(storage.CheckpointCommitter)
 	c.saves = make([]saveState, sb.slots)
+	pieces := (ceilDiv(sb.slotBytes, pool.ChunkSize()) + cfg.Writers - 1) / cfg.Writers * cfg.Writers
 	for slot := range c.saves {
 		st := &c.saves[slot]
+		st.crcs, st.lens = make([]uint32, pieces), make([]int64, pieces)
 		st.tasks = make(chan task, cfg.Writers)
 		st.lanes = make([]*storage.Throttle, cfg.Writers)
 		for w := 0; w < cfg.Writers; w++ {
@@ -672,14 +674,14 @@ func (c *Checkpointer) redriveRecord(ctx context.Context) error {
 	return c.persistRecord(ctx, *m)
 }
 
-// task is one piece of a payload on its way to a writer: buf lands at off
-// within the slot's payload area. chunk is the pooled chunk buf lives in,
-// released once the piece is written; it is nil when buf is a window of the
-// caller's own memory. The zero task tells a writer its save is over.
+// task is piece i of a payload on its way to a writer: buf lands at off in the
+// slot's payload area; chunk is the pooled chunk it lives in (nil for a window
+// of the caller's memory), released once written. The zero task ends a save.
 type task struct {
 	buf   []byte
 	chunk *chunkpool.Chunk
 	off   int64
+	i     int
 }
 
 // saveState is one slot's save plumbing, built once at attach: a save owns
@@ -691,9 +693,12 @@ type saveState struct {
 	lanes []*storage.Throttle  // per-writer pacing, kept while the rate stands
 	hdr   [slotHeaderSize]byte // slot header scratch
 	wg    sync.WaitGroup
+	crcs  []uint32 // piece i's CRC, as its writer folded it; room for any cut
+	lens  []int64  // piece i's length
 	// The running save's: what its writers must know, and what they report.
 	ctx       context.Context
 	counter   uint64
+	dp        *deltaPass // an in-place keyframe's pass: writers diff what they persist
 	persisted atomic.Int64
 	failed    atomic.Bool
 	err       error // why it failed; written by whoever flips failed, read after wg.Wait
@@ -728,6 +733,13 @@ func (c *Checkpointer) writer(st *saveState, slot, w int) {
 			// out whatever lane budget remains. The piece's effective rate is
 			// min(laneBW, device share), as on real hardware — not the series.
 			laneDeadline := lane.Reserve(len(t.buf))
+			// Checksum (a keyframe: and diff) the piece on its way to the device.
+			if st.dp != nil {
+				st.crcs[t.i] = st.dp.hashPiece(t.buf, t.off, c.cfg.VerifyPayload)
+			} else if c.cfg.VerifyPayload {
+				st.crcs[t.i] = crc32.ChecksumIEEE(t.buf)
+			}
+			st.lens[t.i] = int64(len(t.buf))
 			persistStart := c.obsNow()
 			err := c.writeRange(st.ctx, t.buf, base+t.off)
 			if c.obsv != nil {
@@ -765,30 +777,32 @@ func (c *Checkpointer) writer(st *saveState, slot, w int) {
 // Pipelining (§4.1 "Pipelining and Using Chunks"): the staging of piece k+1
 // overlaps the device persist of piece k, bounded by pool capacity — a full
 // pool is exactly the "checkpoint waits for free chunks in DRAM" condition of
-// §3.2. Pieces are cut in payload order, so the payload CRC folds
-// incrementally on the producer, off the device critical path.
+// §3.2. Each writer folds the CRC of the pieces it persists; the CRCs are
+// joined in piece order once the writers are done.
 //
-// A non-nil dp turns the delta stage on (see deltaPass): an in-memory payload
-// is diffed before its first piece on coresFor(size) cores, a staged piece as
-// it arrives. With dp.filter only dirty granules are queued, at the running
-// offset of a record whose header ‖ bitmap is written last. A record that
-// already loses makes the save a keyframe, hashes kept; a staged pass that
-// finds out mid-stream returns errDenseDelta.
+// A non-nil dp turns the delta stage on (see deltaPass): an in-memory delta
+// is diffed up front on coresFor(size) cores, a staged piece as it arrives,
+// an in-memory keyframe by its writers. With dp.filter only dirty granules are
+// queued, at the running offset of a record whose header ‖ bitmap is written
+// last. A record that already loses makes the save a keyframe, hashes kept; a
+// staged pass that finds out mid-stream returns errDenseDelta.
 func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, counter uint64, dp *deltaPass) (int64, uint32, error) {
 	size := src.Size()
 	base := payloadBase(c.sb, slot)
 	mem, inPlace := src.(bytesSource)
+	st := &c.saves[slot]
+	st.ctx, st.counter, st.err, st.dp = ctx, counter, nil, nil
 	if dp != nil {
 		encStart := c.obsNow()
-		if dp.begin(size); inPlace {
+		if dp.begin(size); inPlace && dp.filter {
 			dp.diffAll(mem.b, coresFor(size))
+		} else if inPlace {
+			st.dp = dp
 		}
 		dp.filter = dp.filter && dp.recLen < size
 		dp.encNS = c.obsNow() - encStart
 	}
 
-	st := &c.saves[slot]
-	st.ctx, st.counter, st.err = ctx, counter, nil
 	st.persisted.Store(0)
 	st.failed.Store(false)
 	// SetPerWriterBW applies to checkpoints started after the call: a lane
@@ -813,14 +827,18 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 	lanes, align := len(st.run), int64(pageBytes)
 	if dp != nil && dp.filter {
 		lanes, align = 1, chunk
+	} else if st.dp != nil {
+		bm := 8 * int64(dp.gran) // writers diff whole bitmap bytes, on pages if they can
+		for align = bm; align%pageBytes != 0 && align < chunk; align += bm {
+		}
+		chunk = (chunk + align - 1) / align * align // a window needs no pooled chunk
 	} else if dp != nil && !inPlace {
 		align = int64(dp.gran)
 	}
 	cut := cutPieces(size, chunk, lanes, align)
 
-	var crc uint32
-	var queued int64 // bytes handed to the writers
-	for i, off := int64(0), int64(0); off < size && !st.failed.Load(); i++ {
+	var i, queued int64 // pieces cut, bytes handed to the writers
+	for off := int64(0); off < size && !st.failed.Load(); i++ {
 		// A writer that failed past its retry budget, or a cancelled caller,
 		// ends the save at the next piece: more would only burn bandwidth.
 		if err := ctx.Err(); err != nil {
@@ -828,7 +846,7 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 			break
 		}
 		n := cut.start(i+1) - off
-		t := task{off: off}
+		t := task{off: off, i: int(i)}
 		if !inPlace || dp != nil && dp.filter {
 			// A staged piece lives in a pooled chunk; so do the dirty granules
 			// a delta compacts out of a view, whose own memory the engine never
@@ -871,14 +889,12 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 				st.fail(errDenseDelta)
 			}
 		}
-		if c.cfg.VerifyPayload {
-			crc = crc32.Update(crc, crc32.IEEETable, t.buf)
-		}
 		off += n
 		if len(t.buf) == 0 || st.failed.Load() {
 			if t.chunk != nil {
 				c.pool.Release(t.chunk) // nothing here is dirty, or the pass is over
 			}
+			st.crcs[t.i], st.lens[t.i] = 0, 0
 			continue
 		}
 		st.tasks <- t
@@ -888,12 +904,21 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 		st.tasks <- task{}
 	}
 	st.wg.Wait()
+	if st.dp != nil {
+		dp.recLen += dp.dirty.Swap(0)
+	}
 
 	if st.failed.Load() {
 		return 0, 0, st.err
 	}
 	if got := st.persisted.Load(); got != queued {
 		return 0, 0, fmt.Errorf("core: persisted %d of %d bytes", got, queued)
+	}
+	var crc uint32
+	if c.cfg.VerifyPayload {
+		for j := range i {
+			crc = crc32Combine(crc, st.crcs[j], st.lens[j])
+		}
 	}
 	stored := size
 	if dp != nil && dp.filter {

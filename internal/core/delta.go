@@ -174,11 +174,11 @@ var errDenseDelta = errors.New("core: delta record would not be smaller than the
 // deltaPass is the hash/diff stage writePayload runs in delta mode: diff
 // hashes granules, compares them with the tip's hashes and marks the dirty
 // ones; with filter on, compact copies those into a pooled chunk so only they
-// reach the writers. An in-memory payload is diffed whole up front on p
-// workers (diffAll), a staged one piece by piece. With filter off (a
-// keyframe) the diff collects the hashes and counts what a delta would have
-// persisted. The engine reuses one deltaPass under deltaMu, so a save
-// allocates nothing here.
+// reach the writers. An in-memory delta is diffed whole up front on p workers
+// (diffAll), a staged payload piece by piece, and an in-memory keyframe by the
+// writers as they persist it (hashPiece). With filter off (a keyframe) the
+// diff collects the hashes and counts what a delta would have persisted. The
+// engine reuses one deltaPass under deltaMu, so a save allocates nothing here.
 //
 // Hashes are hash/maphash under a per-engine random seed; they live only in
 // DRAM (an attach starts with a keyframe), so they need not be stable. A
@@ -336,6 +336,21 @@ func (dp *deltaPass) workers(p int) {
 	for r := len(dp.helpers) + 1; r < p; r++ {
 		dp.helpers = append(dp.helpers, func() { defer dp.wg.Done(); dp.share(r) })
 	}
+}
+
+// hashPiece is a keyframe writer's diff of its piece payload[off, off+len(in)),
+// each granule folded into the CRC (with verify) while in cache; adds to dirty.
+func (dp *deltaPass) hashPiece(in []byte, off int64, verify bool) (crc uint32) {
+	var dirty int64
+	for lo := 0; lo < len(in); lo += dp.gran {
+		g := in[lo:min(lo+dp.gran, len(in))]
+		dirty += dp.diff(g, off+int64(lo))
+		if verify {
+			crc = crc32.Update(crc, crc32.IEEETable, g)
+		}
+	}
+	dp.dirty.Add(dirty)
+	return crc
 }
 
 // share is worker r's granule range of diffAll.

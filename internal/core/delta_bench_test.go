@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 	"runtime"
 	"testing"
 
@@ -38,10 +39,45 @@ func dirty5(p []byte, step int) {
 // BenchmarkDeltaSave is one delta-mode save of a 5 %-dirty payload on RAM:
 // eight of nine iterations store a delta record, the ninth a keyframe. 32 MiB
 // is the first size whose up-front diff gets two workers (coresFor), given
-// -cpu 2 or more.
+// -cpu 2 or more. The keyframe legs save a 64 MiB keyframe every time, whose
+// two writers hash and checksum what they persist; with evict, an untimed
+// copy and checksum of the payload into a sink between saves leaves it out
+// of cache, as a trainer's step would.
 //
 //	go test -run '^$' -bench DeltaSave -cpu 1,2 ./internal/core/
 func BenchmarkDeltaSave(b *testing.B) {
+	for _, evict := range []bool{true, false} {
+		b.Run(fmt.Sprintf("keyframe/64MiB/evict=%v", evict), func(b *testing.B) {
+			const size = 64 << 20
+			cfg := Config{Concurrent: 1, SlotBytes: size, Writers: 2, ChunkBytes: 4 << 20, DRAMBudget: 4 << 20,
+				VerifyPayload: true, DeltaKeyframe: 1, DeltaEvery: 1 << 30}
+			c, err := New(storage.NewRAM(DeviceBytesFor(cfg)), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			p, sink := payload(1, size), make([]byte, size)
+			ctx := context.Background()
+			b.SetBytes(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dirty5(p, i)
+				if evict {
+					copy(sink, p)
+					benchCRC = crc32.ChecksumIEEE(sink)
+				}
+				b.StartTimer()
+				if _, err := c.Checkpoint(ctx, BytesSource(p)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if st := c.Stats(); st.DeltaSaves != 0 {
+				b.Fatalf("%d of the saves were deltas", st.DeltaSaves)
+			}
+		})
+	}
 	for _, size := range []int{4 << 20, 32 << 20, 64 << 20} {
 		b.Run(fmt.Sprintf("%dMiB", size>>20), func(b *testing.B) {
 			c, _ := benchDeltaEngine(b, size)
@@ -63,7 +99,10 @@ func BenchmarkDeltaSave(b *testing.B) {
 	}
 }
 
-var benchSink []byte
+var (
+	benchSink []byte
+	benchCRC  uint32
+)
 
 // BenchmarkChainRecover is a cold Recover of a keyframe plus K=8 deltas.
 func BenchmarkChainRecover(b *testing.B) {

@@ -133,6 +133,67 @@ func TestDiffWorkers(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { dp.begin(int64(len(next))); dp.diffAll(next, 2) }); allocs != 0 {
 		t.Errorf("a diff on two workers makes %.1f allocations, want 0", allocs)
 	}
+	t.Run("keyframe writers", testKeyframeWriters)
+}
+
+// testKeyframeWriters: an in-place keyframe is diffed by the writers that
+// persist it, each over its own pieces. On 1–4 writers the engine must hold
+// the hashes, bitmap and record length a serial diff of the payload gives, and
+// decide the next save's density the same way — when the size changed too
+// (the boundary rule in begin), under trusted marks, and when the whole
+// payload changed.
+func testKeyframeWriters(t *testing.T) {
+	const size = 150<<10 + 5
+	prev := payload(1, size)
+	flip := func(p []byte) []byte {
+		for _, off := range []int{3, 9<<10 + 1, 77 << 10, len(p) - 1} {
+			p[off] ^= 0x5a
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name  string
+		next  []byte
+		marks [][2]int64
+	}{
+		{"same size", flip(bytes.Clone(prev)), nil},
+		{"grow", flip(append(bytes.Clone(prev), payload(2, 20<<10+3)...)), nil},
+		{"shrink", flip(bytes.Clone(prev[:100<<10+7])), nil},
+		{"trusted marks", flip(bytes.Clone(prev)), [][2]int64{{3, 1}, {9 << 10, 8}, {77 << 10, 1}, {size - 1, 1}}},
+		{"dense", payload(3, size), nil},
+	} {
+		for writers := 1; writers <= 4; writers++ {
+			cfg := Config{Concurrent: 1, SlotBytes: 1 << 20, Writers: writers, ChunkBytes: 16 << 10, VerifyPayload: true,
+				DeltaKeyframe: 4, DeltaEvery: 1 << 30}
+			c, _ := deltaEngine(t, cfg)
+			if _, err := c.Checkpoint(context.Background(), BytesSource(prev)); err != nil {
+				t.Fatal(err)
+			}
+			ref := &deltaPass{seed: c.pass.seed, gran: c.pass.gran, old: slices.Clone(c.hashes), lastSize: size,
+				marks: tc.marks, trust: tc.marks != nil}
+			ref.begin(int64(len(tc.next)))
+			ref.recLen += ref.diff(tc.next, 0)
+			for _, r := range tc.marks {
+				c.DirtyTracker().MarkRange(r[0], r[1])
+			}
+			if _, err := c.Checkpoint(context.Background(), BytesSource(tc.next)); err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Stats(); st.KeyframeSaves != 2 {
+				t.Fatalf("%s: %d keyframes of 2 saves", tc.name, st.KeyframeSaves)
+			}
+			dense := ref.recLen >= int64(len(tc.next))
+			if !slices.Equal(c.hashes, ref.next) || !bytes.Equal(c.pass.head, ref.head) || c.pass.recLen != ref.recLen || c.dense != dense {
+				t.Fatalf("%s: %d writers disagree with a serial diff: hashes equal=%v bitmap equal=%v record %d vs %d dense %v vs %v",
+					tc.name, writers, slices.Equal(c.hashes, ref.next), bytes.Equal(c.pass.head, ref.head),
+					c.pass.recLen, ref.recLen, c.dense, dense)
+			}
+			if tc.name == "dense" && !dense || tc.name == "same size" && dense {
+				t.Fatalf("%s: dense = %v, the case tests nothing", tc.name, dense)
+			}
+			c.Close()
+		}
+	}
 }
 
 func TestDeltaEncodeDecodeApply(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"time"
 
@@ -84,18 +85,22 @@ func checkCut(t *testing.T, size, chunk int64, p int, align int64) {
 // TestSavePiecesFillEveryLane: a save through three writers is persisted in a
 // multiple of three pieces of nearly equal size — in place, staged and as a
 // delta keyframe — so no writer lane idles through the save's last round.
-// 13 pieces of 64 KiB would leave two lanes idle for one.
+// 13 pieces of 64 KiB would leave two lanes idle for one. Pieces are within
+// one 4 KiB page of each other, except an in-place keyframe's: its writers
+// diff the pieces they persist, so a piece is whole bytes of the dirty bitmap
+// — units of 8 granules of 1 KiB here, an 8 KiB cut unit.
 func TestSavePiecesFillEveryLane(t *testing.T) {
 	const chunk, size = 64 << 10, 13 * 64 << 10
 	for _, tc := range []struct {
 		name   string
 		delta  bool
 		source func([]byte) Source
+		unit   int64
 	}{
-		{"in-place", false, BytesSource},
-		{"staged", false, staged},
-		{"keyframe/in-place", true, BytesSource},
-		{"keyframe/staged", true, staged},
+		{"in-place", false, BytesSource, 4 << 10},
+		{"staged", false, staged, 4 << 10},
+		{"keyframe/in-place", true, BytesSource, 8 << 10},
+		{"keyframe/staged", true, staged, 4 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := obs.NewRecorder(obs.DefaultCapacity)
@@ -128,11 +133,79 @@ func TestSavePiecesFillEveryLane(t *testing.T) {
 			for _, n := range lens {
 				lo, hi = min(lo, n), max(hi, n)
 			}
-			if len(lens)%3 != 0 || hi-lo > 4<<10 || sum != size {
-				t.Fatalf("%d pieces of %d..%d bytes (%d in all), want a multiple of 3 within 4 KiB of each other covering %d",
-					len(lens), lo, hi, sum, size)
+			if len(lens)%3 != 0 || hi-lo > tc.unit || sum != size {
+				t.Fatalf("%d pieces of %d..%d bytes (%d in all), want a multiple of 3 within %d bytes of each other covering %d",
+					len(lens), lo, hi, sum, tc.unit, size)
 			}
 		})
+	}
+}
+
+// TestWriterChecksums: the writer that persists a piece folds its CRC, and
+// the save joins the pieces' CRCs in order. For full, keyframe and delta
+// saves, in place and staged, on 1–3 writers, with and without
+// VerifyPayload, at sizes that are no multiple of ChunkBytes (one under a
+// page), the slot header's payload CRC is the CRC of the stored bytes read
+// back (0 when off), and with VerifyPayload a byte flipped on the device in
+// the last piece makes Recover fail corrupt.
+func TestWriterChecksums(t *testing.T) {
+	const chunk = 16 << 10
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+		kind uint8
+	}{
+		{"full", Config{}, slotKindFull},
+		// Both saves keyframes: the second diffs against the first's hashes.
+		{"keyframe", Config{DeltaKeyframe: 4, DeltaEvery: 1 << 30}, slotKindFull},
+		{"delta", Config{DeltaKeyframe: 4}, slotKindDelta},
+	} {
+		for _, src := range []struct {
+			name string
+			of   func([]byte) Source
+		}{{"view", BytesSource}, {"staged", staged}} {
+			for writers := 1; writers <= 3; writers++ {
+				for _, verify := range []bool{true, false} {
+					for _, size := range []int{3001, 5*chunk + 1234} {
+						name := fmt.Sprintf("%s/%s/p=%d/verify=%v/size=%d", mode.name, src.name, writers, verify, size)
+						t.Run(name, func(t *testing.T) {
+							cfg := mode.cfg
+							cfg.Concurrent, cfg.SlotBytes, cfg.Writers, cfg.ChunkBytes, cfg.VerifyPayload = 1, 256<<10, writers, chunk, verify
+							c, dev := deltaEngine(t, cfg)
+							defer c.Close()
+							p := sparsePayload(5, 0, size)
+							for step := uint64(0); step < 2; step++ {
+								if step > 0 {
+									mutateSparse(p, 5, step)
+								}
+								if _, err := c.Checkpoint(context.Background(), src.of(p)); err != nil {
+									t.Fatalf("save %d: %v", step, err)
+								}
+							}
+							hdr, stored := slotRecord(t, c, dev)
+							var want uint32
+							if verify {
+								want = crc32.ChecksumIEEE(stored)
+							}
+							if hdr.kind != mode.kind || hdr.hasCRC != verify || hdr.payloadCRC != want {
+								t.Fatalf("header kind %d hasCRC %v payloadCRC %#x, want kind %d, %v, %#x of the %d stored bytes",
+									hdr.kind, hdr.hasCRC, hdr.payloadCRC, mode.kind, verify, want, len(stored))
+							}
+							if !verify {
+								return
+							}
+							last := payloadBase(c.sb, c.checkAddr.Load().slot) + hdr.size - 1
+							if err := dev.WriteAt([]byte{stored[len(stored)-1] ^ 0x10}, last); err != nil {
+								t.Fatal(err)
+							}
+							if _, _, err := Recover(dev); !storage.IsCorrupt(err) {
+								t.Fatalf("recover of a flipped last piece: err = %v, want a corrupt-classified error", err)
+							}
+						})
+					}
+				}
+			}
+		}
 	}
 }
 
