@@ -352,12 +352,9 @@ func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, la
 	pieces := (ceilDiv(sb.slotBytes, pool.ChunkSize()) + cfg.Writers - 1) / cfg.Writers * cfg.Writers
 	for slot := range c.saves {
 		st := &c.saves[slot]
-		st.crcs, st.lens = make([]uint32, pieces), make([]int64, pieces)
 		st.tasks = make(chan task, cfg.Writers)
 		st.lanes = make([]*storage.Throttle, cfg.Writers)
-		for w := 0; w < cfg.Writers; w++ {
-			st.run = append(st.run, func() { c.writer(st, slot, w) })
-		}
+		st.fan.build(func(w int) { c.writer(st, slot, w) }, int64(pieces))
 	}
 	c.perWriterBW.Store(math.Float64bits(cfg.PerWriterBW))
 	// The published slot is never free (§4.1), nor any slot of its chain.
@@ -384,7 +381,6 @@ func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, la
 		// (there is no in-memory hash state to diff against).
 		c.tracker = &DirtyTracker{}
 		c.pass = deltaPass{seed: maphash.MakeSeed(), gran: int(gran)}
-		c.pass.workers(runtime.GOMAXPROCS(0))
 	}
 	if latest != nil {
 		c.checkAddr.Store(latest)
@@ -681,7 +677,7 @@ type task struct {
 	buf   []byte
 	chunk *chunkpool.Chunk
 	off   int64
-	i     int
+	i     int64
 }
 
 // saveState is one slot's save plumbing, built once at attach: a save owns
@@ -689,27 +685,14 @@ type task struct {
 // shared between saves and a save allocates none of it.
 type saveState struct {
 	tasks chan task            // producer → writers, capacity p; never closed
-	run   []func()             // the p writer bodies each save starts with `go`
+	fan   fanout               // the p writers, with a piece slot for any cut
 	lanes []*storage.Throttle  // per-writer pacing, kept while the rate stands
 	hdr   [slotHeaderSize]byte // slot header scratch
-	wg    sync.WaitGroup
-	crcs  []uint32 // piece i's CRC, as its writer folded it; room for any cut
-	lens  []int64  // piece i's length
 	// The running save's: what its writers must know, and what they report.
 	ctx       context.Context
 	counter   uint64
 	dp        *deltaPass // an in-place keyframe's pass: writers diff what they persist
 	persisted atomic.Int64
-	failed    atomic.Bool
-	err       error // why it failed; written by whoever flips failed, read after wg.Wait
-}
-
-// fail ends the save unless it has failed already: no more pieces are cut
-// and the writers drop those still queued.
-func (st *saveState) fail(err error) {
-	if st.failed.CompareAndSwap(false, true) {
-		st.err = err
-	}
 }
 
 // writer is one of a save's p writer goroutines. Each paces itself at the
@@ -720,26 +703,25 @@ func (st *saveState) fail(err error) {
 // (the FastPersist lesson: per-write failure handling belongs in the
 // parallel-writer path).
 func (c *Checkpointer) writer(st *saveState, slot, w int) {
-	defer st.wg.Done()
 	base, lane := payloadBase(c.sb, slot), st.lanes[w]
 	for {
 		t := <-st.tasks
 		if t.buf == nil {
 			return
 		}
-		if !st.failed.Load() {
+		if !st.fan.failed.Load() {
 			// The per-writer lane and the device's own pacing overlap:
 			// reserve the lane, let the device pace the write, then sleep
 			// out whatever lane budget remains. The piece's effective rate is
 			// min(laneBW, device share), as on real hardware — not the series.
 			laneDeadline := lane.Reserve(len(t.buf))
 			// Checksum (a keyframe: and diff) the piece on its way to the device.
+			var crc uint32
 			if st.dp != nil {
-				st.crcs[t.i] = st.dp.hashPiece(t.buf, t.off, c.cfg.VerifyPayload)
+				crc = st.dp.hashPiece(t.buf, t.off, c.cfg.VerifyPayload)
 			} else if c.cfg.VerifyPayload {
-				st.crcs[t.i] = crc32.ChecksumIEEE(t.buf)
+				crc = crc32.ChecksumIEEE(t.buf)
 			}
-			st.lens[t.i] = int64(len(t.buf))
 			persistStart := c.obsNow()
 			err := c.writeRange(st.ctx, t.buf, base+t.off)
 			if c.obsv != nil {
@@ -752,9 +734,7 @@ func (c *Checkpointer) writer(st *saveState, slot, w int) {
 			if wait := time.Until(laneDeadline); wait > 0 {
 				time.Sleep(wait)
 			}
-			if err != nil {
-				st.fail(err)
-			} else {
+			if st.fan.done(t.i, crc, int64(len(t.buf)), err); err == nil {
 				st.persisted.Add(int64(len(t.buf)))
 			}
 		}
@@ -791,7 +771,7 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 	base := payloadBase(c.sb, slot)
 	mem, inPlace := src.(bytesSource)
 	st := &c.saves[slot]
-	st.ctx, st.counter, st.err, st.dp = ctx, counter, nil, nil
+	st.ctx, st.counter, st.dp = ctx, counter, nil
 	if dp != nil {
 		encStart := c.obsNow()
 		if dp.begin(size); inPlace && dp.filter {
@@ -804,7 +784,6 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 	}
 
 	st.persisted.Store(0)
-	st.failed.Store(false)
 	// SetPerWriterBW applies to checkpoints started after the call: a lane
 	// outlives its save unless the rate moved meanwhile. (A finished save has
 	// slept its lanes out, so a kept lane paces like a fresh one.)
@@ -814,17 +793,14 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 			st.lanes[w] = storage.NewThrottle(rate)
 		}
 	}
-	st.wg.Add(len(st.run))
-	for _, run := range st.run {
-		go run()
-	}
+	st.fan.start(0, len(st.lanes))
 
 	// A stored length known up front is cut so every lane ends together, on
 	// pages, or on granules where the staged diff indexes them from a piece's
 	// offset. A delta record keeps one piece per ChunkBytes window: each is
 	// compacted while the writers persist the one before.
 	chunk := int64(c.pool.ChunkSize())
-	lanes, align := len(st.run), int64(pageBytes)
+	lanes, align := len(st.lanes), int64(pageBytes)
 	if dp != nil && dp.filter {
 		lanes, align = 1, chunk
 	} else if st.dp != nil {
@@ -838,15 +814,15 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 	cut := cutPieces(size, chunk, lanes, align)
 
 	var i, queued int64 // pieces cut, bytes handed to the writers
-	for off := int64(0); off < size && !st.failed.Load(); i++ {
+	for off := int64(0); off < size && !st.fan.failed.Load(); i++ {
 		// A writer that failed past its retry budget, or a cancelled caller,
 		// ends the save at the next piece: more would only burn bandwidth.
 		if err := ctx.Err(); err != nil {
-			st.fail(err)
+			st.fan.fail(err)
 			break
 		}
 		n := cut.start(i+1) - off
-		t := task{off: off, i: int(i)}
+		t := task{off: off, i: i}
 		if !inPlace || dp != nil && dp.filter {
 			// A staged piece lives in a pooled chunk; so do the dirty granules
 			// a delta compacts out of a view, whose own memory the engine never
@@ -854,7 +830,7 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 			waitStart := c.obsNow()
 			chunk, err := c.pool.Acquire(ctx)
 			if err != nil {
-				st.fail(err)
+				st.fan.fail(err)
 				break
 			}
 			t.chunk = chunk
@@ -870,7 +846,7 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 			read, err := dp.fill(src, t.buf, off)
 			if err != nil {
 				c.pool.Release(t.chunk)
-				st.fail(err)
+				st.fan.fail(err)
 				break
 			}
 			c.span(obs.PhaseCopy, copyStart, counter, slot, int64(read), off)
@@ -886,39 +862,36 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 			}
 			dp.encNS += c.obsNow() - encStart
 			if dp.filter && dp.recLen >= size {
-				st.fail(errDenseDelta)
+				st.fan.fail(errDenseDelta)
 			}
 		}
 		off += n
-		if len(t.buf) == 0 || st.failed.Load() {
+		if len(t.buf) == 0 || st.fan.failed.Load() {
 			if t.chunk != nil {
 				c.pool.Release(t.chunk) // nothing here is dirty, or the pass is over
 			}
-			st.crcs[t.i], st.lens[t.i] = 0, 0
+			st.fan.done(t.i, 0, 0, nil)
 			continue
 		}
 		st.tasks <- t
 		queued += int64(len(t.buf))
 	}
-	for range st.run {
+	for range st.lanes {
 		st.tasks <- task{}
 	}
-	st.wg.Wait()
+	err := st.fan.wait()
 	if st.dp != nil {
 		dp.recLen += dp.dirty.Swap(0)
 	}
-
-	if st.failed.Load() {
-		return 0, 0, st.err
+	if err != nil {
+		return 0, 0, err
 	}
 	if got := st.persisted.Load(); got != queued {
 		return 0, 0, fmt.Errorf("core: persisted %d of %d bytes", got, queued)
 	}
 	var crc uint32
 	if c.cfg.VerifyPayload {
-		for j := range i {
-			crc = crc32Combine(crc, st.crcs[j], st.lens[j])
-		}
+		crc = st.fan.crc(i)
 	}
 	stored := size
 	if dp != nil && dp.filter {

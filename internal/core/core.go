@@ -94,7 +94,9 @@ type Config struct {
 	// persisted in place and draws on it only for a delta's dirty granules.
 	// Zero defaults to 2×SlotBytes, the paper's default (§5.2.1).
 	DRAMBudget int64
-	// VerifyPayload adds a CRC32 over each payload, checked on read.
+	// VerifyPayload adds a CRC32 over each payload, folded by the writers
+	// that persist it and checked on read. Without it recovery and the
+	// scrubber cannot detect a flipped payload bit.
 	VerifyPayload bool
 	// PerWriterBW paces each writer goroutine to this many bytes/sec
 	// (0 = unpaced). Device-level pacing belongs to the Device itself.
@@ -237,6 +239,12 @@ func cutPieces(size, chunk int64, p int, align int64) pieceCut {
 	units := (size + unit - 1) / unit
 	k := max(1, min(units, ((size+chunk-1)/chunk+int64(p)-1)/int64(p)*int64(p)))
 	return pieceCut{size, unit, k, units / k, units % k}
+}
+
+// laneCut cuts size bytes into at most p pieces of whole align units (the
+// last clipped to size): a pass's share per reader or diff worker.
+func laneCut(size int64, p int, align int64) pieceCut {
+	return cutPieces(size, size/align*align+align, p, align)
 }
 
 // start is the payload offset piece i starts at; start(k) is size.

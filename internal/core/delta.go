@@ -202,13 +202,11 @@ type deltaPass struct {
 	recLen int64    // record length so far (what a delta would persist)
 	encNS  int64    // summed diff+compact time, for PhaseDeltaEncode
 
-	// The up-front diff (diffAll): the payload it splits p ways, the dirty
-	// bytes its workers count, and helpers 1..p−1's bodies, built once.
-	src     []byte
-	p       int
-	dirty   atomic.Int64
-	helpers []func()
-	wg      sync.WaitGroup
+	// The up-front diff (diffAll): its workers, the payload they split, and
+	// the dirty bytes they (or a keyframe's writers) count.
+	fan   fanout
+	src   []byte
+	dirty atomic.Int64
 }
 
 // begin resets the pass for a size-byte payload and presets the bitmap bits
@@ -314,28 +312,14 @@ func (dp *deltaPass) compact(in, out []byte, off int64) int {
 	return w
 }
 
-// diffAll diffs the whole in-memory payload b on p workers, the caller and
-// p−1 helpers, over granule ranges cut on multiples of 8 granules so no two
-// write one bitmap byte, and sums their dirty bytes into recLen.
+// diffAll diffs the whole in-memory payload b on p workers, over ranges cut on
+// multiples of 8 granules so no two write one bitmap byte, and sums their
+// dirty bytes into recLen.
 func (dp *deltaPass) diffAll(b []byte, p int) {
-	dp.workers(p)
-	dp.src, dp.p = b, p
-	dp.wg.Add(p - 1)
-	for _, h := range dp.helpers[:p-1] {
-		go h()
-	}
-	dp.share(0)
-	dp.wg.Wait()
+	dp.src = b
+	dp.fan.run(laneCut(int64(len(b)), p, 8*int64(dp.gran)), p, dp) //nolint:errcheck // a diff cannot fail
 	dp.recLen += dp.dirty.Swap(0)
 	dp.src = nil // the caller's buffer is not kept past the save
-}
-
-// workers builds diffAll's helper bodies for up to p workers; attach builds
-// them for GOMAXPROCS, so a save starts them without allocating.
-func (dp *deltaPass) workers(p int) {
-	for r := len(dp.helpers) + 1; r < p; r++ {
-		dp.helpers = append(dp.helpers, func() { defer dp.wg.Done(); dp.share(r) })
-	}
 }
 
 // hashPiece is a keyframe writer's diff of its piece payload[off, off+len(in)),
@@ -353,12 +337,10 @@ func (dp *deltaPass) hashPiece(in []byte, off int64, verify bool) (crc uint32) {
 	return crc
 }
 
-// share is worker r's granule range of diffAll.
-func (dp *deltaPass) share(r int) {
-	n := len(dp.next)
-	cut := func(k int) int { return min(len(dp.src), min(n, (n*k/dp.p+7)/8*8)*dp.gran) }
-	lo, hi := cut(r), cut(r+1)
-	dp.dirty.Add(dp.diff(dp.src[lo:hi], int64(lo)))
+// piece is a diffAll worker's range of the payload.
+func (dp *deltaPass) piece(_ int, lo, hi int64) (uint32, error) {
+	dp.dirty.Add(dp.diff(dp.src[lo:hi], lo))
+	return 0, nil
 }
 
 // finish completes the record header once the bitmap is final.

@@ -15,8 +15,10 @@ import (
 // sizes, lane counts and both alignments: the pieces tile the payload, none
 // exceeds the chunk, all but the last are aligned and within one unit of each
 // other, and their count is a multiple of p whenever the payload and the
-// chunk each hold p units.
+// chunk each hold p units. Its two other uses, laneCut's shares of a pass,
+// are held to theirs in the "lanes" subtests.
 func TestPieceCut(t *testing.T) {
+	t.Run("lanes", testLaneCut)
 	for _, chunk := range []int64{192, 3000, 4 << 10, 64 << 10, 100 << 10, 1 << 20} {
 		for _, align := range []int64{pageBytes, 1 << 10} {
 			for p := 1; p <= 4; p++ {
@@ -79,6 +81,36 @@ func checkCut(t *testing.T, size, chunk int64, p int, align int64) {
 	}
 	if hi-lo > unit || lens[k-1] > hi {
 		t.Fatalf("pieces %v differ by more than one %d-byte unit", lens, unit)
+	}
+}
+
+// testLaneCut: stream's readers take laneCut(size, p, granule) and diffAll's
+// workers laneCut(size, p, 8 granules) — at most p ranges, p once size holds
+// p units, that cover [0, size) exactly, each a whole number of its unit but a
+// clipped tail, so no two lanes share a granule (readers) or a bitmap byte
+// (diff workers).
+func testLaneCut(t *testing.T) {
+	for _, gran := range []int64{64, 1 << 10, 64 << 10} {
+		for _, align := range []int64{gran, 8 * gran} {
+			for p := 1; p <= 4; p++ {
+				for _, size := range []int64{0, 1, gran - 1, gran, gran + 1, align*int64(p) - 1, align * int64(p),
+					align*int64(p) + 1, 7*align + 3, 1<<20 - 5, 32 << 20, 64<<20 + gran/2} {
+					cut := laneCut(size, p, align)
+					if cut.k > int64(p) || size >= int64(p)*align && cut.k != int64(p) {
+						t.Fatalf("gran %d, align %d, p %d, size %d: %d ranges", gran, align, p, size, cut.k)
+					}
+					for i := int64(0); i < cut.k; i++ {
+						lo, hi := cut.start(i), cut.start(i+1)
+						if lo%align != 0 || hi < lo || (hi-lo)%align != 0 && hi != size {
+							t.Fatalf("gran %d, align %d, p %d, size %d: range %d is [%d, %d)", gran, align, p, size, i, lo, hi)
+						}
+					}
+					if cut.start(0) != 0 || cut.start(cut.k) != size {
+						t.Fatalf("gran %d, align %d, p %d, size %d: ranges span [%d, %d)", gran, align, p, size, cut.start(0), cut.start(cut.k))
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -269,19 +269,27 @@ var whole = []byte{1}
 type streamWork struct {
 	plan []planned
 	got  []pieces // link i as reader r of n read it, at i*n+r
-	errs []error  // reader r's
-	wg   sync.WaitGroup
+	fan  fanout   // the readers
+	// The running stream's.
+	dev          storage.Device
+	dst, scratch []byte
+	n            int
 }
 
 var streamWorks = sync.Pool{New: func() any { return new(streamWork) }}
 
-// read is reader r of n: in chain order, it reads every planned link's runs
-// of present granules in logical bytes [lo, hi) into dst, or through buf past
-// its end. A granule is stored after one granule per present granule before it.
-func (w *streamWork) read(dev storage.Device, dst, buf []byte, r, n int, lo, hi int64) {
+// piece is reader r of n: in chain order, it reads every planned link's runs
+// of present granules in logical bytes [lo, hi) into dst, or through a scratch
+// past its end (the first reader's is the caller's). A granule is stored after
+// one granule per present granule before it.
+func (w *streamWork) piece(r int, lo, hi int64) (uint32, error) {
+	var buf []byte
+	if r == 0 {
+		buf = w.scratch
+	}
 	for i, l := range w.plan {
-		rd := &w.got[i*n+r]
-		*rd = pieces{dev: dev, scratch: buf}
+		rd := &w.got[i*w.n+r]
+		*rd = pieces{dev: w.dev, scratch: buf}
 		d, g, pos, end := l.rec, int64(l.rec.gran), l.off, min(hi, l.rec.fullSize)
 		for j := 0; int64(j)*g < end; j++ {
 			if !d.dirtyAt(j) {
@@ -292,13 +300,14 @@ func (w *streamWork) read(dev storage.Device, dst, buf []byte, r, n int, lo, hi 
 				k++
 			}
 			a, b := max(lo, int64(j)*g), max(lo, min(end, int64(k)*g))
-			if w.errs[r] = rd.read(dst[min(a, int64(len(dst))):min(b, int64(len(dst)))], pos+a-int64(j)*g, b-a); w.errs[r] != nil {
-				return
+			if err := rd.read(w.dst[min(a, int64(len(w.dst))):min(b, int64(len(w.dst)))], pos+a-int64(j)*g, b-a); err != nil {
+				return 0, err
 			}
 			pos, j = pos+int64(k-j)*g, k
 		}
 		buf = rd.scratch
 	}
+	return 0, nil
 }
 
 // stream reads chain into dst: plan, read, judge (docs/ALGORITHM.md). The plan
@@ -320,7 +329,7 @@ func stream(dev storage.Device, sb superblock, chain []checkMeta, dst, scratch [
 	defer func() { // pooled empty: it must not keep devices or buffers alive
 		clear(w.plan)
 		clear(w.got)
-		clear(w.errs)
+		w.dev, w.dst, w.scratch = nil, nil, nil
 		streamWorks.Put(w)
 	}()
 	w.plan = slices.Grow(w.plan[:0], len(chain))[:len(chain)]
@@ -368,18 +377,11 @@ func stream(dev storage.Device, sb superblock, chain []checkMeta, dst, scratch [
 	if readers == 0 && dst != nil {
 		readers = coresFor(size)
 	}
-	n, gran := max(readers, 1), int64(deltaGranularity(sb.slotBytes))
-	cut := func(r int) int64 { return (size*int64(r)/int64(n) + gran - 1) / gran * gran }
+	cut := laneCut(size, max(readers, 1), int64(deltaGranularity(sb.slotBytes)))
+	n := int(cut.k)
 	w.got = slices.Grow(w.got[:0], len(chain)*n)[:len(chain)*n]
-	w.errs = slices.Grow(w.errs[:0], n)[:n]
-	w.wg.Add(n - 1)
-	for r := 1; r < n; r++ {
-		lo, hi := cut(r), cut(r+1)
-		go func() { defer w.wg.Done(); w.read(dev, dst, nil, r, n, lo, hi) }()
-	}
-	w.read(dev, dst, scratch, 0, n, 0, cut(1))
-	w.wg.Wait()
-	if err := cmp.Or(w.errs...); err != nil {
+	w.dev, w.dst, w.scratch, w.n = dev, dst, scratch, n
+	if err := w.fan.run(cut, n, w); err != nil {
 		return err
 	}
 	for i, l := range w.plan {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sync"
 
 	"pccheck/internal/storage"
 )
@@ -32,16 +30,17 @@ const shipLanes = 2
 // errSuperseded: the front recycled a link's source slot under the ship.
 var errSuperseded = errors.New("core: shipped checkpoint superseded at the source")
 
-// copier moves stored bytes between devices on shipLanes lanes. A span is cut
-// the way a save is (cutPieces), lane w copies the w-th contiguous run of its
-// pieces through bufs[w] — read, fold into the lane's CRC, write — and the
-// lanes' CRCs are joined in order, as stream joins its readers'.
+// copier moves stored bytes between devices on shipLanes lanes: a span is cut
+// the way a save is (cutPieces), and lane w copies its run of the pieces
+// through bufs[w] — read, checksum, write.
 type copier struct {
 	bufs [shipLanes][]byte
-	crcs [shipLanes]uint32
-	errs [shipLanes]error
-	wg   sync.WaitGroup       // the lanes after the first
+	fan  fanout
 	head [slotHeaderSize]byte // superblocks and slot headers pass through it
+	// The running span's.
+	src, dst storage.Device
+	from, to int64
+	stop     storage.ShipSource
 }
 
 func (c *copier) buffers(sb superblock) {
@@ -54,42 +53,28 @@ func (c *copier) buffers(sb superblock) {
 
 // span copies n bytes from src at from to dst at to and returns their CRC.
 // Each lane gives up between pieces once a stop (when not nil) reports
-// Clobbered; the first lane is the caller.
+// Clobbered.
 func (c *copier) span(src storage.Device, from int64, dst storage.Device, to, n int64, stop storage.ShipSource) (uint32, error) {
 	if n <= 0 {
 		return 0, nil
 	}
+	c.src, c.from, c.dst, c.to, c.stop = src, from, dst, to, stop
 	cut := cutPieces(n, int64(len(c.bufs[0])), shipLanes, pageBytes)
-	lanes := min(shipLanes, cut.k)
-	c.wg.Add(int(lanes - 1))
-	for w := int64(1); w < lanes; w++ {
-		go func() { defer c.wg.Done(); c.lane(w, lanes, cut, src, from, dst, to, stop) }()
-	}
-	c.lane(0, lanes, cut, src, from, dst, to, stop)
-	c.wg.Wait()
-	crc := c.crcs[0]
-	for w := int64(1); w < lanes; w++ {
-		crc = crc32Combine(crc, c.crcs[w], cut.start((w+1)*cut.k/lanes)-cut.start(w*cut.k/lanes))
-	}
-	return crc, cmp.Or(c.errs[:lanes]...)
+	err := c.fan.run(cut, shipLanes, c)
+	return c.fan.crc(cut.k), err
 }
 
-// lane copies lane w's pieces of cut, [w·k/lanes, (w+1)·k/lanes).
-func (c *copier) lane(w, lanes int64, cut pieceCut, src storage.Device, from int64, dst storage.Device, to int64, stop storage.ShipSource) {
-	var crc uint32
-	var err error
-	for i := w * cut.k / lanes; i < (w+1)*cut.k/lanes && err == nil; i++ {
-		off := cut.start(i)
-		p := c.bufs[w][:cut.start(i+1)-off]
-		if err = src.ReadAt(p, from+off); err == nil {
-			crc = crc32.Update(crc, crc32.IEEETable, p)
-			err = dst.WriteAt(p, to+off)
-		}
-		if err == nil && stop != nil && stop.Clobbered() {
-			err = errSuperseded
-		}
+// piece copies bytes [lo, hi) of the span through lane w's buffer.
+func (c *copier) piece(w int, lo, hi int64) (crc uint32, err error) {
+	p := c.bufs[w][:hi-lo]
+	if err = c.src.ReadAt(p, c.from+lo); err == nil {
+		crc = crc32.ChecksumIEEE(p)
+		err = c.dst.WriteAt(p, c.to+lo)
 	}
-	c.crcs[w], c.errs[w] = crc, err
+	if err == nil && c.stop != nil && c.stop.Clobbered() {
+		err = errSuperseded
+	}
+	return crc, err
 }
 
 // link copies checkpoint m as src holds it (in slot m.slot) into slot to of

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -124,6 +125,67 @@ func TestStreamReaders(t *testing.T) {
 				flipByte(t, dev, payloadBase(sb, m.slot)+off)
 			}
 		}
+	}
+}
+
+// TestLaneLoopsAllocateNothing: how many readers a stream runs, or lanes a
+// ship copies on, does not change what the call allocates — its lanes are
+// built once, not per call. An 8 MiB keyframe is streamed into a buffer on one
+// reader and on two, and copied to a second device as one page (one lane) and
+// whole (two lanes).
+func TestLaneLoopsAllocateNothing(t *testing.T) {
+	const size = 8 << 20
+	cfg := Config{Concurrent: 1, SlotBytes: size, VerifyPayload: true}
+	dev := storage.NewRAM(DeviceBytesFor(cfg))
+	c, err := New(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Checkpoint(context.Background(), BytesSource(payload(1, size))); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sb, chain, _, err := newest(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What every call allocates is what the least of single calls does: under
+	// the race detector sync.Pool drops a quarter of what is put back, and a
+	// stream whose work area was dropped builds a new one.
+	least := func(f func()) float64 {
+		n := math.Inf(1)
+		for range 20 {
+			n = min(n, testing.AllocsPerRun(1, f))
+		}
+		return n
+	}
+	dst := make([]byte, size)
+	read := func(readers int) float64 {
+		return least(func() {
+			if err := stream(dev, sb, chain, dst, nil, readers); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, two := read(1), read(2); two != one {
+		t.Errorf("a stream makes %.1f allocations on two readers, %.1f on one", two, one)
+	}
+
+	tier := storage.NewRAM(dev.Size())
+	var cp copier
+	cp.buffers(sb)
+	at := payloadBase(sb, chain[0].slot)
+	ship := func(n int64) float64 {
+		return least(func() {
+			if _, err := cp.span(dev, at, tier, at, n, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, two := ship(pageBytes), ship(size); one != 0 || two != 0 {
+		t.Errorf("a span makes %.1f allocations on one lane, %.1f on two; want none", one, two)
 	}
 }
 

@@ -76,9 +76,11 @@ type Config struct {
 	// delta Save's dirty granules); 0 defaults to 2·MaxBytes. A payload
 	// handed to Save is not staged and does not count against it.
 	DRAMBudget int64
-	// Verify adds payload checksums, validated on load. Default off adds
-	// zero read overhead; Create with Verify on is recommended whenever the
-	// device may corrupt data silently.
+	// Verify stores a CRC32 of each payload in its slot header, checked on
+	// load. Its cost is on saves, where each writer checksums what it
+	// persists; reads fold a CRC either way, so off saves nothing there.
+	// Without it Recover and the scrubber cannot detect a flipped payload
+	// bit: set it whenever the device may corrupt data silently.
 	Verify bool
 	// PerWriterBW throttles each writer goroutine (bytes/sec; 0 = unpaced).
 	// Used to emulate per-thread device limits in experiments.
