@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-selftest bench-perf bench-faults bench-crash bench-chaos bench-delta bench-tiers bench-json bench-decisions metrics-lint fmt-check staticcheck trace-smoke scrub-sweep
+.PHONY: build vet test race verify bench-selftest bench-perf bench-faults bench-crash bench-chaos bench-delta bench-tiers bench-json metrics-lint fmt-check staticcheck trace-smoke scrub-sweep
 
 build:
 	$(GO) build ./...
@@ -65,16 +65,6 @@ bench-json:
 	$(GO) run ./cmd/pccheck-bench -goodput -json BENCH_goodput.json
 	$(GO) run ./cmd/pccheck-bench -delta -json BENCH_delta.json
 
-# Decision-trace gate: a seeded adaptive goodput run with the decision
-# recorder attached, then pccheck-decisions asserting the log is
-# non-empty, every regret is finite, the measurement join covers ≥95% of
-# decisions, and every retune carries ≥2 scored alternatives.
-bench-decisions:
-	$(GO) run ./cmd/pccheck-bench -goodput -adaptive -goodput-iters 200 -decisions BENCH_decisions.jsonl
-	$(GO) run ./cmd/pccheck-decisions -top 5 \
-	  -assert-nonempty -assert-finite -assert-coverage 0.95 -assert-alternatives 2 \
-	  BENCH_decisions.jsonl
-
 # Latent-fault scrub sweep: seeded silent corruption (bit flips, zeroed
 # sectors, unreadable-poisoned ranges) injected into committed slots,
 # pointer records, the superblock, delta chains and replica tiers across
@@ -87,7 +77,7 @@ scrub-sweep:
 	PCCHECK_SCRUB_SWEEP=720 $(GO) test ./internal/core/ -run TestScrubSweepMatrix -count=1 -v
 
 # Strict Prometheus text-exposition lint of everything /metrics serves
-# (recorder + decision recorder + goodput ledger), scraped from a live
+# (recorder + goodput ledger + black box), scraped from a live
 # in-process ServeMetrics endpoint.
 metrics-lint:
 	$(GO) run ./cmd/pccheck-metrics-lint

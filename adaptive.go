@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"pccheck/internal/obs/decision"
+	"pccheck/internal/obs"
 )
 
 // AdaptiveLoop is the frequency-adaptation extension sketched at the end of
@@ -44,11 +44,6 @@ type AdaptiveLoop struct {
 	ledger   *Ledger
 	lastIter time.Time
 	pendCkpt bool
-
-	// dec is the decision recorder found in the observer chain (nil when
-	// none): every retune is recorded with the Eq. (3) candidate set it
-	// rejected, and scored against the ledger's next measured block.
-	dec *decision.Recorder
 
 	q     float64 // overhead budget (> 1)
 	n     int     // concurrent checkpoints
@@ -128,7 +123,6 @@ func NewAdaptiveLoop(ck *Checkpointer, cfg AdaptiveConfig, snapshot func() []byt
 		interval:    clampInt(cfg.InitialInterval, cfg.MinInterval, cfg.MaxInterval),
 	}
 	l.ledger, _ = l.obsv.(*Ledger)
-	l.dec = decision.Find(l.obsv)
 	l.idle = sync.NewCond(&l.mu)
 	return l, nil
 }
@@ -251,10 +245,12 @@ func (l *AdaptiveLoop) retuneLocked() {
 	prev := l.interval
 	l.interval = clampInt(f, l.minInterval, l.maxInterval)
 	l.adjusts++
-	if l.dec != nil {
-		l.recordRetuneLocked(tw, prev)
+	if l.obsv == nil {
+		return
 	}
-	if l.obsv != nil && l.interval != prev {
+	chosen, rejected, k := retuneCandidates(tw, l.ewmaIter, l.q, l.n, l.interval, prev, l.minInterval, l.maxInterval)
+	obs.EmitDecision(l.obsv, obs.NewDecisionID(), obs.DecisionRetune, 0, obs.OutPredicted, chosen, rejected[:k]...)
+	if l.interval != prev {
 		// Instant on the loop track: the controller re-derived f. Value
 		// carries the new interval so traces show the adaptation trajectory.
 		l.obsv.Emit(Event{
@@ -264,28 +260,55 @@ func (l *AdaptiveLoop) retuneLocked() {
 	}
 }
 
-// recordRetuneLocked logs the retune just applied — the measured Eq. (3)
-// inputs, the chosen interval, and the candidate intervals the model scored
-// worse — as a pending decision the ledger's next slowdown block will join
-// into measured regret. q (MaxOverhead) is already a slowdown bound > 1,
-// matching the candidate feasibility test directly.
-func (l *AdaptiveLoop) recordRetuneLocked(tw float64, prev int) {
-	chosen, rejected := decision.RetuneCandidates(
-		tw, l.ewmaIter, l.q, l.n, l.interval, prev,
-		l.minInterval, l.maxInterval, l.dec.FailureRate())
-	in := decision.Inputs{
-		TwSeconds:   tw,
-		IterSeconds: l.ewmaIter,
-		Q:           l.q,
-		N:           l.n,
+// failureRate is λ, the per-second failure probability weighting a retune
+// candidate's staleness into its cost: one failure every five minutes, the
+// harsh end of the paper's §5.2.3 preemption traces.
+const failureRate = 1.0 / 300
+
+// retuneCandidates prices the interval chosen by a retune and up to
+// obs.MaxRejected rejected ones — the previous interval and f±1, 2f,
+// ⌈f/2⌉ (then f±2, f±3, … until two exist), clamped and cheapest first —
+// with the §3.4 model at the measured (tw, t): slowdown
+// s(f) = max(tw, N·f·t)/(N·f·t), per-iteration overhead (s−1)·t, plus λ
+// times the Eq. (4) lost work f·t + min(N·f·t, tw). A candidate is
+// eligible when s(f) ≤ q. It allocates nothing.
+func retuneCandidates(tw, t, q float64, n, chosen, prev, minI, maxI int) (obs.Choice, [8]obs.Choice, int) {
+	price := func(f int) obs.Choice {
+		nft := float64(n*f) * t
+		s := max(tw, nft) / nft
+		over := (s - 1) * t
+		cost := over + failureRate*(float64(f)*t+min(nft, tw))
+		return obs.Choice{Action: obs.ActInterval, Arg: int32(f), Cost: int64(cost * 1e9),
+			Over: int64(over * 1e9), Eligible: s <= q+1e-9}
 	}
-	if cfg := l.ck.engine.Config(); cfg.SlotBytes > 0 {
-		in.PayloadBytes = cfg.SlotBytes
+	var alts [8]obs.Choice
+	k := 0
+	add := func(f int) {
+		f = clampInt(f, minI, maxI)
+		if f == chosen {
+			return
+		}
+		for _, a := range alts[:k] {
+			if int(a.Arg) == f {
+				return
+			}
+		}
+		// Insertion keeps alts cheapest first.
+		c, i := price(f), k
+		for ; i > 0 && alts[i-1].Cost > c.Cost; i-- {
+			alts[i] = alts[i-1]
+		}
+		alts[i] = c
+		k++
 	}
-	if l.ledger != nil {
-		_, in.InBreach = l.ledger.Breach()
+	for _, f := range [...]int{prev, chosen - 1, chosen + 1, 2 * chosen, (chosen + 1) / 2} {
+		add(f)
 	}
-	l.dec.RecordRetune(in, chosen, rejected)
+	for extra := 2; k < 2 && extra < 16; extra++ {
+		add(chosen + extra)
+		add(chosen - extra)
+	}
+	return price(chosen), alts, min(k, obs.MaxRejected)
 }
 
 // Interval returns the current checkpoint interval f.
@@ -325,9 +348,6 @@ func (l *AdaptiveLoop) Adjustments() int {
 func (l *AdaptiveLoop) Drain() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Close out pending decisions (retunes still waiting for a ledger
-	// block) so a post-Drain export covers every decision made.
-	defer l.dec.Finalize()
 	if l.inflight > 0 && l.ledger != nil {
 		start := time.Now()
 		for l.inflight > 0 {

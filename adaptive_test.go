@@ -2,9 +2,12 @@ package pccheck
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
+
+	"pccheck/internal/obs"
 )
 
 func TestAdaptiveLoopValidation(t *testing.T) {
@@ -154,12 +157,12 @@ func TestAdaptiveLoopClamps(t *testing.T) {
 }
 
 // decisionLoop builds an AdaptiveLoop over the production observer chain
-// Ledger → decision.Recorder → flight Recorder, returning the pieces the
-// retune edge-case tests poke at.
-func decisionLoop(t *testing.T, lcfg LedgerConfig) (*AdaptiveLoop, *Ledger, *DecisionRecorder) {
+// Ledger → flight Recorder, returning the pieces the retune edge-case tests
+// poke at.
+func decisionLoop(t *testing.T, lcfg LedgerConfig) (*AdaptiveLoop, *Ledger, *Recorder) {
 	t.Helper()
-	dec := NewDecisionRecorder(DecisionConfig{}, NewFlightRecorder(0))
-	led := NewLedger(lcfg, dec)
+	rec := NewFlightRecorder(0)
+	led := NewLedger(lcfg, rec)
 	ck, _, err := CreateVolatile(Config{MaxBytes: 1 << 10, Observer: led})
 	if err != nil {
 		t.Fatal(err)
@@ -169,14 +172,25 @@ func decisionLoop(t *testing.T, lcfg LedgerConfig) (*AdaptiveLoop, *Ledger, *Dec
 	if err != nil {
 		t.Fatal(err)
 	}
-	return loop, led, dec
+	return loop, led, rec
+}
+
+// retunes scores the recorder's events and keeps the retune decisions.
+func retunes(rec *Recorder) []obs.Decision {
+	var out []obs.Decision
+	for _, d := range obs.Decisions(rec.SnapshotEvents()) {
+		if d.Kind == "retune" {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // Before any save has completed, Tw is zero and Eq. (3) is undefined: the
-// retune must be a no-op that records no decision, not a collapse to
+// retune must be a no-op that emits no decision, not a collapse to
 // MinInterval.
 func TestRetuneNoMeasuredTwIsNoOp(t *testing.T) {
-	loop, _, dec := decisionLoop(t, LedgerConfig{SlowdownBudget: 1.10})
+	loop, _, rec := decisionLoop(t, LedgerConfig{SlowdownBudget: 1.10})
 	loop.mu.Lock()
 	loop.ewmaIter = 0.001
 	loop.ewmaTw = 0 // no measured saves yet
@@ -186,17 +200,16 @@ func TestRetuneNoMeasuredTwIsNoOp(t *testing.T) {
 	if adjusts != 0 || interval != 10 {
 		t.Errorf("retune with Tw=0 acted: adjusts=%d interval=%d", adjusts, interval)
 	}
-	sum := dec.Summary()
-	if sum.Total != 0 || sum.Pending != 0 {
-		t.Errorf("retune with Tw=0 recorded a decision: %+v", sum)
+	if ds := retunes(rec); len(ds) != 0 {
+		t.Errorf("retune with Tw=0 emitted a decision: %+v", ds)
 	}
 }
 
-// A retune taken while the ledger's slowdown EWMA is above the budget must
-// carry InBreach in its recorded inputs — the regret analysis needs to
-// separate decisions made under pressure from steady-state ones.
+// A retune taken after the ledger's slowdown went over budget joins the
+// block that showed it (the last one before it, as no later block exists),
+// and that block's event carries the slowdown directly.
 func TestRetuneRecordsBudgetBreach(t *testing.T) {
-	loop, led, dec := decisionLoop(t, LedgerConfig{
+	loop, led, rec := decisionLoop(t, LedgerConfig{
 		SlowdownBudget:   1.05,
 		BaselineIterTime: time.Millisecond,
 		Window:           4,
@@ -213,15 +226,20 @@ func TestRetuneRecordsBudgetBreach(t *testing.T) {
 	loop.ewmaTw = 0.02
 	loop.retuneLocked()
 	loop.mu.Unlock()
-	dec.Finalize() // drain-join against the block the slow iterations closed
-	ds := dec.Decisions()
+	var block Event
+	for _, ev := range rec.SnapshotEvents() {
+		if ev.Phase == obs.PhaseSlowdownBlock {
+			block = ev
+		}
+	}
+	if slow := float64(block.Dur) / float64(block.Value); slow < 2.9 || slow > 3.1 {
+		t.Errorf("slowdown block %+v reads slowdown %.2f, want 3", block, slow)
+	}
+	ds := retunes(rec)
 	if len(ds) != 1 {
-		t.Fatalf("decisions = %d, want 1", len(ds))
+		t.Fatalf("retune decisions = %d, want 1", len(ds))
 	}
 	d := ds[0]
-	if !d.Inputs.InBreach {
-		t.Error("retune under breach not marked InBreach")
-	}
 	if !d.Scored || d.Outcome != "drain-join" {
 		t.Errorf("scored %v outcome %q, want drain-join against the breach block", d.Scored, d.Outcome)
 	}
@@ -232,9 +250,9 @@ func TestRetuneRecordsBudgetBreach(t *testing.T) {
 
 // When the ledger's engine-measured write time drifts away from the
 // goroutine-observed EWMA (queueing, external load), the retune must trust
-// the ledger — both for the new interval and for the recorded inputs.
+// the ledger — both for the new interval and for the emitted decision.
 func TestRetunePrefersLedgerMeasuredTw(t *testing.T) {
-	loop, led, dec := decisionLoop(t, LedgerConfig{SlowdownBudget: 1.10})
+	loop, led, rec := decisionLoop(t, LedgerConfig{SlowdownBudget: 1.10})
 	// Engine-measured saves: 50 ms spans, no slot wait. This is far above
 	// the 1 ms the loop's own EWMA last saw.
 	led.Emit(Event{TS: 1, Dur: int64(50 * time.Millisecond), Phase: PhaseSave, Slot: -1, Writer: -1, Rank: -1})
@@ -252,33 +270,16 @@ func TestRetunePrefersLedgerMeasuredTw(t *testing.T) {
 	if interval != want {
 		t.Errorf("interval %d, want %d from the ledger-measured Tw", interval, want)
 	}
-	dec.Finalize()
-	ds := dec.Decisions()
-	if len(ds) != 1 {
-		t.Fatalf("decisions = %d, want 1", len(ds))
-	}
-	if got := ds[0].Inputs.TwSeconds; math.Abs(got-measured) > 1e-9 {
-		t.Errorf("recorded TwSeconds %v, want ledger-measured %v (not the stale EWMA 0.001)", got, measured)
+	ds := retunes(rec)
+	if len(ds) != 1 || ds[0].Chosen != fmt.Sprintf("f=%d", want) {
+		t.Fatalf("retune decisions %+v, want one choosing f=%d", ds, want)
 	}
 }
 
-// TestRetuneNilDecisionRecorderAddsNoAllocations: with no decision recorder
-// in the chain the retune path must stay allocation-free — the probe is one
-// branch.
-func TestRetuneNilDecisionRecorderAddsNoAllocations(t *testing.T) {
-	led := NewLedger(LedgerConfig{SlowdownBudget: 1.10}, NewFlightRecorder(0))
-	ck, _, err := CreateVolatile(Config{MaxBytes: 1 << 10, Observer: led})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck.Close()
-	loop, err := NewAdaptiveLoop(ck, AdaptiveConfig{MaxOverhead: 1.10}, func() []byte { return make([]byte, 256) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loop.dec != nil {
-		t.Fatal("chain without a decision recorder yielded a non-nil probe")
-	}
+// TestRetuneAllocatesNothing: with the observer chain attached, a retune
+// emits its 1 + K decision events and allocates nothing.
+func TestRetuneAllocatesNothing(t *testing.T) {
+	loop, _, rec := decisionLoop(t, LedgerConfig{SlowdownBudget: 1.10})
 	loop.mu.Lock()
 	loop.ewmaIter = 0.001
 	loop.ewmaTw = 0.02
@@ -286,6 +287,100 @@ func TestRetuneNilDecisionRecorderAddsNoAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, loop.retuneLocked)
 	loop.mu.Unlock()
 	if allocs > 0 {
-		t.Errorf("retune with nil decision recorder allocates %v per call, want 0", allocs)
+		t.Errorf("retune allocates %v per call, want 0", allocs)
+	}
+	ds := retunes(rec)
+	if len(ds) != 102 { // warm-up, AllocsPerRun's own warm-up, 100 runs
+		t.Fatalf("retune decisions = %d, want 102", len(ds))
+	}
+	if n := len(ds[0].Rejected); n != obs.MaxRejected {
+		t.Errorf("retune carries %d rejected actions, want K = %d", n, obs.MaxRejected)
+	}
+}
+
+// TestAdaptiveDecisionsScored runs a seeded adaptive training loop (f
+// seeded at 10, a paced device so saves overlap training) and scores the
+// flight recorder's events: the log is non-empty, every regret finite,
+// ≥95% of retunes joined to a slowdown block, and every retune carries ≥2
+// alternatives.
+func TestAdaptiveDecisionsScored(t *testing.T) {
+	rec := NewFlightRecorder(0)
+	led := NewLedger(LedgerConfig{SlowdownBudget: 1.25}, rec)
+	ck, _, err := CreateVolatile(Config{
+		MaxBytes: 256 << 10, Concurrent: 2, Writers: 2, PerWriterBW: 64 << 20, Observer: led,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	state := make([]byte, 256<<10)
+	loop, err := NewAdaptiveLoop(ck, AdaptiveConfig{MaxOverhead: 1.25, InitialInterval: 10}, func() []byte {
+		time.Sleep(4 * time.Millisecond) // the snapshot stall
+		return state
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it := 0; it < 200; it++ {
+		time.Sleep(2 * time.Millisecond)
+		loop.Tick(context.Background())
+	}
+	if err := loop.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds := obs.Decisions(rec.SnapshotEvents())
+	if len(ds) == 0 {
+		t.Fatal("adaptive run scored no decisions")
+	}
+	var n, joined int
+	for _, d := range ds {
+		if math.IsNaN(d.Regret) || math.IsInf(d.Regret, 0) || d.Regret < 0 {
+			t.Errorf("decision %d: regret %v, want finite ≥ 0", d.ID, d.Regret)
+		}
+		if d.Kind != "retune" {
+			continue
+		}
+		n++
+		if d.Scored {
+			joined++
+		}
+		if len(d.Rejected) < 2 {
+			t.Errorf("retune %d carries %d alternatives, want ≥ 2", d.ID, len(d.Rejected))
+		}
+	}
+	if n == 0 || float64(joined) < 0.95*float64(n) {
+		t.Errorf("%d of %d retunes joined to a slowdown block, want ≥ 95%%", joined, n)
+	}
+}
+
+func TestRetuneCandidates(t *testing.T) {
+	chosen, alts, k := retuneCandidates(0.02, 0.001, 1.05, 2, 3, 5, 1, 100)
+	if chosen.Arg != 3 || k != obs.MaxRejected {
+		t.Fatalf("chosen f=%d with %d alternatives, want f=3 with K", chosen.Arg, k)
+	}
+	seen := map[int32]bool{chosen.Arg: true}
+	for i, a := range alts[:k] {
+		if seen[a.Arg] {
+			t.Errorf("duplicate candidate f=%d", a.Arg)
+		}
+		seen[a.Arg] = true
+		if a.Cost < a.Over || a.Over < 0 || (i > 0 && a.Cost < alts[i-1].Cost) {
+			t.Errorf("candidate f=%d cost %d over %d: want 0 ≤ overhead ≤ cost, cheapest first", a.Arg, a.Cost, a.Over)
+		}
+	}
+	// With a tight budget the small intervals are ineligible: at N=1 with
+	// tw ≫ t, f near 1 slows training far beyond q.
+	_, tight, k := retuneCandidates(0.5, 0.001, 1.01, 1, 2, 2, 1, 1000)
+	ineligible := false
+	for _, a := range tight[:k] {
+		ineligible = ineligible || !a.Eligible
+	}
+	if !ineligible {
+		t.Error("no ineligible candidate under a tight q with a huge Tw")
+	}
+	// The clamp collapses candidates; the fill still finds two when it can.
+	if _, _, k := retuneCandidates(0.02, 0.001, 1.05, 2, 1, 1, 1, 10); k < 2 {
+		t.Errorf("clamped-at-min candidates = %d, want ≥ 2", k)
 	}
 }

@@ -8,8 +8,7 @@ import (
 )
 
 func bbObserverChain() Observer {
-	return NewLedger(LedgerConfig{SlowdownBudget: 1.05},
-		NewDecisionRecorder(DecisionConfig{}, NewFlightRecorder(1<<10)))
+	return NewLedger(LedgerConfig{SlowdownBudget: 1.05}, NewFlightRecorder(1<<10))
 }
 
 var bbCfg = BlackBoxConfig{

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"pccheck"
+	"pccheck/internal/cliutil"
+	"pccheck/internal/obs"
 )
 
 // goodputConfig parameterizes the -goodput mode: a deterministic training
@@ -16,17 +18,16 @@ import (
 // ledger attached, reporting the paper's headline quantities (goodput
 // ratio, slowdown vs q, staleness, stall attribution).
 type goodputConfig struct {
-	iters        int           // training iterations
-	interval     int           // checkpoint every f iterations
-	iterTime     time.Duration // simulated per-iteration compute
-	snapTime     time.Duration // simulated snapshot capture stall (the D2H copy)
-	payload      int64         // checkpoint bytes m
-	bw           float64       // per-writer device bandwidth throttle (bytes/sec, 0 = unthrottled)
-	q            float64       // slowdown budget
-	adaptive     bool          // drive an AdaptiveLoop (Eq. (3) retuning) instead of a fixed interval
-	decisionsOut string        // attach the decision recorder; write its JSONL log here ("-" = stdout, "" = off)
-	jsonOut      string        // write the machine-readable summary here ("" = off)
-	metricsAddr  string        // serve /metrics while the scenario runs ("" = off)
+	iters       int           // training iterations
+	interval    int           // checkpoint every f iterations
+	iterTime    time.Duration // simulated per-iteration compute
+	snapTime    time.Duration // simulated snapshot capture stall (the D2H copy)
+	payload     int64         // checkpoint bytes m
+	bw          float64       // per-writer device bandwidth throttle (bytes/sec, 0 = unthrottled)
+	q           float64       // slowdown budget
+	adaptive    bool          // drive an AdaptiveLoop (Eq. (3) retuning) instead of a fixed interval
+	jsonOut     string        // write the machine-readable summary here ("" = off)
+	metricsAddr string        // serve /metrics while the scenario runs ("" = off)
 }
 
 // benchJSON is the BENCH_*.json shape: enough context to compare runs
@@ -42,9 +43,8 @@ type benchJSON struct {
 		WriterBW   float64 `json:"writer_bw_bytes_per_sec"`
 		Q          float64 `json:"q"`
 	} `json:"config"`
-	Report    pccheck.GoodputReport    `json:"report"`
-	Decisions *pccheck.DecisionSummary `json:"decisions,omitempty"`
-	Latency   struct {
+	Report  pccheck.GoodputReport `json:"report"`
+	Latency struct {
 		SaveP50Sec float64 `json:"save_p50_sec"`
 		SaveP95Sec float64 `json:"save_p95_sec"`
 		SaveP99Sec float64 `json:"save_p99_sec"`
@@ -56,16 +56,7 @@ type benchJSON struct {
 // and prints (and optionally exports) the goodput report.
 func runGoodput(w io.Writer, cfg goodputConfig) error {
 	rec := pccheck.NewFlightRecorder(0)
-	// With -decisions the recorder chains between the ledger and the
-	// flight recorder: the ledger discovers it downstream and feeds it the
-	// slowdown blocks that score retune decisions with measured regret.
-	var dec *pccheck.DecisionRecorder
-	var next pccheck.Observer = rec
-	if cfg.decisionsOut != "" {
-		dec = pccheck.NewDecisionRecorder(pccheck.DecisionConfig{}, rec)
-		next = dec
-	}
-	led := pccheck.NewLedger(pccheck.LedgerConfig{SlowdownBudget: cfg.q}, next)
+	led := pccheck.NewLedger(pccheck.LedgerConfig{SlowdownBudget: cfg.q}, rec)
 
 	ck, _, err := pccheck.CreateVolatile(pccheck.Config{
 		MaxBytes:    cfg.payload,
@@ -80,11 +71,7 @@ func runGoodput(w io.Writer, cfg goodputConfig) error {
 	defer ck.Close()
 
 	if cfg.metricsAddr != "" {
-		writers := []pccheck.MetricsWriter{led}
-		if dec != nil {
-			writers = append(writers, dec)
-		}
-		srv, bound, err := pccheck.ServeMetrics(cfg.metricsAddr, rec, writers...)
+		srv, bound, err := pccheck.ServeMetrics(cfg.metricsAddr, rec, led)
 		if err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}
@@ -145,19 +132,11 @@ func runGoodput(w io.Writer, cfg goodputConfig) error {
 	save := snap.Phase(pccheck.PhaseSave)
 	fmt.Fprintf(w, "latency   save p50=%v p95=%v p99=%v (%d spans)\n", save.P50, save.P95, save.P99, save.Count)
 
-	var decSum pccheck.DecisionSummary
-	if dec != nil {
-		// AdaptiveLoop.Drain already finalized its pending retunes; this
-		// covers the fixed-interval mode (idempotent otherwise).
-		dec.Finalize()
-		decSum = dec.Summary()
-		if err := writeDecisions(w, dec, cfg.decisionsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\ndecisions %d recorded, %d scored (%.0f%% joined), regret mean %.4gs max %.4gs\n",
-			decSum.Total, decSum.Scored, 100*decSum.Coverage, decSum.RegretMean, decSum.RegretMax)
+	if cfg.adaptive {
+		// The retunes, scored against the ledger's slowdown blocks, plus any
+		// slot admissions and retries, all read back from the flight ring.
 		fmt.Fprintln(w, "\nworst-regret decisions:")
-		pccheck.FormatDecisionTable(w, dec.Decisions(), 5)
+		cliutil.FormatDecisions(w, obs.Decisions(rec.SnapshotEvents()), 5)
 	}
 
 	if cfg.jsonOut != "" {
@@ -171,9 +150,6 @@ func runGoodput(w io.Writer, cfg goodputConfig) error {
 		out.Config.WriterBW = cfg.bw
 		out.Config.Q = cfg.q
 		out.Report = rep
-		if dec != nil {
-			out.Decisions = &decSum
-		}
 		out.Latency.SaveP50Sec = save.P50.Seconds()
 		out.Latency.SaveP95Sec = save.P95.Seconds()
 		out.Latency.SaveP99Sec = save.P99.Seconds()
@@ -193,25 +169,5 @@ func runGoodput(w io.Writer, cfg goodputConfig) error {
 		}
 		fmt.Fprintf(w, "json      wrote %s\n", cfg.jsonOut)
 	}
-	return nil
-}
-
-// writeDecisions exports the decision log as JSONL to path ("-" = stdout).
-func writeDecisions(w io.Writer, dec *pccheck.DecisionRecorder, path string) error {
-	if path == "-" {
-		return dec.WriteJSONL(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("decisions out: %w", err)
-	}
-	if err := dec.WriteJSONL(f); err != nil {
-		f.Close()
-		return fmt.Errorf("decisions out: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("decisions out: %w", err)
-	}
-	fmt.Fprintf(w, "decisions wrote %s\n", path)
 	return nil
 }

@@ -51,7 +51,6 @@ func main() {
 		goodputInterval = flag.Int("goodput-interval", 10, "with -goodput: checkpoint every f iterations")
 		goodputQ        = flag.Float64("goodput-q", 1.25, "with -goodput: slowdown budget q")
 		adaptive        = flag.Bool("adaptive", false, "with -goodput: drive an AdaptiveLoop (Eq. (3) retuning) instead of a fixed interval")
-		decisionsOut    = flag.String("decisions", "", "with -goodput: attach the decision recorder and write the JSONL decision log to this path (\"-\" = stdout)")
 		jsonOut         = flag.String("json", "", "with -goodput, -delta or -tiers: write the machine-readable summary (BENCH_*.json shape) to this path")
 
 		delta         = flag.Bool("delta", false, "run the delta-checkpoint scenario: full vs delta bytes persisted per sparse update pattern")
@@ -102,17 +101,16 @@ func main() {
 
 	if *goodput {
 		err := runGoodput(os.Stdout, goodputConfig{
-			iters:        *goodputIters,
-			interval:     *goodputInterval,
-			iterTime:     2 * time.Millisecond,
-			snapTime:     4 * time.Millisecond,
-			payload:      256 << 10,
-			bw:           64 << 20, // 64 MiB/s per writer: persists visibly overlap training
-			q:            *goodputQ,
-			adaptive:     *adaptive,
-			decisionsOut: *decisionsOut,
-			jsonOut:      *jsonOut,
-			metricsAddr:  *metricsAddr,
+			iters:       *goodputIters,
+			interval:    *goodputInterval,
+			iterTime:    2 * time.Millisecond,
+			snapTime:    4 * time.Millisecond,
+			payload:     256 << 10,
+			bw:          64 << 20, // 64 MiB/s per writer: persists visibly overlap training
+			q:           *goodputQ,
+			adaptive:    *adaptive,
+			jsonOut:     *jsonOut,
+			metricsAddr: *metricsAddr,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pccheck-bench: GOODPUT SCENARIO FAILED:", err)

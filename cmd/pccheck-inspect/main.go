@@ -17,8 +17,8 @@
 //
 // With -post-mortem the tool reads the black-box telemetry region instead
 // of the slot structures: the last flushed flight-recorder events, the
-// final goodput report, and the last policy decisions — what the process
-// was doing when it died. -events bounds the printed event tail. With
+// final goodput report, and the policy decisions in that event tail,
+// scored — what the process was doing when it died. -events bounds the printed event tail. With
 // multiple paths the newest tier's black box wins (a wire replica can
 // answer forensics after tier 0 vanished). Files created without
 // Config.BlackBox report "no black box region" and exit 0.
@@ -57,7 +57,6 @@ import (
 	"pccheck/internal/core"
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
@@ -160,9 +159,9 @@ func renderPostMortem(pm *blackbox.PostMortem, eventTail int) {
 		fmt.Println("\nno goodput report captured (no ledger in the observer chain)")
 	}
 
-	if ds := pm.LastDecisions(); len(ds) > 0 {
-		fmt.Println("\nlast policy decisions:")
-		decision.FormatTable(os.Stdout, ds, 0)
+	if ds := obs.Decisions(pm.Events()); len(ds) > 0 {
+		fmt.Println("\npolicy decisions in the event tail, scored:")
+		cliutil.FormatDecisions(os.Stdout, ds, 0)
 	}
 }
 

@@ -1,10 +1,9 @@
 // pccheck-metrics-lint validates Prometheus text exposition.
 //
-// With no flags it runs a self-check: it builds a Recorder, a decision
-// recorder and a goodput Ledger (chained ledger → decisions → recorder,
-// the production order), emits at least one event of every pipeline phase
-// and records one decision of every kind (so every metric family the
-// exporters can produce is present), serves /metrics on a loopback port,
+// With no flags it runs a self-check: it builds a Recorder and a goodput
+// Ledger (chained ledger → recorder, the production order), emits at least
+// one event of every pipeline phase (so every metric family the exporters
+// can produce is present), serves /metrics on a loopback port,
 // scrapes it, and parses every line — rejecting duplicate or malformed
 // families. CI runs this so an exporter regression fails the build before
 // a real scraper trips over it.
@@ -23,7 +22,6 @@ import (
 
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/promtext"
 	"pccheck/internal/storage"
 )
@@ -65,8 +63,7 @@ func lintURL(url string) error {
 // combined exposition.
 func selfCheck() error {
 	rec := obs.NewRecorder(0)
-	dec := decision.New(decision.Config{}, rec)
-	led := obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05}, dec)
+	led := obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05}, rec)
 
 	// One event per phase so every per-phase summary and counter family
 	// materialises, including the rank-labelled straggler families.
@@ -88,42 +85,6 @@ func selfCheck() error {
 	led.DrainDone(2 * time.Millisecond)
 	led.AddRecovery(3 * time.Millisecond)
 
-	// One decision of every kind, so all pccheck_decision_* and
-	// pccheck_regret_* families carry non-trivial values. The retune pends
-	// until the next ledger block closes (scored via the measurement join);
-	// the rest score immediately, exercising every RecordScored path.
-	chosen := decision.Alternative{Action: "f=2", PredictedCost: 0.01, Feasible: true}
-	alts := []decision.Alternative{
-		{Action: "f=1", PredictedCost: 0.02, Feasible: true},
-		{Action: "f=4", PredictedCost: 0.03, Feasible: false},
-	}
-	in := decision.Inputs{TwSeconds: 0.02, IterSeconds: 0.001, Q: 1.05, N: 2}
-	dec.RecordRetune(in, chosen, alts)
-	for i := 0; i < 64; i++ {
-		led.IterDone(time.Millisecond, false)
-	}
-	dec.RecordScored(decision.KindTune, decision.Outcome{
-		Inputs: in, Chosen: chosen, Rejected: alts,
-		Measured: 0.011, Regret: 0.001, Outcome: "modeled", Rank: -1,
-	})
-	dec.RecordScored(decision.KindSlotAdmission, decision.Outcome{
-		Inputs: in, Chosen: decision.Alternative{Action: "wait-for-slot", Feasible: true},
-		Measured: 0.002, Regret: 0.002, Outcome: "admitted", Counter: 1,
-	})
-	dec.RecordScored(decision.KindRetry, decision.Outcome{
-		Inputs: in, Chosen: decision.Alternative{Action: "retry(max=5)", Feasible: true},
-		Measured: 0.004, Regret: 0.004, Outcome: "recovered", Counter: 2,
-	})
-	dec.RecordScored(decision.KindRepair, decision.Outcome{
-		Inputs: in, Chosen: decision.Alternative{Action: "republish-from-tier-1", Feasible: true},
-		Rejected: []decision.Alternative{{Action: "quarantine", Feasible: true}},
-		Measured: 0.003, Outcome: "repaired", Counter: 2, Rank: -1,
-	})
-	dec.OpenDegraded(3, in, decision.Alternative{Action: "stall", Feasible: true},
-		[]decision.Alternative{{Action: "exclude-dead", Feasible: true}})
-	dec.ResolveDegraded(3, 0.005, "stalled-then-committed")
-	dec.Finalize()
-
 	// A black-box flusher over an in-memory region, flushed once, so the
 	// pccheck_blackbox_* families are linted too.
 	layout := blackbox.LayoutFor(64<<10, 4096)
@@ -143,7 +104,7 @@ func selfCheck() error {
 		return err
 	}
 
-	srv, addr, err := obs.Serve("127.0.0.1:0", rec, led, dec, flusher)
+	srv, addr, err := obs.Serve("127.0.0.1:0", rec, led, flusher)
 	if err != nil {
 		return err
 	}

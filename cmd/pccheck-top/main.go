@@ -3,8 +3,7 @@
 // ServeMetrics / -metrics-addr on the commands) and renders goodput,
 // slowdown-budget headroom, checkpoint staleness, per-phase stall bars,
 // save latency percentiles, the scrubber's detect/repair counters (with a
-// tier-failover alert), the per-kind policy-decision regret panel (when a
-// decision recorder is attached) and the per-rank straggler table.
+// tier-failover alert) and the per-rank straggler table.
 //
 //	pccheck-top -addr 127.0.0.1:9090
 //	pccheck-top -addr 127.0.0.1:9090 -once   # one frame, no screen control
@@ -190,37 +189,6 @@ func renderFrame(w io.Writer, addr string, fams map[string]promtext.Family) {
 				frac = s.Value / maxV
 			}
 			fmt.Fprintf(w, "  %-10s %10.3fs  %s\n", s.Label("phase"), s.Value, bar(frac, 24))
-		}
-	}
-
-	if f, ok := fams["pccheck_decision_total"]; ok && len(f.Samples) > 0 {
-		scored := fams["pccheck_decision_scored_total"]
-		regret := fams["pccheck_decision_regret_seconds_total"]
-		total := 0.0
-		for _, s := range f.Samples {
-			total += s.Value
-		}
-		if total > 0 {
-			fmt.Fprintf(w, "\ndecisions  regret mean %s  max %s  pending %d  dropped %d\n",
-				fmtSec(value(fams, "pccheck_regret_seconds_mean")),
-				fmtSec(value(fams, "pccheck_regret_seconds_max")),
-				int64(value(fams, "pccheck_decision_pending")),
-				int64(value(fams, "pccheck_decision_dropped_total")))
-			for _, s := range f.Samples {
-				if s.Value == 0 {
-					continue
-				}
-				kind := s.Label("kind")
-				var sc, rg float64
-				if ss := scored.Sample("pccheck_decision_scored_total", "kind", kind); ss != nil {
-					sc = ss.Value
-				}
-				if rs := regret.Sample("pccheck_decision_regret_seconds_total", "kind", kind); rs != nil {
-					rg = rs.Value
-				}
-				fmt.Fprintf(w, "  %-16s %5d recorded  %5d scored  regret %10.4fs\n",
-					kind, int64(s.Value), int64(sc), rg)
-			}
 		}
 	}
 

@@ -1,11 +1,16 @@
 // Package cliutil holds the small formatting/parsing helpers shared by the
-// command-line tools.
+// command-line tools, the scored-decision table among them.
 package cliutil
 
 import (
+	"cmp"
 	"fmt"
+	"io"
+	"sort"
 	"strconv"
 	"strings"
+
+	"pccheck/internal/obs"
 )
 
 // ParseBytes parses human-friendly sizes: "64MB", "1.5GB", "10KB", "128B",
@@ -45,5 +50,33 @@ func FormatBytes(n int64) string {
 		return fmt.Sprintf("%.2f KB", float64(n)/1e3)
 	default:
 		return fmt.Sprintf("%d B", n)
+	}
+}
+
+// FormatDecisions renders decisions worst regret first (open ones last,
+// newest first among equals), up to limit rows (0 = all). A "!" marks an
+// ineligible alternative.
+func FormatDecisions(w io.Writer, ds []obs.Decision, limit int) {
+	ds = append([]obs.Decision(nil), ds...)
+	sort.SliceStable(ds, func(i, j int) bool {
+		a, b := ds[i], ds[j]
+		return a.Scored != b.Scored && a.Scored ||
+			a.Scored == b.Scored && (a.Regret > b.Regret || a.Regret == b.Regret && a.TS > b.TS)
+	})
+	if limit > 0 && len(ds) > limit {
+		ds = ds[:limit]
+	}
+	const row = "%-6v %-15v %-22v %11v %11v %-22v %-22v %v\n"
+	fmt.Fprintf(w, row, "id", "kind", "chosen", "measured", "regret", "best-alt", "outcome", "alternatives")
+	for _, d := range ds {
+		measured, regret := "-", "-"
+		if d.Scored {
+			measured, regret = fmt.Sprintf("%.4gs", d.Measured), fmt.Sprintf("%.4gs", d.Regret)
+		}
+		var alts []string
+		for _, a := range d.Rejected {
+			alts = append(alts, fmt.Sprintf("%s=%.3gs%s", a.Action, a.Cost, map[bool]string{false: "!"}[a.Eligible]))
+		}
+		fmt.Fprintf(w, row, d.ID, d.Kind, d.Chosen, measured, regret, cmp.Or(d.BestAlt, "(chosen)"), d.Outcome, strings.Join(alts, " "))
 	}
 }

@@ -1,6 +1,12 @@
 package cliutil
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"pccheck/internal/obs"
+)
 
 func TestParseBytes(t *testing.T) {
 	cases := []struct {
@@ -61,5 +67,18 @@ func TestRoundTripish(t *testing.T) {
 		if diff*100 > n {
 			t.Fatalf("round trip %d -> %q -> %d", n, FormatBytes(n), parsed)
 		}
+	}
+}
+
+func TestFormatDecisionsWorstFirst(t *testing.T) {
+	r := obs.NewRecorder(64)
+	obs.EmitDecision(r, 1, obs.DecisionRetry, 0, obs.OutExhausted, obs.Choice{Action: obs.ActRetry, Arg: 3, Cost: 1e7},
+		obs.Choice{Action: obs.ActFailFast, Eligible: true})
+	r.Emit(obs.Event{Phase: obs.PhaseSlotWait, Dur: 5e8, Value: 1, Counter: 2})
+	var buf bytes.Buffer
+	FormatDecisions(&buf, obs.Decisions(r.TakeEvents()), 0)
+	out := buf.String()
+	if i, j := strings.Index(out, "slot-admission"), strings.Index(out, "retry(max=3)"); i < 0 || j < 0 || i > j {
+		t.Errorf("table not worst-regret-first:\n%s", out)
 	}
 }

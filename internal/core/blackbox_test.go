@@ -9,7 +9,6 @@ import (
 
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
@@ -53,8 +52,7 @@ func TestBlackBoxCrashSweep(t *testing.T) {
 
 // bbChain builds the production observer chain the black box feeds on.
 func bbChain() obs.Observer {
-	return obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05},
-		decision.New(decision.Config{}, obs.NewRecorder(1<<10)))
+	return obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05}, obs.NewRecorder(1<<10))
 }
 
 var bbTestConfig = blackbox.Config{
@@ -64,8 +62,8 @@ var bbTestConfig = blackbox.Config{
 }
 
 // TestPostMortemRoundTrip: checkpoints + an explicit flush leave a black
-// box whose newest frame carries the flight-ring tail, the goodput
-// report, and decisions; PostMortem surfaces them after "recovery" (the
+// box whose newest frame carries the flight-ring tail and the goodput
+// report; PostMortem surfaces them after "recovery" (the
 // engine is gone, only the device remains).
 func TestPostMortemRoundTrip(t *testing.T) {
 	cfg := Config{Concurrent: 1, SlotBytes: 2048, Observer: bbChain(), BlackBox: bbTestConfig}

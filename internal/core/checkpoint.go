@@ -16,7 +16,6 @@ import (
 	"pccheck/internal/lfqueue"
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
@@ -105,11 +104,6 @@ type Checkpointer struct {
 	// probe is guarded by a nil check so a disabled observer costs one
 	// predictable branch and no clock reads or allocations.
 	obsv obs.Observer
-	// dec is the decision recorder found in the observer chain (nil when
-	// none); probed only on slow paths (contended admissions, faulted
-	// I/O), each probe a single nil check. dec non-nil implies obsv
-	// non-nil: it is discovered by walking obsv.
-	dec *decision.Recorder
 	// bbox is the black-box flusher persisting telemetry snapshots into
 	// the device's reserved region (nil when the device has no region or
 	// the observer chain has no flight recorder). It runs entirely off
@@ -345,7 +339,6 @@ func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, la
 		pool:      pool,
 		slotSeq:   make([]atomic.Uint64, sb.slots),
 		obsv:      cfg.Observer,
-		dec:       decision.Find(cfg.Observer),
 	}
 	c.committer, _ = dev.(storage.CheckpointCommitter)
 	c.saves = make([]saveState, sb.slots)
@@ -390,7 +383,7 @@ func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, la
 		// overwrite the one just recovered.
 		c.recordSeq = uint64(latestLoc) + 1
 	}
-	if sb.blackBoxBytes > 0 && obs.FindRecorder(cfg.Observer) != nil {
+	if sb.blackBoxBytes > 0 && obs.Find[*obs.Recorder](cfg.Observer) != nil {
 		// The flusher appends after the newest surviving frame, so
 		// telemetry written post-restart extends the pre-crash tail.
 		j, err := blackbox.OpenJournal(dev, blackBoxBase(sb), sb.blackBoxBytes, sb.epoch)
@@ -482,7 +475,7 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 	counter := c.gCounter.Add(1)
 
 	// Lines 6–11: obtain a free slot.
-	slot, err := c.claimSlot(ctx, counter, start, obsStart)
+	slot, err := c.claimSlot(ctx, counter, obsStart)
 	if err != nil {
 		return 0, err
 	}
@@ -557,7 +550,7 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 
 // claimSlot is lines 6–11 of Listing 1: dequeue a free slot, spinning like
 // the paper's deq loop, account the wait and open the slot's seqlock.
-func (c *Checkpointer) claimSlot(ctx context.Context, counter uint64, start time.Time, obsStart int64) (int, error) {
+func (c *Checkpointer) claimSlot(ctx context.Context, counter uint64, obsStart int64) (int, error) {
 	slot, waited, err := c.acquireSlot(ctx)
 	if err != nil {
 		c.stats.FailedSaves.Add(1)
@@ -568,9 +561,6 @@ func (c *Checkpointer) claimSlot(ctx context.Context, counter uint64, start time
 	if waited {
 		didWait = 1
 		c.stats.SlotWaits.Add(1)
-		if c.dec != nil {
-			c.recordSlotWait(counter, time.Since(start))
-		}
 	}
 	c.span(obs.PhaseSlotWait, obsStart, counter, slot, 0, didWait)
 	c.slotSeq[slot].Add(1) // odd: slot contents unstable

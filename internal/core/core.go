@@ -132,8 +132,8 @@ type Config struct {
 	DeltaKeyframe int
 	// BlackBox, when enabled (Bytes > 0), reserves a crash-surviving
 	// telemetry region after the slot area and runs a background flusher
-	// that snapshots the flight ring, the goodput report, and the
-	// decision-trace tail into CRC-framed, epoch-stamped frames (see
+	// that snapshots the flight ring (policy decisions included) and the
+	// goodput report into CRC-framed, epoch-stamped frames (see
 	// internal/obs/blackbox). The flusher only starts when Observer
 	// carries a flight recorder; it never touches the Emit hot path.
 	BlackBox blackbox.Config

@@ -11,7 +11,6 @@ import (
 
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
@@ -70,8 +69,8 @@ type CrashWorkload struct {
 	// Tracker feeds the engine's DirtyTracker with the exact mutated
 	// ranges (trusted-marks mode); false leaves the content-hash fallback.
 	Tracker bool
-	// BlackBox attaches a full observer chain (flight recorder → decision
-	// recorder → goodput ledger) and a black-box telemetry region, with an
+	// BlackBox attaches a full observer chain (goodput ledger → flight
+	// recorder) and a black-box telemetry region, with an
 	// explicit flush after every acknowledged checkpoint. Each crash cut
 	// then additionally asserts the telemetry invariants: the region
 	// decodes without panicking, every surviving frame is CRC-valid and
@@ -294,14 +293,12 @@ func ExploreCrashes(opts CrashExploreOptions) (CrashExploreResult, error) {
 		// sized so the sweep's flushes never wrap (one frame slot per
 		// acknowledged checkpoint, with headroom) — a completed flush must
 		// therefore survive every later cut.
-		cfg.Observer = obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05},
-			decision.New(decision.Config{}, obs.NewRecorder(512)))
+		cfg.Observer = obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05}, obs.NewRecorder(512))
 		cfg.BlackBox = blackbox.Config{
-			Bytes:        blackbox.SectorBytes + 64*4096,
-			FrameBytes:   4096,
-			FlushEvery:   -1, // explicit flushes only: the journal stays deterministic
-			EventTail:    32,
-			DecisionTail: 8,
+			Bytes:      blackbox.SectorBytes + 64*4096,
+			FrameBytes: 4096,
+			FlushEvery: -1, // explicit flushes only: the journal stays deterministic
+			EventTail:  32,
 		}
 	}
 	dev := storage.NewCrashDevice(DeviceBytesFor(cfg), w.Kind)

@@ -7,27 +7,35 @@ import (
 	"time"
 
 	"pccheck/internal/obs"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
-// The engine's decision-trace hooks: slot admissions and retry sequences
-// are recorded with measured regret when a recorder is chained into the
-// observer, and the uncontended save path pays nothing when it is not.
+// The engine's decisions: slot admissions (derived from PhaseSlotWait) and
+// retry sequences (emitted as PhaseDecision groups) score with measured
+// regret from the flight recorder's events alone, and the uncontended save
+// path emits and allocates nothing for them.
 
 // decisionChain builds the production observer order for tests:
-// Ledger → decision.Recorder → flight Recorder.
-func decisionChain() (*obs.Ledger, *decision.Recorder) {
-	dec := decision.New(decision.Config{}, obs.NewRecorder(1<<12))
-	led := obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.25}, dec)
-	return led, dec
+// Ledger → flight Recorder.
+func decisionChain() (*obs.Ledger, *obs.Recorder) {
+	rec := obs.NewRecorder(1 << 12)
+	return obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.25}, rec), rec
 }
 
-// TestDecisionRecorderAddsNoAllocations extends the zero-overhead-when-off
-// gate to the decision layer: chaining a decision recorder into the
-// observer must not add heap allocations to an uncontended, fault-free
-// Checkpoint — decisions are only recorded on the slow paths.
-func TestDecisionRecorderAddsNoAllocations(t *testing.T) {
+func decisionsOf(rec *obs.Recorder, kind string) []obs.Decision {
+	var out []obs.Decision
+	for _, d := range obs.Decisions(rec.SnapshotEvents()) {
+		if d.Kind == kind {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// TestUncontendedSaveEmitsNoDecision: with the observer chain attached, an
+// uncontended, fault-free Checkpoint allocates no more than with no
+// observer and emits no PhaseDecision — decisions live on the slow paths.
+func TestUncontendedSaveEmitsNoDecision(t *testing.T) {
 	mk := func(o obs.Observer) *Checkpointer {
 		cfg := Config{Concurrent: 1, SlotBytes: 1024, Writers: 1, Observer: o}
 		dev := storage.NewRAM(DeviceBytes(cfg.Concurrent, cfg.SlotBytes))
@@ -58,24 +66,23 @@ func TestDecisionRecorderAddsNoAllocations(t *testing.T) {
 	defer off.Close()
 	baseline := run(off)
 
-	led, dec := decisionChain()
+	led, rec := decisionChain()
 	on := mk(led)
 	defer on.Close()
-	withDecisions := run(on)
-
-	if withDecisions > baseline {
-		t.Errorf("decision recorder added allocations: %v chained vs %v baseline",
-			withDecisions, baseline)
+	if chained := run(on); chained > baseline {
+		t.Errorf("observer chain added allocations: %v chained vs %v baseline", chained, baseline)
 	}
-	if n := dec.Len(); n != 0 {
-		t.Errorf("uncontended saves recorded %d decisions, want 0", n)
+	for _, ev := range rec.SnapshotEvents() {
+		if ev.Phase == obs.PhaseDecision {
+			t.Fatalf("uncontended save emitted a decision: %+v", ev)
+		}
 	}
 }
 
-// A contended admission must surface as one slot-admission decision whose
-// regret is the measured wait.
+// A contended admission scores as one slot-admission decision whose regret
+// is the measured wait.
 func TestSlotWaitRecordsDecision(t *testing.T) {
-	led, dec := decisionChain()
+	led, rec := decisionChain()
 	cfg := Config{
 		Concurrent: 1, SlotBytes: 64 << 10, Writers: 1,
 		PerWriterBW: 4 << 20, // ~16 ms per save: overlap forces a wait
@@ -104,39 +111,31 @@ func TestSlotWaitRecordsDecision(t *testing.T) {
 	if ck.Stats().SlotWaits == 0 {
 		t.Skip("no slot contention materialised (scheduler served saves sequentially)")
 	}
-	var admissions []decision.Decision
-	for _, d := range dec.Decisions() {
-		if d.Kind == decision.KindSlotAdmission {
-			admissions = append(admissions, d)
-		}
-	}
-	if len(admissions) == 0 {
-		t.Fatalf("%d slot waits recorded no slot-admission decision", ck.Stats().SlotWaits)
+	admissions := decisionsOf(rec, "slot-admission")
+	if int64(len(admissions)) != ck.Stats().SlotWaits {
+		t.Fatalf("%d slot waits scored %d slot-admission decisions", ck.Stats().SlotWaits, len(admissions))
 	}
 	for _, d := range admissions {
-		if !d.Scored || d.Outcome != "admitted" {
-			t.Errorf("seq %d: scored %v outcome %q, want admitted", d.Seq, d.Scored, d.Outcome)
+		if !d.Scored || d.Outcome != "admitted" || d.Chosen != "wait-for-slot" {
+			t.Errorf("%+v, want a scored wait-for-slot admitted", d)
 		}
-		if d.Regret <= 0 || d.Regret != d.MeasuredCost {
-			t.Errorf("seq %d: regret %v measured %v, want regret = measured wait > 0",
-				d.Seq, d.Regret, d.MeasuredCost)
+		if d.Regret <= 0 || d.Regret != d.Measured || d.BestAlt != "skip-save" {
+			t.Errorf("regret %v measured %v best %q, want regret = measured wait > 0 against skip-save",
+				d.Regret, d.Measured, d.BestAlt)
 		}
-		if d.Inputs.N != 1 || d.Inputs.SlotsBusy != ck.TotalSlots() {
-			t.Errorf("seq %d: inputs %+v, want N=1 and the full %d-slot pool busy",
-				d.Seq, d.Inputs, ck.TotalSlots())
-		}
-		if len(d.Rejected) != 2 {
-			t.Errorf("seq %d: %d alternatives, want provision-slot + skip-save", d.Seq, len(d.Rejected))
+		if d.Ref == 0 || len(d.Rejected) != 2 {
+			t.Errorf("counter %d, %d alternatives, want the save's counter and provision-slot + skip-save",
+				d.Ref, len(d.Rejected))
 		}
 	}
 }
 
 // Retry sequences score by outcome: backoff that salvaged the save has
-// zero regret; backoff exhausted on a save that failed anyway is pure
-// regret.
+// zero regret (failing fast was not an option that saves it); backoff
+// exhausted on a save that failed anyway is pure regret.
 func TestRetryRecordsDecisions(t *testing.T) {
-	mk := func() (*Checkpointer, *storage.FaultDevice, *decision.Recorder) {
-		led, dec := decisionChain()
+	mk := func() (*Checkpointer, *storage.FaultDevice, *obs.Recorder) {
+		led, rec := decisionChain()
 		ram := storage.NewRAM(DeviceBytes(1, 4096))
 		dev := storage.NewFaultDevice(ram)
 		ck, err := New(dev, Config{
@@ -146,70 +145,56 @@ func TestRetryRecordsDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ck, dev, dec
-	}
-	byKind := func(dec *decision.Recorder) []decision.Decision {
-		var out []decision.Decision
-		for _, d := range dec.Decisions() {
-			if d.Kind == decision.KindRetry {
-				out = append(out, d)
-			}
-		}
-		return out
+		return ck, dev, rec
 	}
 
 	// Recovered: 2 transient faults under a 3-attempt budget.
-	ck, dev, dec := mk()
+	ck, dev, rec := mk()
 	dev.FailTransient(storage.OpWrite, 1, 2)
 	if _, err := ck.Checkpoint(context.Background(), BytesSource(payload(1, 2048))); err != nil {
 		t.Fatalf("recoverable save failed: %v", err)
 	}
 	ck.Close()
-	recovered := byKind(dec)
+	recovered := decisionsOf(rec, "retry")
 	if len(recovered) == 0 {
-		t.Fatal("recovered retry sequence recorded no decision")
+		t.Fatal("recovered retry sequence emitted no decision")
 	}
 	for _, d := range recovered {
-		if d.Outcome != "recovered" || d.Regret != 0 {
-			t.Errorf("seq %d: outcome %q regret %v, want recovered with 0 regret", d.Seq, d.Outcome, d.Regret)
+		if d.Outcome != "recovered" || d.Regret != 0 || d.Chosen != "retry(max=3)" {
+			t.Errorf("%+v, want retry(max=3) recovered with 0 regret", d)
 		}
-		if d.MeasuredCost <= 0 {
-			t.Errorf("seq %d: measured backoff %v, want > 0", d.Seq, d.MeasuredCost)
+		if d.Measured <= 0 || len(d.Rejected) != 2 || d.Rejected[0].Eligible {
+			t.Errorf("%+v, want backoff > 0 and an ineligible fail-fast", d)
 		}
 	}
 
 	// Exhausted: a fault burst longer than the budget.
-	ck, dev, dec = mk()
+	ck, dev, rec = mk()
 	dev.FailTransient(storage.OpWrite, 1, 10)
 	if _, err := ck.Checkpoint(context.Background(), BytesSource(payload(2, 2048))); err == nil {
 		t.Fatal("save survived more faults than the budget")
 	}
 	ck.Close()
-	exhausted := byKind(dec)
-	if len(exhausted) == 0 {
-		t.Fatal("exhausted retry sequence recorded no decision")
-	}
 	found := false
-	for _, d := range exhausted {
+	for _, d := range decisionsOf(rec, "retry") {
 		if d.Outcome == "exhausted" {
 			found = true
-			if d.Regret <= 0 {
-				t.Errorf("seq %d: exhausted with regret %v, want burned backoff > 0", d.Seq, d.Regret)
+			if d.Regret <= 0 || d.Regret != d.Measured || d.BestAlt != "fail-fast" {
+				t.Errorf("%+v, want regret = burned backoff > 0 against fail-fast", d)
 			}
 		}
 	}
 	if !found {
-		t.Errorf("no exhausted-outcome decision among %+v", exhausted)
+		t.Error("no exhausted-outcome retry decision")
 	}
 
-	// Fault-free saves record nothing: the hook fires only when a fault was
-	// absorbed.
-	ck, _, dec = mk()
+	// Fault-free saves emit nothing: a decision needs an absorbed fault.
+	ck, _, rec = mk()
 	if _, err := ck.Checkpoint(context.Background(), BytesSource(payload(3, 2048))); err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()
-	if ds := byKind(dec); len(ds) != 0 {
-		t.Errorf("fault-free save recorded %d retry decisions", len(ds))
+	if ds := decisionsOf(rec, "retry"); len(ds) != 0 {
+		t.Errorf("fault-free save emitted %d retry decisions", len(ds))
 	}
 }

@@ -461,7 +461,7 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	size := src.Size()
 	counter := c.gCounter.Add(1)
 
-	slot, err := c.claimSlot(ctx, counter, start, obsStart)
+	slot, err := c.claimSlot(ctx, counter, obsStart)
 	if err != nil {
 		return 0, err
 	}

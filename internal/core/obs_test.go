@@ -9,7 +9,6 @@ import (
 
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
@@ -259,8 +258,7 @@ func TestNilObserverAddsNoAllocations(t *testing.T) {
 			return obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05}, obs.NewRecorder(1<<12))
 		}, blackbox.Config{}},
 		{"recorder+ledger+blackbox", func() obs.Observer {
-			return obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05},
-				decision.New(decision.Config{}, obs.NewRecorder(1<<12)))
+			return obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05}, obs.NewRecorder(1<<12))
 		}, blackbox.Config{
 			Bytes:      blackbox.SectorBytes + 4*4096,
 			FrameBytes: 4096,

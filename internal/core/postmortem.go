@@ -7,7 +7,7 @@ import (
 
 // PostMortem decodes the black-box telemetry region of a formatted
 // device: the crash-surviving record of what the process was doing —
-// flight-ring tail, goodput report, last policy decisions — as of the
+// flight-ring tail (policy decisions included), goodput report — as of the
 // last completed flush. Torn frames and frames from a previous format
 // epoch are silently skipped, mirroring recovery's slot-epoch rule; the
 // surviving frames are CRC-valid and strictly sequence-monotonic.

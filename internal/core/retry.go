@@ -87,21 +87,20 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 func (c *Checkpointer) retryIO(ctx context.Context, op func() error) error {
 	pol := c.cfg.Retry
 	// backoffNS accumulates the sleep the policy spent absorbing transient
-	// faults; a sequence that saw at least one fault is recorded as a retry
-	// decision (regret = backoff burned iff the operation failed anyway).
+	// faults; a sequence that saw at least one fault is a retry decision.
 	var backoffNS int64
 	faulted := false
 	for attempt := 1; ; attempt++ {
 		err := op()
 		if err == nil {
-			if faulted && c.dec != nil {
-				c.recordRetry(attempt, backoffNS, true, "recovered")
+			if faulted {
+				c.decideRetry(backoffNS, obs.OutRecovered)
 			}
 			return nil
 		}
 		if storage.Classify(err) != storage.ClassTransient {
-			if faulted && c.dec != nil {
-				c.recordRetry(attempt, backoffNS, false, "permanent")
+			if faulted {
+				c.decideRetry(backoffNS, obs.OutFailed)
 			}
 			return err
 		}
@@ -109,9 +108,7 @@ func (c *Checkpointer) retryIO(ctx context.Context, op func() error) error {
 		c.stats.TransientFaults.Add(1)
 		c.instant(obs.PhaseFault, 0, -1, 0, 0)
 		if attempt >= pol.MaxAttempts {
-			if c.dec != nil {
-				c.recordRetry(attempt, backoffNS, false, "exhausted")
-			}
+			c.decideRetry(backoffNS, obs.OutExhausted)
 			if pol.MaxAttempts == 1 {
 				return err
 			}
@@ -122,9 +119,7 @@ func (c *Checkpointer) retryIO(ctx context.Context, op func() error) error {
 		backoffStart := c.obsNow()
 		select {
 		case <-ctx.Done():
-			if c.dec != nil {
-				c.recordRetry(attempt, backoffNS, false, "cancelled")
-			}
+			c.decideRetry(backoffNS, obs.OutFailed)
 			return ctx.Err()
 		case <-time.After(backoff):
 		}
@@ -137,4 +132,19 @@ func (c *Checkpointer) retryIO(ctx context.Context, op func() error) error {
 			})
 		}
 	}
+}
+
+// decideRetry emits a finished retry sequence as a decision: the policy's
+// backoff against failing fast (eligible only when the operation failed
+// anyway, so backoff that salvaged it has no regret) and against twice
+// the attempt budget at twice the backoff.
+func (c *Checkpointer) decideRetry(backoffNS int64, out obs.DecisionOutcome) {
+	if c.obsv == nil {
+		return
+	}
+	budget := int32(c.cfg.Retry.MaxAttempts)
+	obs.EmitDecision(c.obsv, obs.NewDecisionID(), obs.DecisionRetry, 0, out,
+		obs.Choice{Action: obs.ActRetry, Arg: budget, Cost: backoffNS},
+		obs.Choice{Action: obs.ActFailFast, Eligible: out != obs.OutRecovered},
+		obs.Choice{Action: obs.ActRetry, Arg: 2 * budget, Cost: 2 * backoffNS, Eligible: true})
 }

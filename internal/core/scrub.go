@@ -35,8 +35,8 @@
 // the other pointer record — corrupt bytes are never served, at worst the
 // durable floor steps back one published checkpoint. Every detection,
 // repair and quarantine is emitted as an obs event (landing in the black
-// box), recorded in the decision trace with its rejected alternatives, and
-// appended to the scrubber's bounded audit log as a ScrubRecord.
+// box), every repair also as a decision with its rejected alternatives, and
+// each is appended to the scrubber's bounded audit log as a ScrubRecord.
 package core
 
 import (
@@ -48,7 +48,6 @@ import (
 
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
@@ -333,32 +332,28 @@ func (s *scrubber) note(rec ScrubRecord) {
 	s.c.instant(phase, rec.Counter, int(rec.Slot), 0, int64(rec.Tier))
 }
 
-// provenance records a repair decision with its rejected alternatives.
-func (s *scrubber) provenance(chosen string, rejected []string, counter uint64, dur time.Duration, outcome string) {
-	if s.c.dec == nil {
+// provenance emits a repair decision: the action taken on the record's
+// tier, and the alternatives unpriced, so a repair never scores regret.
+func (s *scrubber) provenance(chosen obs.DecisionAction, rejected []obs.DecisionAction, rec ScrubRecord, dur time.Duration, out obs.DecisionOutcome) {
+	if s.c.obsv == nil {
 		return
 	}
-	alts := make([]decision.Alternative, 0, len(rejected))
-	for _, a := range rejected {
-		alts = append(alts, decision.Alternative{Action: a, Feasible: true})
+	var alts [obs.MaxRejected]obs.Choice
+	n := 0
+	for ; n < len(rejected) && n < len(alts); n++ {
+		alts[n].Action = rejected[n]
 	}
-	s.c.dec.RecordScored(decision.KindRepair, decision.Outcome{
-		Chosen:   decision.Alternative{Action: chosen, Feasible: true},
-		Rejected: alts,
-		Measured: dur.Seconds(),
-		Outcome:  outcome,
-		Counter:  counter,
-		Rank:     -1,
-	})
+	obs.EmitDecision(s.c.obsv, obs.NewDecisionID(), obs.DecisionRepair, int64(rec.Counter), out,
+		obs.Choice{Action: chosen, Arg: rec.Tier, Cost: int64(dur)}, alts[:n]...)
 }
 
 // heal accounts one finding from detection to outcome: the detection is
 // noted, run repairs under a timer (nil: nothing can be done), and the result
-// lands in the status counters, the audit tail and the decision trace. There
+// lands in the status counters, the audit tail and a repair decision. There
 // action names the repair, over the alternatives it beat when it succeeds
 // (counted as healed), left the ones still open when it fails. run may adjust
 // the record its success is noted under: source tier, rewritten counter.
-func (s *scrubber) heal(rec ScrubRecord, healed ScrubAction, action string, over, left []string, run func(rec *ScrubRecord) error) {
+func (s *scrubber) heal(rec ScrubRecord, healed ScrubAction, action obs.DecisionAction, over, left []obs.DecisionAction, run func(rec *ScrubRecord) error) {
 	s.st.Corruptions++
 	rec.Action = ScrubDetected
 	s.note(rec)
@@ -373,26 +368,29 @@ func (s *scrubber) heal(rec ScrubRecord, healed ScrubAction, action string, over
 		// is no longer referenced and rejoins the pool through the normal
 		// supersede path. Damage contained, nothing to note.
 		s.st.Repairs++
-		s.provenance(action, nil, rec.Counter, time.Since(start), "superseded")
+		s.provenance(action, nil, rec, time.Since(start), obs.OutSuperseded)
 	case err != nil:
 		s.st.Unrepaired++
-		s.provenance(action, left, rec.Counter, time.Since(start), "failed")
+		s.provenance(action, left, rec, time.Since(start), obs.OutFailed)
 	default:
+		out := obs.OutRepaired
 		switch healed {
 		case ScrubQuarantined:
 			s.st.Quarantines++
+			out = obs.OutQuarantined
 		case ScrubResynced:
 			s.st.TierResyncs++
+			out = obs.OutResynced
 		default:
 			s.st.Repairs++
 		}
 		rec.Action = healed
 		s.note(rec)
-		s.provenance(action, over, rec.Counter, time.Since(start), healed.String())
+		s.provenance(action, over, rec, time.Since(start), out)
 	}
 }
 
-var ignore = []string{"ignore"}
+var ignore = []obs.DecisionAction{obs.ActIgnore}
 
 // retryReads retries a device's transiently failing reads up to retry more
 // times; permanent faults and corruption return immediately.
@@ -434,7 +432,7 @@ func (s *scrubber) scrubRecords() {
 	// by simply re-persisting it.
 	s.st.BytesVerified += 64
 	if onDev, err := readSuperblock(dev); err != nil || onDev != c.sb {
-		s.heal(ScrubRecord{Tier: -1, Slot: -1, Region: RegionSuperblock}, ScrubRepaired, "rewrite-superblock", ignore, ignore,
+		s.heal(ScrubRecord{Tier: -1, Slot: -1, Region: RegionSuperblock}, ScrubRepaired, obs.ActRewriteSuperblock, ignore, ignore,
 			func(*ScrubRecord) error { return c.dev.Persist(c.sb.encode(), superOff) })
 	}
 
@@ -469,7 +467,7 @@ func (s *scrubber) scrubRecords() {
 		// Repair: the published meta's slot header is always durable before
 		// checkAddr stores it, so a record naming it is always legal — and
 		// m.counter >= recordHighest, so the floor never regresses.
-		s.heal(ScrubRecord{Tier: -1, Slot: -1, Region: RegionRecord, Counter: c.recordHighest}, ScrubRepaired, "rewrite-record", ignore, ignore,
+		s.heal(ScrubRecord{Tier: -1, Slot: -1, Region: RegionRecord, Counter: c.recordHighest}, ScrubRepaired, obs.ActRewriteRecord, ignore, ignore,
 			func(rec *ScrubRecord) error {
 				rec.Counter = m.counter
 				return c.dev.Persist(encodeRecord(*m), loc.off)
@@ -551,12 +549,12 @@ func (s *scrubber) scrubCommitted() {
 			continue // healthy, or already tombstoned in an earlier sweep
 		}
 		rec := ScrubRecord{Tier: -1, Slot: int32(link.slot), Counter: link.counter, Region: RegionSlot}
-		action, over := "republish-from-tier", []string{"quarantine", "rewrite-in-place"}
+		action, over := obs.ActRepublishFromTier, []obs.DecisionAction{obs.ActQuarantine, obs.ActRewriteInPlace}
 		if delta {
-			action, over = "rewrite-from-tier", []string{"quarantine", "resync-tier"}
+			action, over = obs.ActRewriteFromTier, []obs.DecisionAction{obs.ActQuarantine, obs.ActResyncTier}
 		}
 		if src, at, tier, ok := s.healthyCopy(link); ok {
-			s.heal(rec, ScrubRepaired, action, over, []string{"quarantine"}, func(rec *ScrubRecord) error {
+			s.heal(rec, ScrubRepaired, action, over, []obs.DecisionAction{obs.ActQuarantine}, func(rec *ScrubRecord) error {
 				rec.Tier = int32(tier)
 				if delta {
 					return s.copy.link(src, c.sb, at, c.dev, link.slot, nil)
@@ -565,7 +563,7 @@ func (s *scrubber) scrubCommitted() {
 			})
 			continue
 		}
-		s.heal(rec, ScrubQuarantined, "quarantine", []string{action}, ignore, func(*ScrubRecord) error {
+		s.heal(rec, ScrubQuarantined, obs.ActQuarantine, []obs.DecisionAction{action}, ignore, func(*ScrubRecord) error {
 			// The seqlock goes odd around the header write so concurrent
 			// readers retry instead of tearing, then read the tombstone and
 			// fail classified-corrupt — never garbage.
@@ -648,7 +646,7 @@ func (s *scrubber) scrubBlackBox() {
 	if c.bbox != nil { // with no journal open nothing holds the true layout
 		repair = func(*ScrubRecord) error { return c.bbox.RepairHeader() }
 	}
-	s.heal(ScrubRecord{Tier: -1, Slot: -1, Region: RegionBlackBox}, ScrubRepaired, "rewrite-blackbox-header", ignore, ignore, repair)
+	s.heal(ScrubRecord{Tier: -1, Slot: -1, Region: RegionBlackBox}, ScrubRepaired, obs.ActRewriteBlackBoxHeader, ignore, ignore, repair)
 }
 
 // --- lower tiers ------------------------------------------------------------
@@ -703,7 +701,7 @@ func (s *scrubber) scrubTiers(frontOK bool) {
 			}
 		}
 		s.heal(ScrubRecord{Tier: int32(i), Slot: -1, Counter: st.DurableCounter, Region: RegionTier},
-			ScrubResynced, "resync-tier", []string{"rewrite-slot-in-place", "quarantine"}, ignore, func(*ScrubRecord) error {
+			ScrubResynced, obs.ActResyncTier, []obs.DecisionAction{obs.ActRewriteInPlace, obs.ActQuarantine}, ignore, func(*ScrubRecord) error {
 				if !td.ScheduleResync(i) {
 					return errors.New("core: tier resync not scheduled")
 				}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pccheck/internal/obs"
-	"pccheck/internal/obs/decision"
 )
 
 // DegradedPolicy selects what rank 0 does when a worker is declared dead
@@ -173,14 +172,8 @@ type Coordinator struct {
 	// committed round plus the failure-detection instants (PhaseRankDead,
 	// PhaseRankRejoined, PhaseFrameDropped); see SetObserver.
 	obsv obs.Observer
-	// dec is the decision recorder found in the observer chain (nil when
-	// none): rank 0 records each degraded-commit policy action — a Stall
-	// round blocked solely by dead ranks opens a pending decision scored
-	// by the measured stall when the round finally commits; an ExcludeDead
-	// commit that skipped dead ranks is recorded immediately.
-	// degradedOpen tracks the open Stall decisions (round → opened, ns).
-	dec          *decision.Recorder
-	degradedOpen map[uint64]int64
+	// stalls tracks the open Stall decisions by round (see noteStallLocked).
+	stalls map[uint64]stall
 
 	notify     chan struct{} // capacity 1; wakes the (single) blocked Commit/Rejoin
 	pumpCancel context.CancelFunc
@@ -263,7 +256,6 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) SetObserver(o obs.Observer) {
 	c.mu.Lock()
 	c.obsv = o
-	c.dec = decision.Find(o)
 	c.mu.Unlock()
 }
 
@@ -737,7 +729,7 @@ func (c *Coordinator) tryCommitLocked() []Message {
 			break
 		}
 		if !complete {
-			if c.dec != nil {
+			if c.obsv != nil {
 				c.noteStallLocked(r, world)
 			}
 			break
@@ -748,8 +740,8 @@ func (c *Coordinator) tryCommitLocked() []Message {
 				agreed = rep.id
 			}
 		}
-		if c.dec != nil {
-			c.recordDegradedLocked(excluded)
+		if c.obsv != nil {
+			c.decideDegradedLocked(excluded)
 		}
 		c.emitGateLocked(r, agreed)
 		c.advanceLocked(agreed)
@@ -776,13 +768,19 @@ func (c *Coordinator) deadCountLocked() int {
 	return n
 }
 
-// noteStallLocked opens a pending degraded-commit decision when the
-// current round is blocked *solely* by dead ranks under the Stall policy —
-// the point where ExcludeDead would have committed and Stall chose to wait.
-// The decision closes (with the measured stall as both cost and regret)
-// when the round eventually commits, or stays "unresolved" at Finalize.
-// Blocked rounds missing a live rank's report are ordinary coordination,
-// not a policy decision, and are not recorded.
+// stall is an open Stall decision: its id and when the round blocked.
+type stall struct {
+	id    uint64
+	at    int64
+	ranks int32 // dead ranks when the round blocked
+}
+
+// noteStallLocked emits a degraded-commit decision, open and unscored,
+// when the current round is blocked *solely* by dead ranks under the Stall
+// policy — the point where ExcludeDead would have committed and Stall
+// chose to wait. decideDegradedLocked re-emits it under the same id with
+// the measured stall once the round commits. Blocked rounds missing a live
+// rank's report are ordinary coordination, not a policy decision.
 func (c *Coordinator) noteStallLocked(r map[int]report, world int) {
 	if c.cfg.Degraded != Stall {
 		return
@@ -795,54 +793,43 @@ func (c *Coordinator) noteStallLocked(r map[int]report, world int) {
 			return
 		}
 	}
-	if _, open := c.degradedOpen[c.next]; open {
+	if _, open := c.stalls[c.next]; open {
 		return
 	}
-	if c.degradedOpen == nil {
-		c.degradedOpen = make(map[uint64]int64)
+	if c.stalls == nil {
+		c.stalls = make(map[uint64]stall)
 	}
-	c.degradedOpen[c.next] = time.Now().UnixNano()
-	dead := c.deadCountLocked()
-	c.dec.OpenDegraded(c.next, decision.Inputs{N: world, DeadRanks: dead},
-		decision.Alternative{Action: "stall", Feasible: true},
-		[]decision.Alternative{
-			// ExcludeDead would commit this round now at no stall cost;
-			// it trades global completeness for liveness (§ degraded mode).
-			{Action: "exclude-dead", PredictedCost: 0, Feasible: true},
-		})
+	st := stall{id: obs.NewDecisionID(), at: time.Now().UnixNano(), ranks: int32(c.deadCountLocked())}
+	c.stalls[c.next] = st
+	c.emitStallLocked(st, 0, obs.OutStalled)
 }
 
-// recordDegradedLocked records an ExcludeDead commit that actually skipped
-// dead ranks (excluded > 0), and resolves a pending Stall decision if this
-// round had one. An ExcludeDead commit has zero regret by construction —
-// the rejected Stall alternative could only have waited longer — so its
-// decision documents the trade rather than scoring a loss; the predicted
-// cost of the rejected stall is the heartbeat timeout, the minimum silence
-// that declared the rank dead in the first place.
-func (c *Coordinator) recordDegradedLocked(excluded int) {
-	if ns, open := c.degradedOpen[c.next]; open {
-		delete(c.degradedOpen, c.next)
-		wait := float64(time.Now().UnixNano()-ns) / 1e9
-		if wait < 0 {
-			wait = 0
-		}
-		c.dec.ResolveDegraded(c.next, wait, "stalled-then-committed")
+// emitStallLocked emits a Stall decision against ExcludeDead, which would
+// commit the round now at no stall cost, trading global completeness for
+// liveness.
+func (c *Coordinator) emitStallLocked(st stall, waited int64, out obs.DecisionOutcome) {
+	obs.EmitDecision(c.obsv, st.id, obs.DecisionDegraded, int64(c.next), out,
+		obs.Choice{Action: obs.ActStall, Arg: st.ranks, Cost: waited},
+		obs.Choice{Action: obs.ActExcludeDead, Arg: st.ranks, Eligible: true})
+}
+
+// decideDegradedLocked closes a pending Stall decision of this round with
+// the measured stall, and emits an ExcludeDead commit that actually skipped
+// dead ranks (excluded > 0). The latter has zero regret by construction —
+// the rejected stall could only have waited longer — so its decision
+// documents the trade; the stall is priced at the heartbeat timeout, the
+// minimum silence that declared the rank dead in the first place.
+func (c *Coordinator) decideDegradedLocked(excluded int) {
+	if st, open := c.stalls[c.next]; open {
+		delete(c.stalls, c.next)
+		c.emitStallLocked(st, max(0, time.Now().UnixNano()-st.at), obs.OutCommitted)
 	}
 	if excluded == 0 {
 		return
 	}
-	c.dec.RecordScored(decision.KindDegraded, decision.Outcome{
-		Inputs: decision.Inputs{N: c.tr.WorldSize(), DeadRanks: c.deadCountLocked()},
-		Chosen: decision.Alternative{Action: "exclude-dead", Feasible: true},
-		Rejected: []decision.Alternative{
-			{Action: "stall", PredictedCost: c.cfg.HeartbeatTimeout.Seconds(), Feasible: true},
-		},
-		Measured: 0,
-		Regret:   0,
-		Outcome:  fmt.Sprintf("excluded-%d", excluded),
-		Counter:  c.next,
-		Rank:     -1,
-	})
+	obs.EmitDecision(c.obsv, obs.NewDecisionID(), obs.DecisionDegraded, int64(c.next), obs.OutExcluded,
+		obs.Choice{Action: obs.ActExcludeDead, Arg: int32(excluded)},
+		obs.Choice{Action: obs.ActStall, Cost: int64(c.cfg.HeartbeatTimeout), Eligible: true})
 }
 
 // sendAll delivers commit broadcasts, round-robining ranks 1..world-1 in

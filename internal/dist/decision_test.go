@@ -7,28 +7,33 @@ import (
 	"time"
 
 	"pccheck/internal/obs"
-	"pccheck/internal/obs/decision"
 )
 
-// The coordinator's Stall-vs-ExcludeDead choice must surface in the
-// decision trace: exclusions as immediate zero-regret records documenting
-// the trade, stalls as pending decisions scored by the measured wait.
+// The coordinator's Stall-vs-ExcludeDead choice surfaces as degraded-commit
+// decisions: exclusions as immediate zero-regret groups documenting the
+// trade, stalls as open groups re-emitted with the measured wait on commit.
 
-func decisionObserver() *decision.Recorder {
-	return decision.New(decision.Config{}, obs.NewRecorder(256))
+func degraded(rec *obs.Recorder) []obs.Decision {
+	var out []obs.Decision
+	for _, d := range obs.Decisions(rec.SnapshotEvents()) {
+		if d.Kind == "degraded-commit" {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
-// An ExcludeDead commit that skipped a dead rank records one
-// degraded-commit decision with zero regret and the rejected stall priced
-// at the heartbeat timeout.
+// An ExcludeDead commit that skipped a dead rank emits one degraded-commit
+// decision with zero regret and the rejected stall priced at the heartbeat
+// timeout.
 func TestExcludeDeadRecordsDecision(t *testing.T) {
 	group := NewLocalGroup(2)
 	defer group[0].Close()
 	defer group[1].Close()
-	dec := decisionObserver()
+	rec := obs.NewRecorder(256)
 	leader := NewCoordinatorWith(group[0], fastDetect(ExcludeDead))
 	defer leader.Close()
-	leader.SetObserver(dec)
+	leader.SetObserver(rec)
 	hung := NewCoordinator(group[1])
 	hung.Close() // transport stays open, pump is gone: dead by silence
 
@@ -38,42 +43,31 @@ func TestExcludeDeadRecordsDecision(t *testing.T) {
 		t.Fatalf("leader commit with a hung peer: %v", err)
 	}
 
-	var degraded []decision.Decision
-	for _, d := range dec.Decisions() {
-		if d.Kind == decision.KindDegraded {
-			degraded = append(degraded, d)
-		}
+	ds := degraded(rec)
+	if len(ds) == 0 {
+		t.Fatal("exclusion commit emitted no degraded-commit decision")
 	}
-	if len(degraded) == 0 {
-		t.Fatal("exclusion commit recorded no degraded-commit decision")
-	}
-	d := degraded[0]
-	if !d.Scored || d.Outcome != "excluded-1" || d.Regret != 0 {
-		t.Errorf("scored %v outcome %q regret %v, want a zero-regret excluded-1", d.Scored, d.Outcome, d.Regret)
-	}
-	if d.Chosen.Action != "exclude-dead" {
-		t.Errorf("chosen %q, want exclude-dead", d.Chosen.Action)
-	}
-	if d.Inputs.DeadRanks != 1 || d.Inputs.N != 2 {
-		t.Errorf("inputs %+v, want 1 dead rank of world 2", d.Inputs)
+	d := ds[0]
+	if !d.Scored || d.Outcome != "excluded-1" || d.Regret != 0 || d.Chosen != "exclude-dead" {
+		t.Errorf("%+v, want a scored zero-regret exclude-dead, excluded-1", d)
 	}
 	if len(d.Rejected) != 1 || d.Rejected[0].Action != "stall" ||
-		d.Rejected[0].PredictedCost != fastDetect(ExcludeDead).HeartbeatTimeout.Seconds() {
+		d.Rejected[0].Cost != fastDetect(ExcludeDead).HeartbeatTimeout.Seconds() {
 		t.Errorf("rejected %+v, want stall priced at the heartbeat timeout", d.Rejected)
 	}
 }
 
-// Under the Stall policy a round blocked solely by dead ranks opens a
-// pending decision; when the round never commits, Finalize closes it
-// unresolved rather than dropping it.
+// Under the Stall policy a round blocked solely by dead ranks emits an
+// open decision; when the round never commits it stays one unscored
+// decision rather than vanishing.
 func TestStallOpensPendingDecision(t *testing.T) {
 	group := NewLocalGroup(2)
 	defer group[0].Close()
 	defer group[1].Close()
-	dec := decisionObserver()
+	rec := obs.NewRecorder(256)
 	leader := NewCoordinatorWith(group[0], fastDetect(Stall))
 	defer leader.Close()
-	leader.SetObserver(dec)
+	leader.SetObserver(rec)
 	hung := NewCoordinator(group[1])
 	hung.Close()
 
@@ -84,19 +78,15 @@ func TestStallOpensPendingDecision(t *testing.T) {
 	if _, err := leader.Commit(ctx, 3); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stalled commit returned %v, want DeadlineExceeded", err)
 	}
-	if got := dec.Summary().Pending; got != 1 {
-		t.Fatalf("pending decisions = %d, want the open stall", got)
-	}
-	dec.Finalize()
-	ds := dec.Decisions()
+	ds := degraded(rec)
 	if len(ds) != 1 {
-		t.Fatalf("decisions = %d, want 1", len(ds))
+		t.Fatalf("decisions = %d, want the one open stall", len(ds))
 	}
 	d := ds[0]
-	if d.Kind != decision.KindDegraded || d.Scored || d.Outcome != "unresolved" {
-		t.Errorf("kind %v scored %v outcome %q, want an unresolved degraded stall", d.Kind, d.Scored, d.Outcome)
+	if d.Scored || d.Outcome != "stalled" || d.Chosen != "stall" || d.Ref != 1 {
+		t.Errorf("%+v, want an unscored stall on the first round", d)
 	}
-	if d.Chosen.Action != "stall" || d.Counter != 1 {
-		t.Errorf("chosen %q round %d, want stall on the first round", d.Chosen.Action, d.Counter)
+	if len(d.Rejected) != 1 || d.Rejected[0].Action != "exclude-dead" || !d.Rejected[0].Eligible {
+		t.Errorf("rejected %+v, want an eligible exclude-dead", d.Rejected)
 	}
 }

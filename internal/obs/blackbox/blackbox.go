@@ -2,11 +2,11 @@
 // journal: a torn-write-tolerant, CRC-framed ring of telemetry frames
 // stored in a reserved region of the checkpoint device, after the slot
 // area. Every observability surface the process holds in DRAM — the
-// flight-recorder ring, the goodput ledger's report, the decision-trace
-// tail — dies with the process, which is exactly the scenario the engine
-// exists to survive; the black box periodically persists a snapshot of
-// all three so a post-crash inspector can explain what the process was
-// doing when the power went out.
+// flight-recorder ring (policy decisions included) and the goodput
+// ledger's report — dies with the process, which is exactly the scenario
+// the engine exists to survive; the black box periodically persists a
+// snapshot of both so a post-crash inspector can explain what the process
+// was doing when the power went out.
 //
 // Region layout (sizes fixed at format time, recorded in the header):
 //
@@ -34,7 +34,6 @@ import (
 	"sort"
 
 	"pccheck/internal/obs"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
@@ -60,9 +59,10 @@ const (
 
 // Payload section types.
 const (
-	secEvents    = 1 // fixed-width binary obs.Event tail
-	secReport    = 2 // obs.GoodputReport JSON
-	secDecisions = 3 // []decision.Decision JSON
+	secEvents = 1 // fixed-width binary obs.Event tail
+	secReport = 2 // obs.GoodputReport JSON
+	// Section 3 held a JSON decision tail; decisions now ride in the
+	// event tail, and old frames skip it as an unknown section.
 )
 
 // ErrNoRegion reports that the device was formatted without a black-box
@@ -187,7 +187,7 @@ func (f *Flusher) RepairHeader() error {
 }
 
 // Frame is one decoded telemetry frame: a point-in-time snapshot of the
-// flight ring tail, the goodput report, and the decision-trace tail.
+// flight ring tail and the goodput report.
 type Frame struct {
 	// Seq is the frame's monotonic sequence number (1-based).
 	Seq uint64
@@ -199,9 +199,6 @@ type Frame struct {
 	// Report is the goodput ledger's report at flush time as JSON, nil
 	// when no ledger was attached.
 	Report json.RawMessage
-	// Decisions is the decision-trace tail at flush time as a JSON
-	// array, nil when no decision recorder was attached.
-	Decisions json.RawMessage
 }
 
 // encodeEvents renders events in the fixed 60-byte wire form.
@@ -252,7 +249,7 @@ func decodeEvents(buf []byte) ([]obs.Event, bool) {
 
 // encodeFrame renders a frame into a full slot-sized buffer. Sections
 // that do not fit the slot are trimmed in priority order: oldest events
-// first, then decisions, then the report — an empty payload always fits.
+// first, then the report — an empty payload always fits.
 func encodeFrame(buf []byte, epoch uint64, f Frame) {
 	for i := range buf {
 		buf[i] = 0
@@ -268,27 +265,16 @@ func encodeFrame(buf []byte, epoch uint64, f Frame) {
 		copy(s[8:], data)
 		return s
 	}
-	// Reserve space for report and decisions, then fill the rest with the
-	// newest events that fit.
+	// Reserve space for the report, then fill the rest with the newest
+	// events that fit.
 	reserved := 0
 	if len(f.Report) > 0 {
-		reserved += 8 + len(f.Report)
-	}
-	if len(f.Decisions) > 0 {
-		reserved += 8 + len(f.Decisions)
+		reserved = 8 + len(f.Report)
 	}
 	events := f.Events
 	if reserved > budget {
-		// Report/decisions alone overflow: drop decisions, then report.
-		f.Decisions = nil
+		f.Report = nil
 		reserved = 0
-		if len(f.Report) > 0 {
-			reserved = 8 + len(f.Report)
-		}
-		if reserved > budget {
-			f.Report = nil
-			reserved = 0
-		}
 	}
 	if maxEv := (budget - reserved - 8) / eventLen; maxEv < len(events) {
 		if maxEv < 0 {
@@ -299,7 +285,6 @@ func encodeFrame(buf []byte, epoch uint64, f Frame) {
 	payload := buf[frameHeaderLen:frameHeaderLen]
 	payload = append(payload, section(secEvents, encodeEvents(events))...)
 	payload = append(payload, section(secReport, f.Report)...)
-	payload = append(payload, section(secDecisions, f.Decisions)...)
 
 	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
 	binary.LittleEndian.PutUint32(buf[4:], version)
@@ -363,8 +348,6 @@ func decodeFrame(buf []byte, epoch uint64) (Frame, bool) {
 			f.Events = evs
 		case secReport:
 			f.Report = append(json.RawMessage(nil), data...)
-		case secDecisions:
-			f.Decisions = append(json.RawMessage(nil), data...)
 		default:
 			// Unknown section from a newer writer: skip, keep the rest.
 		}
@@ -443,24 +426,6 @@ func (pm *PostMortem) LastReport() (obs.GoodputReport, bool) {
 		}
 	}
 	return obs.GoodputReport{}, false
-}
-
-// LastDecisions decodes the newest frame's decision tail (oldest first;
-// empty when no surviving frame carried one).
-func (pm *PostMortem) LastDecisions() []decision.Decision {
-	if pm == nil {
-		return nil
-	}
-	for i := len(pm.Frames) - 1; i >= 0; i-- {
-		if len(pm.Frames[i].Decisions) == 0 {
-			continue
-		}
-		var ds []decision.Decision
-		if err := json.Unmarshal(pm.Frames[i].Decisions, &ds); err == nil {
-			return ds
-		}
-	}
-	return nil
 }
 
 // Decode reads and validates the black-box region at off. regionBytes is

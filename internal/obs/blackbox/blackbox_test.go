@@ -2,13 +2,14 @@ package blackbox
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"runtime"
 	"strings"
 	"testing"
 
 	"pccheck/internal/obs"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
@@ -52,8 +53,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := json.RawMessage(`{"goodput_ratio":0.93}`)
-	decisions := json.RawMessage(`[{"kind":"retune"}]`)
-	seq, err := j.Append(Frame{TS: 1234, Events: evs(3, 100), Report: report, Decisions: decisions})
+	seq, err := j.Append(Frame{TS: 1234, Events: evs(3, 100), Report: report})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	if len(f.Events) != 3 || f.Events[2].TS != 102 || f.Events[0].Phase != obs.PhasePublish {
 		t.Fatalf("events did not round-trip: %+v", f.Events)
 	}
-	if !bytes.Equal(f.Report, report) || !bytes.Equal(f.Decisions, decisions) {
-		t.Fatal("report/decisions did not round-trip")
+	if !bytes.Equal(f.Report, report) {
+		t.Fatal("report did not round-trip")
+	}
+
+	// An image written before decisions moved into the event tail carries
+	// a section-3 JSON decision tail: it decodes through the unknown-section
+	// branch with its events and report intact.
+	buf := make([]byte, l.FrameBytes)
+	encodeFrame(buf, 7, Frame{Seq: 2, TS: 99, Events: evs(2, 10), Report: report})
+	old := []byte(`[{"seq":1,"kind":"retune","chosen":{"action":"f=3"}}]`)
+	n := binary.LittleEndian.Uint32(buf[32:])
+	sec := buf[frameHeaderLen+n:]
+	binary.LittleEndian.PutUint32(sec[0:], 3)
+	binary.LittleEndian.PutUint32(sec[4:], uint32(len(old)))
+	copy(sec[8:], old)
+	n += 8 + uint32(len(old))
+	binary.LittleEndian.PutUint32(buf[32:], n)
+	binary.LittleEndian.PutUint32(buf[36:], crc32.ChecksumIEEE(buf[frameHeaderLen:frameHeaderLen+n]))
+	binary.LittleEndian.PutUint32(buf[60:], crc32.ChecksumIEEE(buf[:60]))
+	f, ok := decodeFrame(buf, 7)
+	if !ok || f.Seq != 2 || len(f.Events) != 2 || f.Events[1].TS != 11 || !bytes.Equal(f.Report, report) {
+		t.Fatalf("frame with an old decision section: ok=%v %+v", ok, f)
+	}
+	// Event codes are persisted: a new phase goes after the last one.
+	if obs.PhaseTierFailover != 33 {
+		t.Fatalf("PhaseTierFailover = %d, want the persisted code 33", obs.PhaseTierFailover)
 	}
 }
 
@@ -197,8 +221,7 @@ func TestDecodeRejectsBadHeaders(t *testing.T) {
 
 func TestFlusherSnapshotsChain(t *testing.T) {
 	rec := obs.NewRecorder(256)
-	dec := decision.New(decision.Config{}, rec)
-	led := obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05}, dec)
+	led := obs.NewLedger(obs.LedgerConfig{SlowdownBudget: 1.05}, rec)
 
 	l := testLayout()
 	dev := formatRAM(t, l, 3)
@@ -206,7 +229,7 @@ func TestFlusherSnapshotsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := NewFlusher(j, led, Config{FlushEvery: -1, EventTail: 8, DecisionTail: 4})
+	fl, err := NewFlusher(j, led, Config{FlushEvery: -1, EventTail: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,15 +9,13 @@ import (
 	"time"
 
 	"pccheck/internal/obs"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
 // Defaults for Config zero values.
 const (
-	DefaultFlushEvery   = 250 * time.Millisecond
-	DefaultEventTail    = 128
-	DefaultDecisionTail = 16
+	DefaultFlushEvery = 250 * time.Millisecond
+	DefaultEventTail  = 128
 )
 
 // Config sizes and paces the black box. The zero value disables it
@@ -39,9 +37,6 @@ type Config struct {
 	// EventTail bounds the flight-ring events captured per frame
 	// (newest kept; 0 selects DefaultEventTail).
 	EventTail int
-	// DecisionTail bounds the decision-trace entries captured per frame
-	// (newest kept; 0 selects DefaultDecisionTail).
-	DecisionTail int
 	// RetryAttempts bounds transient-I/O retries per flush, mirroring
 	// the persist path's error-classified retry (0 selects 3).
 	RetryAttempts int
@@ -65,9 +60,6 @@ func (c Config) withDefaults() Config {
 	if c.EventTail <= 0 {
 		c.EventTail = DefaultEventTail
 	}
-	if c.DecisionTail <= 0 {
-		c.DecisionTail = DefaultDecisionTail
-	}
 	if c.RetryAttempts <= 0 {
 		c.RetryAttempts = 3
 	}
@@ -80,8 +72,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Flusher periodically snapshots the observer chain — flight ring,
-// goodput ledger, decision tail — into black-box frames. It never sits
+// Flusher periodically snapshots the observer chain — flight ring and
+// goodput ledger — into black-box frames. It never sits
 // on the Emit hot path: sources are read with non-destructive snapshots
 // from a dedicated goroutine (or explicit Flush calls), so an attached
 // flusher adds zero allocations and zero synchronization to emitters.
@@ -91,7 +83,6 @@ type Flusher struct {
 
 	rec  *obs.Recorder
 	led  *obs.Ledger
-	dec  *decision.Recorder
 	tail []obs.Event // the flight-ring tail of the frame being flushed; under mu
 
 	mu     sync.Mutex // serializes Flush with itself and Stop
@@ -109,10 +100,10 @@ type Flusher struct {
 // NewFlusher builds a flusher over an opened journal, pulling sources
 // from the observer chain: the first *obs.Recorder (required — without a
 // flight ring there is nothing to record), plus the first *obs.Ledger
-// and *decision.Recorder when present. Call Start to begin background
+// when present. Call Start to begin background
 // flushing, or Flush directly for explicit control.
 func NewFlusher(j *Journal, chain obs.Observer, cfg Config) (*Flusher, error) {
-	rec := obs.FindRecorder(chain)
+	rec := obs.Find[*obs.Recorder](chain)
 	if rec == nil {
 		return nil, fmt.Errorf("blackbox: observer chain has no flight recorder")
 	}
@@ -121,8 +112,7 @@ func NewFlusher(j *Journal, chain obs.Observer, cfg Config) (*Flusher, error) {
 		cfg:  cfg,
 		j:    j,
 		rec:  rec,
-		led:  obs.FindLedger(chain),
-		dec:  decision.Find(chain),
+		led:  obs.Find[*obs.Ledger](chain),
 		tail: make([]obs.Event, 0, cfg.EventTail),
 	}
 	f.lastSeq.Store(j.LastSeq())
@@ -191,17 +181,6 @@ func (f *Flusher) Flush() (uint64, error) {
 	if f.led != nil {
 		if data, err := json.Marshal(f.led.Report()); err == nil {
 			frame.Report = data
-		}
-	}
-	if f.dec != nil {
-		ds := f.dec.Decisions()
-		if len(ds) > f.cfg.DecisionTail {
-			ds = ds[len(ds)-f.cfg.DecisionTail:]
-		}
-		if len(ds) > 0 {
-			if data, err := json.Marshal(ds); err == nil {
-				frame.Decisions = data
-			}
 		}
 	}
 

@@ -80,7 +80,6 @@ func FuzzBlackBoxDecode(f *testing.F) {
 		pm.LastSeq()
 		pm.Events()
 		pm.LastReport()
-		pm.LastDecisions()
 	})
 }
 

@@ -152,10 +152,6 @@ type ledgerRank struct {
 type Ledger struct {
 	cfg  LedgerConfig
 	next Observer
-	// blockSink receives completed slowdown blocks (the decision
-	// recorder's regret join); discovered once by walking the downstream
-	// chain at construction.
-	blockSink BlockSink
 
 	startNS int64
 
@@ -216,16 +212,6 @@ func (f *atomicFloat) ewma(v, alpha float64) {
 	}
 }
 
-// BlockSink receives the ledger's completed slowdown blocks: the mean
-// iteration seconds over one Window, the learned baseline (0 when not yet
-// known), and the iteration count. The decision recorder implements it to
-// join retune decisions against measured overhead; the ledger discovers a
-// sink by walking its downstream observer chain, so chaining
-// Ledger → decision.Recorder → Recorder wires the join automatically.
-type BlockSink interface {
-	LedgerBlock(meanIterSeconds, baselineSeconds float64, iters int)
-}
-
 // NewLedger builds a goodput ledger that forwards every event to next
 // (nil for a stand-alone ledger). Attach the returned ledger — not next —
 // as Config.Observer so it sees the full event stream.
@@ -233,17 +219,6 @@ func NewLedger(cfg LedgerConfig, next Observer) *Ledger {
 	l := &Ledger{cfg: cfg.withDefaults(), next: next, startNS: time.Now().UnixNano()}
 	l.maxRank.Store(-1)
 	l.maxTier.Store(-1)
-	for o := next; o != nil; {
-		if s, ok := o.(BlockSink); ok {
-			l.blockSink = s
-			break
-		}
-		n, ok := o.(interface{ Next() Observer })
-		if !ok {
-			break
-		}
-		o = n.Next()
-	}
 	return l
 }
 
@@ -451,8 +426,12 @@ func (l *Ledger) IterDone(d time.Duration, checkpointed bool) {
 			}
 		}
 	}
-	if l.blockSink != nil {
-		l.blockSink.LedgerBlock(blockMean, base, l.blockIters)
+	if l.next != nil {
+		l.next.Emit(Event{
+			TS: time.Now().UnixNano(), Dur: l.blockNS / int64(l.blockIters),
+			Value: int64(math.Round(base * 1e9)), Counter: l.iters, Phase: PhaseSlowdownBlock,
+			Slot: -1, Writer: -1, Rank: -1,
+		})
 	}
 	l.blockNS, l.blockIters = 0, 0
 }

@@ -118,9 +118,23 @@ const (
 	// PhaseKeyframe marks a delta-mode save published as a full keyframe
 	// (instant); Bytes is the payload size. Plain-mode saves never emit it.
 	PhaseKeyframe
-	// PhaseDecision marks a recorded policy decision (instant): Counter is
-	// the decision sequence number and Value its kind, both resolving into
-	// the decision recorder's structured log (internal/obs/decision).
+	// PhaseDecision is one action of a policy decision (instant). A
+	// decision is a group of 1 + K of them sharing an id (EmitDecision),
+	// scored after the fact by Decisions:
+	//
+	//	field    chosen event                  rejected event
+	//	Counter  decision id                   the same id
+	//	Attempt  0                             1..MaxRejected
+	//	Slot     DecisionKind                  the same kind
+	//	Value    DecisionAction<<32 | uint32(argument), both events
+	//	Dur      cost, ns: measured (a retune  predicted cost, ns
+	//	         predicts it until scored)
+	//	Bytes    a retune's overhead part of Dur; else the checkpoint
+	//	         counter or coordination round
+	//	Writer   DecisionOutcome               1 if eligible, else 0
+	//
+	// A slot admission is never emitted: the PhaseSlotWait event with
+	// Value 1 already is that decision.
 	PhaseDecision
 	// PhaseTierDrain spans one ship of a storage.Tiered device: the drainer
 	// copying the front's newest committed checkpoint into a lower tier,
@@ -163,6 +177,11 @@ const (
 	// so persists re-routed to tier Slot after the front's image was copied
 	// into it, taking Dur. Bytes is the volume copied.
 	PhaseTierFailover
+	// PhaseSlowdownBlock marks a goodput ledger's completed slowdown block
+	// (instant): Dur is the block's mean iteration time, Value the learned
+	// no-checkpoint baseline (0 while unknown), Counter the iterations so
+	// far. A retune decision is scored against it.
+	PhaseSlowdownBlock
 
 	// PhaseCount is the number of defined phases.
 	PhaseCount
@@ -176,7 +195,7 @@ var phaseNames = [PhaseCount]string{
 	"frame-dropped", "delta-encode", "keyframe", "decision",
 	"tier-drain", "tier-error", "tier-resync", "crash-mark",
 	"scrub", "scrub-corrupt", "scrub-repair", "quarantine",
-	"tier-failover",
+	"tier-failover", "slowdown-block",
 }
 
 // String returns the phase's canonical hyphenated name.
@@ -382,37 +401,22 @@ func (r *Recorder) SnapshotTail(dst []Event, n int) []Event {
 // full (the flight recorder keeps the most recent ones).
 func (r *Recorder) Dropped() uint64 { return r.ring.dropped.Load() }
 
-// FindRecorder walks an observer chain — any sequence of observers linked
-// by a Next() Observer method, e.g. Ledger → decision.Recorder → Recorder
-// — and returns the first *Recorder, or nil if the chain has none.
-func FindRecorder(o Observer) *Recorder {
+// Find walks an observer chain — any sequence of observers linked by a
+// Next() Observer method, e.g. Ledger → Recorder — and returns the first
+// T in it, or the zero T when the chain has none.
+func Find[T Observer](o Observer) T {
 	for o != nil {
-		if r, ok := o.(*Recorder); ok {
-			return r
+		if t, ok := o.(T); ok {
+			return t
 		}
 		n, ok := o.(interface{ Next() Observer })
 		if !ok {
-			return nil
+			break
 		}
 		o = n.Next()
 	}
-	return nil
-}
-
-// FindLedger walks an observer chain (see FindRecorder) and returns the
-// first *Ledger, or nil if the chain has none.
-func FindLedger(o Observer) *Ledger {
-	for o != nil {
-		if l, ok := o.(*Ledger); ok {
-			return l
-		}
-		n, ok := o.(interface{ Next() Observer })
-		if !ok {
-			return nil
-		}
-		o = n.Next()
-	}
-	return nil
+	var zero T
+	return zero
 }
 
 // PhaseStats summarises one phase's latency distribution.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -183,6 +184,11 @@ func TestWriteTrace(t *testing.T) {
 	r.Emit(Event{Phase: PhaseBarrier, TS: base + 5100, Dur: 400, Counter: 1, Slot: 0, Writer: -1, Rank: -1})
 	r.Emit(Event{Phase: PhasePublish, TS: base + 5500, Counter: 1, Slot: 0, Bytes: 1024, Writer: -1, Rank: -1})
 	r.Emit(Event{Phase: PhaseSave, TS: base, Dur: 5500, Counter: 1, Slot: 0, Bytes: 1024, Writer: -1, Rank: -1})
+	// One decision group (chosen f=3, rejected f=4) and a slowdown block.
+	EmitDecision(r, 7, DecisionRetune, 0, OutPredicted,
+		Choice{Action: ActInterval, Arg: 3, Cost: 900, Over: 800},
+		Choice{Action: ActInterval, Arg: 4, Cost: 700, Over: 600, Eligible: true})
+	r.Emit(Event{Phase: PhaseSlowdownBlock, TS: base + 6000, Dur: 1200, Value: 1000, Counter: 32, Slot: -1, Writer: -1, Rank: -1})
 
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -190,12 +196,13 @@ func TestWriteTrace(t *testing.T) {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			PID  int     `json:"pid"`
-			TID  int64   `json:"tid"`
-			TS   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			PID  int            `json:"pid"`
+			TID  int64          `json:"tid"`
+			TS   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
@@ -216,10 +223,37 @@ func TestWriteTrace(t *testing.T) {
 	if _, ok := byName["thread_name"]; !ok {
 		t.Fatal("trace missing thread_name metadata")
 	}
+	// The decision group renders by name on the decisions track, the block
+	// on the loop track.
+	decided := map[string]string{}
+	for _, e := range doc.TraceEvents {
+		switch e.Name {
+		case "decision":
+			if e.TID != tidDecide {
+				t.Errorf("decision on track %d, want %d", e.TID, tidDecide)
+			}
+			decided[e.Args["action"].(string)] = fmt.Sprint(e.Args)
+		case "slowdown-block":
+			if e.TID != tidLoop || e.Args["dur_ns"] != 1200.0 {
+				t.Errorf("slowdown block on track %d args %v, want the loop track and its mean", e.TID, e.Args)
+			}
+		}
+	}
+	if len(decided) != 2 {
+		t.Fatalf("trace has %d decision events, want the group's 2", len(decided))
+	}
+	for action, want := range map[string]map[string]any{
+		"f=3": {"id": 7.0, "kind": "retune", "action": "f=3", "arg": 3.0, "outcome": "predicted", "cost_ns": 900.0},
+		"f=4": {"id": 7.0, "kind": "retune", "action": "f=4", "arg": 4.0, "rejected": 1.0, "eligible": true, "cost_ns": 700.0},
+	} {
+		if decided[action] != fmt.Sprint(want) {
+			t.Errorf("decision %s args %v, want %v", action, decided[action], want)
+		}
+	}
 	// WriteTrace is non-destructive: the events stay buffered for other
 	// consumers (dashboard, black-box flusher).
-	if evs := r.TakeEvents(); len(evs) != 6 {
-		t.Fatalf("WriteTrace consumed events: %d left buffered, want 6", len(evs))
+	if evs := r.TakeEvents(); len(evs) != 9 {
+		t.Fatalf("WriteTrace consumed events: %d left buffered, want 9", len(evs))
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 //     ("slot <s> writer <w>") with the per-chunk persist spans — a slot is
 //     owned by exactly one save at a time, so these never overlap;
 //   - retries and faults share a "faults+retries" track, the training
-//     loop's snapshot/retune events a "loop" track, each distributed
+//     loop's snapshot/retune events and the ledger's slowdown blocks a
+//     "loop" track, policy decisions a "decisions" track, each distributed
 //     rank an "agree rank <r>" track, and rank 0's per-round gate
 //     records (which rank held the round open) an "agree gate" track.
 const (
@@ -64,7 +65,7 @@ func trackOf(ev Event) (int64, string) {
 			fmt.Sprintf("slot %d writer %d", ev.Slot, ev.Writer)
 	case PhaseIORetry, PhaseFault, PhaseFaultInjected:
 		return tidFaults, "faults+retries"
-	case PhaseSnapshot, PhaseRetune:
+	case PhaseSnapshot, PhaseRetune, PhaseSlowdownBlock:
 		return tidLoop, "loop"
 	case PhaseAgree:
 		return tidRankLo + int64(ev.Rank), fmt.Sprintf("agree rank %d", ev.Rank)
@@ -84,12 +85,26 @@ func trackOf(ev Event) (int64, string) {
 // traceArgs builds the args payload, omitting fields the phase leaves
 // unset so the Perfetto detail pane stays readable.
 func traceArgs(ev Event) map[string]any {
+	if ev.Phase == PhaseDecision {
+		arg := int32(ev.Value)
+		args := map[string]any{"id": ev.Counter, "kind": name(kindNames, int64(ev.Slot), 0),
+			"action": name(actionNames, ev.Value>>32, arg), "arg": arg, "cost_ns": ev.Dur}
+		if ev.Attempt == 0 {
+			args["outcome"] = name(outcomeNames, int64(ev.Writer), arg)
+		} else {
+			args["rejected"], args["eligible"] = ev.Attempt, ev.Writer == 1
+		}
+		return args
+	}
 	args := make(map[string]any, 6)
 	if ev.Counter != 0 {
 		args["counter"] = ev.Counter
 	}
 	if ev.Bytes != 0 {
 		args["bytes"] = ev.Bytes
+	}
+	if ev.Dur != 0 && !ev.Phase.IsSpan() {
+		args["dur_ns"] = ev.Dur
 	}
 	if ev.Value != 0 {
 		args["value"] = ev.Value

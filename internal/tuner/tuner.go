@@ -14,12 +14,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"pccheck/internal/core"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/perfmodel"
 	"pccheck/internal/storage"
 )
@@ -52,13 +50,6 @@ type Input struct {
 	// PerWriterBW forwards the per-thread bandwidth model to the engine
 	// (0 = unpaced; tests use it to make the p-search meaningful).
 	PerWriterBW float64
-	// Decisions, when non-nil, records the N* search as a tune decision:
-	// every candidate N with its Tw/N cost (measured in Profile, modeled
-	// in Analyze), the chosen N, and the regret of the §3.4
-	// smaller-N-on-ties preference (within 5%, a larger N with strictly
-	// smaller Tw/N loses the tie — that gap is deliberate, recorded
-	// regret).
-	Decisions *decision.Recorder
 }
 
 func (in Input) validate() error {
@@ -170,67 +161,7 @@ func Profile(dev storage.Device, in Input) (Result, error) {
 		f = 1
 	}
 	res.Interval = int(f)
-	recordTune(in, res, "profiled")
 	return res, nil
-}
-
-// recordTune logs the N* search (§3.4) to the decision recorder, if one is
-// configured: every candidate N becomes a scored alternative with its Tw/N
-// cost, and the decision is scored immediately — the profile IS the
-// measurement. Regret is the gap to the strictly best Tw/N; nonzero regret
-// marks the smaller-N-on-ties preference trading throughput for smaller
-// rollback on failure.
-func recordTune(in Input, res Result, mode string) {
-	rec := in.Decisions
-	if rec == nil {
-		return
-	}
-	ns := make([]int, 0, len(res.Profile))
-	for n := range res.Profile {
-		ns = append(ns, n)
-	}
-	sort.Ints(ns)
-	var chosen decision.Alternative
-	var rejected []decision.Alternative
-	best := math.MaxFloat64
-	for _, n := range ns {
-		tw := res.Profile[n]
-		twOverN := tw.Seconds() / float64(n)
-		if twOverN < best {
-			best = twOverN
-		}
-		alt := decision.Alternative{
-			Action:          fmt.Sprintf("N=%d", n),
-			PredictedCost:   twOverN,
-			OverheadSeconds: twOverN,
-			Feasible:        true,
-		}
-		if n == res.N {
-			chosen = alt
-		} else {
-			rejected = append(rejected, alt)
-		}
-	}
-	measured := res.TwOverN.Seconds()
-	regret := measured - best
-	if regret < 0 {
-		regret = 0
-	}
-	rec.RecordScored(decision.KindTune, decision.Outcome{
-		Inputs: decision.Inputs{
-			TwSeconds:    res.Tw.Seconds(),
-			IterSeconds:  in.IterTime.Seconds(),
-			Q:            in.MaxOverhead,
-			N:            res.N,
-			PayloadBytes: in.CheckpointBytes,
-		},
-		Chosen:   chosen,
-		Rejected: rejected,
-		Measured: measured,
-		Regret:   regret,
-		Outcome:  mode,
-		Rank:     -1,
-	})
 }
 
 // measureTw formats dev for (n, p) and runs n concurrent checkpoint streams,
@@ -347,6 +278,5 @@ func Analyze(in Input, storageBW, perThreadBW float64) (Result, error) {
 		f = 1
 	}
 	res.Interval = int(f)
-	recordTune(in, res, "modeled")
 	return res, nil
 }

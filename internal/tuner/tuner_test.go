@@ -1,13 +1,10 @@
 package tuner
 
 import (
-	"fmt"
-	"math"
 	"testing"
 	"time"
 
 	"pccheck/internal/core"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/perfmodel"
 	"pccheck/internal/storage"
 	"pccheck/internal/workload"
@@ -215,77 +212,56 @@ func TestRealTwMatchesAnalyticModel(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRecordsTuneDecision: with a decision recorder configured, the
-// N* search records one tune decision — every candidate N a scored
-// alternative with its Tw/N cost, and regret measuring the 5%
-// smaller-N-on-ties preference.
-func TestAnalyzeRecordsTuneDecision(t *testing.T) {
-	rec := decision.New(decision.Config{TopK: 8}, nil)
+// checkSmallerNOnTies asserts the §3.4 N* rule on a Result: every smaller
+// N has a strictly worse Tw/N, and no larger N beats the chosen one by 5%
+// or more — the smaller-N-on-ties preference, traded for less rollback.
+func checkSmallerNOnTies(t *testing.T, res Result, maxN int) {
+	t.Helper()
+	if len(res.Profile) != maxN {
+		t.Fatalf("profile has %d candidates, want %d", len(res.Profile), maxN)
+	}
+	chosen := res.Profile[res.N] / time.Duration(res.N)
+	if res.TwOverN != chosen {
+		t.Errorf("TwOverN %v, want the chosen N=%d's %v", res.TwOverN, res.N, chosen)
+	}
+	for n, tw := range res.Profile {
+		c := tw / time.Duration(n)
+		if n < res.N && c <= chosen {
+			t.Errorf("N=%d has Tw/N %v ≤ chosen N=%d's %v, yet lost", n, c, res.N, chosen)
+		}
+		if n > res.N && float64(c) < 0.95*float64(chosen) {
+			t.Errorf("N=%d beats chosen N=%d by ≥5%% (%v vs %v), yet lost", n, res.N, c, chosen)
+		}
+	}
+}
+
+func TestAnalyzePrefersSmallerNOnTies(t *testing.T) {
 	m, _ := workload.ByName("OPT-1.3B")
 	res, err := Analyze(Input{
 		IterTime:        m.IterTime,
 		CheckpointBytes: m.CheckpointBytes,
 		MaxOverhead:     1.05,
 		MaxN:            4,
-		Decisions:       rec,
 	}, workload.A100GCP.StorageWriteBW, workload.A100GCP.PerThreadWriteBW)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := rec.Decisions()
-	if len(ds) != 1 {
-		t.Fatalf("decisions = %d, want 1", len(ds))
-	}
-	d := ds[0]
-	if d.Kind != decision.KindTune || !d.Scored || d.Outcome != "modeled" {
-		t.Fatalf("kind %v scored %v outcome %q, want a scored modeled tune", d.Kind, d.Scored, d.Outcome)
-	}
-	if want := fmt.Sprintf("N=%d", res.N); d.Chosen.Action != want {
-		t.Errorf("chosen %q, want %q", d.Chosen.Action, want)
-	}
-	if len(d.Rejected) != 3 {
-		t.Errorf("rejected = %d, want the 3 unchosen candidates of MaxN=4", len(d.Rejected))
-	}
-	if d.Regret < 0 {
-		t.Errorf("regret %v, want ≥ 0", d.Regret)
-	}
-	// Regret is exactly the gap between the chosen Tw/N and the strict
-	// minimum over the profile.
-	best := math.MaxFloat64
-	for n, tw := range res.Profile {
-		if c := tw.Seconds() / float64(n); c < best {
-			best = c
-		}
-	}
-	if want := res.TwOverN.Seconds() - best; math.Abs(d.Regret-want) > 1e-12 {
-		t.Errorf("regret %v, want the tie-preference gap %v", d.Regret, want)
-	}
-	if d.Inputs.N != res.N || d.Inputs.Q != 1.05 {
-		t.Errorf("inputs %+v do not reflect the chosen configuration", d.Inputs)
-	}
+	checkSmallerNOnTies(t, res, 4)
 }
 
-// Profile must record the same decision shape with the "profiled" outcome.
-func TestProfileRecordsTuneDecision(t *testing.T) {
-	rec := decision.New(decision.Config{}, nil)
+func TestProfilePrefersSmallerNOnTies(t *testing.T) {
 	const m = 32 << 10
 	dev := storage.NewRAM(core.DeviceBytes(2, m))
-	if _, err := Profile(dev, Input{
+	res, err := Profile(dev, Input{
 		IterTime:        time.Millisecond,
 		CheckpointBytes: m,
 		MaxOverhead:     1.2,
 		MaxN:            2,
 		Writers:         1,
 		Rounds:          1,
-		Decisions:       rec,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ds := rec.Decisions()
-	if len(ds) != 1 || ds[0].Kind != decision.KindTune || ds[0].Outcome != "profiled" {
-		t.Fatalf("decisions = %+v, want one profiled tune", ds)
-	}
-	if len(ds[0].Rejected) != 1 {
-		t.Errorf("rejected = %d, want the one unchosen N of MaxN=2", len(ds[0].Rejected))
-	}
+	checkSmallerNOnTies(t, res, 2)
 }

@@ -7,7 +7,6 @@ import (
 	"pccheck/internal/core"
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
-	"pccheck/internal/obs/decision"
 	"pccheck/internal/storage"
 )
 
@@ -60,7 +59,7 @@ const (
 	PhaseFrameDropped  = obs.PhaseFrameDropped  // a malformed or stale frame was discarded
 	PhaseDeltaEncode   = obs.PhaseDeltaEncode   // diffing + encoding a delta record
 	PhaseKeyframe      = obs.PhaseKeyframe      // a full checkpoint published in delta mode
-	PhaseDecision      = obs.PhaseDecision      // a policy decision was recorded (Counter = decision seq)
+	PhaseDecision      = obs.PhaseDecision      // one action of a policy decision (Counter = decision id)
 	PhaseCrashMark     = obs.PhaseCrashMark     // crash boundary in a merged forensic timeline
 )
 
@@ -164,62 +163,20 @@ func (c *Checkpointer) Observer() Observer {
 	return c.engine.Observer()
 }
 
-// DecisionRecorder is the policy decision trace (internal/obs/decision):
-// an Observer that records every tuning and coordination decision — the
-// chosen action, its measured inputs, and the top-K rejected alternatives
-// with the §3.4 model's predicted cost for each — and scores decisions
-// with measured regret by joining them against the goodput ledger's
-// slowdown blocks. Chain it between the Ledger and the flight Recorder
-// (NewLedger(cfg, NewDecisionRecorder(dcfg, rec))) and attach the ledger
-// as Config.Observer; AdaptiveLoop, the engine's slot admission and retry
-// paths, the distributed coordinator, and the tuner all discover it in
-// the chain automatically. A nil recorder costs one branch per decision
-// point and zero allocations.
-type DecisionRecorder = decision.Recorder
-
-// DecisionConfig tunes a DecisionRecorder (ring capacity, rejected-
-// alternative fan-out K, failure rate λ weighting staleness into retune
-// candidate costs).
-type DecisionConfig = decision.Config
-
-// Decision is one recorded policy decision; DecisionAlternative one
-// candidate action with its predicted cost; DecisionInputs the measured
-// quantities the decision was derived from. All are JSON-tagged; the
-// recorder's WriteJSONL exports one Decision per line.
-type Decision = decision.Decision
-type DecisionAlternative = decision.Alternative
-type DecisionInputs = decision.Inputs
-
-// DecisionSummary aggregates a decision log: totals, measurement-join
-// coverage, and mean/max/total regret, overall and per kind.
-type DecisionSummary = decision.Summary
-
-// NewDecisionRecorder builds a decision recorder forwarding events to
-// next (usually the flight Recorder).
-func NewDecisionRecorder(cfg DecisionConfig, next Observer) *DecisionRecorder {
-	return decision.New(cfg, next)
-}
-
-// FormatDecisionTable renders decisions worst-regret-first, up to limit
-// rows (0 = all).
-func FormatDecisionTable(w io.Writer, ds []Decision, limit int) {
-	decision.FormatTable(w, ds, limit)
-}
-
 // BlackBoxConfig tunes the black-box telemetry region and its background
 // flusher: region size, frame size, flush cadence, and how much of the
-// event and decision tails each frame captures. The zero value disables
+// event tail each frame captures. The zero value disables
 // the black box; set Bytes to enable it. Attach via Config.BlackBox.
 type BlackBoxConfig = blackbox.Config
 
 // PostMortem is a decoded black box: every CRC-valid frame of telemetry
 // that survived the crash, oldest first, plus accessors for the merged
-// event timeline, the final goodput report, and the last policy
-// decisions. See PostMortemFile and Checkpointer.PostMortem.
+// event timeline (policy decisions included) and the final goodput
+// report. See PostMortemFile and Checkpointer.PostMortem.
 type PostMortem = blackbox.PostMortem
 
 // BlackBoxFrame is one telemetry frame of a PostMortem: the flight-ring
-// tail, goodput report and decision tail one flush persisted.
+// tail and goodput report one flush persisted.
 type BlackBoxFrame = blackbox.Frame
 
 // ErrNoBlackBox reports that a device was formatted without a black-box
@@ -242,8 +199,8 @@ func (c *Checkpointer) PostMortem() (*PostMortem, error) {
 }
 
 // PostMortemFile decodes the black-box telemetry region of a checkpoint
-// file after a crash: the flight-ring tail, final goodput report and
-// last policy decisions as of the last completed flush. Files created
+// file after a crash: the flight-ring tail (policy decisions included)
+// and final goodput report as of the last completed flush. Files created
 // without BlackBox return ErrNoBlackBox. The pccheck-inspect command's
 // -post-mortem flag renders the same data as text.
 func PostMortemFile(path string) (*PostMortem, error) {

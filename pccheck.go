@@ -109,8 +109,8 @@ type Config struct {
 	Observer Observer
 	// BlackBox, when enabled (Bytes > 0), reserves a black-box telemetry
 	// region in the checkpoint file and starts a background flusher that
-	// periodically persists the flight-ring tail, the goodput report and
-	// the decision-trace tail into torn-write-tolerant frames. After a
+	// periodically persists the flight-ring tail (policy decisions
+	// included) and the goodput report into torn-write-tolerant frames. After a
 	// crash, PostMortemFile (or pccheck-inspect -post-mortem) reads back
 	// what the process was doing. Requires a Recorder somewhere in the
 	// Observer chain; it never touches the Emit hot path. See the
