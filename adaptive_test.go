@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -354,20 +355,28 @@ func TestAdaptiveDecisionsScored(t *testing.T) {
 	}
 }
 
-func TestRetuneCandidates(t *testing.T) {
+// TestRetuneCandidateSet: the rejected intervals are distinct, priced sanely,
+// include the previous interval, and mark budget breaches ineligible.
+func TestRetuneCandidateSet(t *testing.T) {
 	chosen, alts, k := retuneCandidates(0.02, 0.001, 1.05, 2, 3, 5, 1, 100)
-	if chosen.Arg != 3 || k != obs.MaxRejected {
-		t.Fatalf("chosen f=%d with %d alternatives, want f=3 with K", chosen.Arg, k)
+	if chosen.Arg != 3 {
+		t.Fatalf("chosen f=%d, want f=3", chosen.Arg)
+	}
+	if k < 2 {
+		t.Fatalf("rejected candidates = %d, want ≥ 2", k)
 	}
 	seen := map[int32]bool{chosen.Arg: true}
-	for i, a := range alts[:k] {
+	for _, a := range alts[:k] {
 		if seen[a.Arg] {
 			t.Errorf("duplicate candidate f=%d", a.Arg)
 		}
 		seen[a.Arg] = true
-		if a.Cost < a.Over || a.Over < 0 || (i > 0 && a.Cost < alts[i-1].Cost) {
-			t.Errorf("candidate f=%d cost %d over %d: want 0 ≤ overhead ≤ cost, cheapest first", a.Arg, a.Cost, a.Over)
+		if a.Cost < a.Over || a.Over < 0 {
+			t.Errorf("candidate f=%d cost %d over %d: want 0 ≤ overhead ≤ cost", a.Arg, a.Cost, a.Over)
 		}
+	}
+	if !seen[5] {
+		t.Error("previous interval f=5 not among the candidates")
 	}
 	// With a tight budget the small intervals are ineligible: at N=1 with
 	// tw ≫ t, f near 1 slows training far beyond q.
@@ -382,5 +391,29 @@ func TestRetuneCandidates(t *testing.T) {
 	// The clamp collapses candidates; the fill still finds two when it can.
 	if _, _, k := retuneCandidates(0.02, 0.001, 1.05, 2, 1, 1, 1, 10); k < 2 {
 		t.Errorf("clamped-at-min candidates = %d, want ≥ 2", k)
+	}
+}
+
+// TestRetuneCandidatesCheapestFirst: when more intervals are priced than a
+// decision carries, the cut to obs.MaxRejected keeps the cheapest, in order.
+func TestRetuneCandidatesCheapestFirst(t *testing.T) {
+	const tw, it, q, n, minI, maxI = 0.02, 0.001, 1.05, 2, 1, 100
+	chosen, prev := 6, 20
+	_, alts, k := retuneCandidates(tw, it, q, n, chosen, prev, minI, maxI)
+	// Price every interval the policy considers on its own: as the chosen
+	// one, retuneCandidates returns its price.
+	var all []obs.Choice
+	for _, f := range []int{prev, chosen - 1, chosen + 1, 2 * chosen, (chosen + 1) / 2} {
+		c, _, _ := retuneCandidates(tw, it, q, n, f, prev, minI, maxI)
+		all = append(all, c)
+	}
+	if len(all) <= obs.MaxRejected || k != obs.MaxRejected {
+		t.Fatalf("%d intervals priced, %d kept: want more than K=%d priced and K kept", len(all), k, obs.MaxRejected)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Cost < all[j].Cost })
+	for i, a := range alts[:k] {
+		if a.Arg != all[i].Arg || a.Cost != all[i].Cost {
+			t.Errorf("kept candidate %d = f=%d cost %d, want f=%d cost %d", i, a.Arg, a.Cost, all[i].Arg, all[i].Cost)
+		}
 	}
 }

@@ -184,11 +184,6 @@ func TestWriteTrace(t *testing.T) {
 	r.Emit(Event{Phase: PhaseBarrier, TS: base + 5100, Dur: 400, Counter: 1, Slot: 0, Writer: -1, Rank: -1})
 	r.Emit(Event{Phase: PhasePublish, TS: base + 5500, Counter: 1, Slot: 0, Bytes: 1024, Writer: -1, Rank: -1})
 	r.Emit(Event{Phase: PhaseSave, TS: base, Dur: 5500, Counter: 1, Slot: 0, Bytes: 1024, Writer: -1, Rank: -1})
-	// One decision group (chosen f=3, rejected f=4) and a slowdown block.
-	EmitDecision(r, 7, DecisionRetune, 0, OutPredicted,
-		Choice{Action: ActInterval, Arg: 3, Cost: 900, Over: 800},
-		Choice{Action: ActInterval, Arg: 4, Cost: 700, Over: 600, Eligible: true})
-	r.Emit(Event{Phase: PhaseSlowdownBlock, TS: base + 6000, Dur: 1200, Value: 1000, Counter: 32, Slot: -1, Writer: -1, Rank: -1})
 
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -223,9 +218,56 @@ func TestWriteTrace(t *testing.T) {
 	if _, ok := byName["thread_name"]; !ok {
 		t.Fatal("trace missing thread_name metadata")
 	}
+	// WriteTrace is non-destructive: the events stay buffered for other
+	// consumers (dashboard, black-box flusher).
+	if evs := r.TakeEvents(); len(evs) != 6 {
+		t.Fatalf("WriteTrace consumed events: %d left buffered, want 6", len(evs))
+	}
+}
+
+// TestDecisionEventsOnTrace: a decision group is one PhaseDecision instant
+// per action, and the trace renders each by name on the decisions track,
+// next to a slowdown block on the loop track.
+func TestDecisionEventsOnTrace(t *testing.T) {
+	r := NewRecorder(64)
+	// One decision group (chosen f=3, rejected f=4) and a slowdown block.
+	EmitDecision(r, 7, DecisionRetune, 0, OutPredicted,
+		Choice{Action: ActInterval, Arg: 3, Cost: 900, Over: 800},
+		Choice{Action: ActInterval, Arg: 4, Cost: 700, Over: 600, Eligible: true})
+	r.Emit(Event{Phase: PhaseSlowdownBlock, TS: time.Now().UnixNano(), Dur: 1200, Value: 1000, Counter: 32, Slot: -1, Writer: -1, Rank: -1})
+
+	var marks []Event
+	for _, ev := range r.SnapshotEvents() {
+		if ev.Phase == PhaseDecision {
+			marks = append(marks, ev)
+		}
+	}
+	if len(marks) != 2 {
+		t.Fatalf("PhaseDecision events = %d, want the group's 2", len(marks))
+	}
+	for i, ev := range marks {
+		if ev.Counter != 7 || ev.Slot != int32(DecisionRetune) || ev.Attempt != int32(i) {
+			t.Errorf("decision event %d = %+v, want id 7, retune kind, action index %d", i, ev, i)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := r.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			TID  int64          `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace JSON does not parse: %v", err)
+	}
 	// The decision group renders by name on the decisions track, the block
 	// on the loop track.
-	decided := map[string]string{}
+	decided, blocks := map[string]string{}, 0
 	for _, e := range doc.TraceEvents {
 		switch e.Name {
 		case "decision":
@@ -234,13 +276,14 @@ func TestWriteTrace(t *testing.T) {
 			}
 			decided[e.Args["action"].(string)] = fmt.Sprint(e.Args)
 		case "slowdown-block":
+			blocks++
 			if e.TID != tidLoop || e.Args["dur_ns"] != 1200.0 {
 				t.Errorf("slowdown block on track %d args %v, want the loop track and its mean", e.TID, e.Args)
 			}
 		}
 	}
-	if len(decided) != 2 {
-		t.Fatalf("trace has %d decision events, want the group's 2", len(decided))
+	if len(decided) != 2 || blocks != 1 {
+		t.Fatalf("trace has %d decision events and %d slowdown blocks, want the group's 2 and 1", len(decided), blocks)
 	}
 	for action, want := range map[string]map[string]any{
 		"f=3": {"id": 7.0, "kind": "retune", "action": "f=3", "arg": 3.0, "outcome": "predicted", "cost_ns": 900.0},
@@ -249,11 +292,6 @@ func TestWriteTrace(t *testing.T) {
 		if decided[action] != fmt.Sprint(want) {
 			t.Errorf("decision %s args %v, want %v", action, decided[action], want)
 		}
-	}
-	// WriteTrace is non-destructive: the events stay buffered for other
-	// consumers (dashboard, black-box flusher).
-	if evs := r.TakeEvents(); len(evs) != 9 {
-		t.Fatalf("WriteTrace consumed events: %d left buffered, want 9", len(evs))
 	}
 }
 
