@@ -16,15 +16,17 @@ import (
 // and storage, and adapt (3) accordingly."
 //
 // The loop continuously measures the iteration time t (from the cadence of
-// Tick calls) and the per-checkpoint write time Tw (from completed Saves),
-// both as exponentially weighted moving averages, and re-derives the
-// checkpoint interval from Eq. (3):
+// Tick calls, the snapshot stall left out), the synchronous snapshot stall S
+// and the per-checkpoint write time Tw (from completed Saves), all as
+// exponentially weighted moving averages, and picks the smallest interval f
+// whose slowdown s(f) = (max(Tw/N, f·t) + S)/(f·t) stays within q:
 //
-//	f* = ceil(Tw / (N · q · t))
+//	f* = max(ceil((Tw/N + S) / (q · t)), ceil(S / ((q − 1) · t)))
 //
-// so that the checkpointing overhead tracks the target q even as iteration
-// times drift (input pipeline contention, activation offload) or the device
-// slows under external load.
+// which is Eq. (3), f* = ceil(Tw / (N · q · t)), when the snapshot is free.
+// So the checkpointing overhead tracks the target q even as iteration
+// times drift (input pipeline contention, activation offload), the device
+// slows under external load, or the snapshot outlasts an iteration.
 //
 // Delta checkpointing (Config.Delta) folds in automatically: Tw is
 // measured from completed Saves, so when deltas shrink the bytes persisted
@@ -62,7 +64,8 @@ type AdaptiveLoop struct {
 	firstErr error
 	failed   int
 	lastTick time.Time
-	ewmaIter float64 // seconds per iteration
+	ewmaIter float64 // seconds per iteration, snapshot stall excluded
+	ewmaSnap float64 // seconds per snapshot stall (S)
 	ewmaTw   float64 // seconds per checkpoint
 	interval int     // current f
 	sinceCkp int     // iterations since the last checkpoint
@@ -161,12 +164,7 @@ func (l *AdaptiveLoop) Tick(ctx context.Context) {
 	}
 	l.mu.Lock()
 	if !l.lastTick.IsZero() {
-		dt := now.Sub(l.lastTick).Seconds()
-		if l.ewmaIter == 0 {
-			l.ewmaIter = dt
-		} else {
-			l.ewmaIter = l.alpha*dt + (1-l.alpha)*l.ewmaIter
-		}
+		l.ewmaIter = l.ewma(l.ewmaIter, now.Sub(l.lastTick).Seconds())
 	}
 	l.lastTick = now
 	l.sinceCkp++
@@ -181,18 +179,23 @@ func (l *AdaptiveLoop) Tick(ctx context.Context) {
 		return
 	}
 
-	var snapStart int64
-	if l.obsv != nil {
-		snapStart = time.Now().UnixNano()
-	}
+	snapStart := time.Now()
 	payload := l.snapshot()
+	snapEnd := time.Now()
+	stall := snapEnd.Sub(snapStart)
 	if l.obsv != nil {
 		l.obsv.Emit(Event{
-			TS: snapStart, Dur: time.Now().UnixNano() - snapStart,
+			TS: snapStart.UnixNano(), Dur: int64(stall),
 			Phase: PhaseSnapshot, Bytes: int64(len(payload)),
 			Slot: -1, Writer: -1, Rank: -1,
 		})
 	}
+	l.mu.Lock()
+	// The next Tick times the iteration from here: the stall is S, priced
+	// on its own in retuneLocked, not part of t.
+	l.lastTick = snapEnd
+	l.ewmaSnap = l.ewma(l.ewmaSnap, stall.Seconds())
+	l.mu.Unlock()
 	l.pendCkpt = true
 	go func() {
 		start := time.Now()
@@ -205,11 +208,7 @@ func (l *AdaptiveLoop) Tick(ctx context.Context) {
 			}
 			l.failed++
 		} else {
-			if l.ewmaTw == 0 {
-				l.ewmaTw = tw
-			} else {
-				l.ewmaTw = l.alpha*tw + (1-l.alpha)*l.ewmaTw
-			}
+			l.ewmaTw = l.ewma(l.ewmaTw, tw)
 			l.retuneLocked()
 		}
 		l.inflight--
@@ -225,7 +224,17 @@ func (l *AdaptiveLoop) Tick(ctx context.Context) {
 	}()
 }
 
-// retuneLocked applies Eq. (3) with the current measurements. When a
+// ewma folds sample x into the moving average avg; the first sample seeds it.
+func (l *AdaptiveLoop) ewma(avg, x float64) float64 {
+	if avg == 0 {
+		return x
+	}
+	return l.alpha*x + (1-l.alpha)*avg
+}
+
+// retuneLocked picks the smallest interval f whose slowdown
+// s(f) = (max(Tw/N, f·t) + S)/(f·t) is within q — Eq. (3) plus the snapshot
+// stall S, which the N overlapping writes cannot hide. When a
 // goodput ledger is attached, its engine-measured write time (the Save
 // span minus slot queueing) replaces the goroutine-observed Tw: queueing
 // behind the N in-flight checkpoints is already paid for by the N in the
@@ -241,14 +250,15 @@ func (l *AdaptiveLoop) retuneLocked() {
 	if l.ewmaIter <= 0 || tw <= 0 {
 		return
 	}
-	f := int(math.Ceil(tw / (float64(l.n) * l.q * l.ewmaIter)))
+	t, stall, n := l.ewmaIter, l.ewmaSnap, float64(l.n)
+	f := max(int(math.Ceil((tw+n*stall)/(n*l.q*t))), int(math.Ceil(stall/((l.q-1)*t))))
 	prev := l.interval
 	l.interval = clampInt(f, l.minInterval, l.maxInterval)
 	l.adjusts++
 	if l.obsv == nil {
 		return
 	}
-	chosen, rejected, k := retuneCandidates(tw, l.ewmaIter, l.q, l.n, l.interval, prev, l.minInterval, l.maxInterval)
+	chosen, rejected, k := retuneCandidates(tw, t, l.q, l.n, l.interval, prev, l.minInterval, l.maxInterval, stall)
 	obs.EmitDecision(l.obsv, obs.NewDecisionID(), obs.DecisionRetune, 0, obs.OutPredicted, chosen, rejected[:k]...)
 	if l.interval != prev {
 		// Instant on the loop track: the controller re-derived f. Value
@@ -268,14 +278,19 @@ const failureRate = 1.0 / 300
 // retuneCandidates prices the interval chosen by a retune and up to
 // obs.MaxRejected rejected ones — the previous interval and f±1, 2f,
 // ⌈f/2⌉ (then f±2, f±3, … until two exist), clamped and cheapest first —
-// with the §3.4 model at the measured (tw, t): slowdown
-// s(f) = max(tw, N·f·t)/(N·f·t), per-iteration overhead (s−1)·t, plus λ
+// with the §3.4 model at the measured (tw, t) and snapshot stall S (the
+// optional last argument; none means 0): slowdown
+// s(f) = (max(tw/N, f·t) + S)/(f·t), per-iteration overhead (s−1)·t, plus λ
 // times the Eq. (4) lost work f·t + min(N·f·t, tw). A candidate is
 // eligible when s(f) ≤ q. It allocates nothing.
-func retuneCandidates(tw, t, q float64, n, chosen, prev, minI, maxI int) (obs.Choice, [8]obs.Choice, int) {
+func retuneCandidates(tw, t, q float64, n, chosen, prev, minI, maxI int, stall ...float64) (obs.Choice, [8]obs.Choice, int) {
+	var snap float64
+	if len(stall) > 0 {
+		snap = stall[0]
+	}
 	price := func(f int) obs.Choice {
 		nft := float64(n*f) * t
-		s := max(tw, nft) / nft
+		s := (max(tw, nft) + float64(n)*snap) / nft
 		over := (s - 1) * t
 		cost := over + failureRate*(float64(f)*t+min(nft, tw))
 		return obs.Choice{Action: obs.ActInterval, Arg: int32(f), Cost: int64(cost * 1e9),

@@ -277,6 +277,39 @@ func TestRetunePrefersLedgerMeasuredTw(t *testing.T) {
 	}
 }
 
+// TestRetunePricesSnapshotStall: the retune picks the smallest f whose
+// slowdown s(f) = (max(Tw/N, f·t) + S)/(f·t) is within q. With t = 2 ms,
+// S = 4.2 ms, Tw = 2.5 ms, N = 2 and q = 1.25 that is f = 9 (s(9) = 1.233,
+// s(8) = 1.263), and the candidates are priced the same way; with S = 0 it
+// is Eq. (3)'s ⌈Tw/(N·q·t)⌉ = 1.
+func TestRetunePricesSnapshotStall(t *testing.T) {
+	const it, tw, q = 0.002, 0.0025, 1.25
+	for _, tc := range []struct {
+		stall float64
+		want  int
+	}{{0.0042, 9}, {0, 1}} {
+		loop, _, _ := decisionLoop(t, LedgerConfig{SlowdownBudget: q})
+		loop.mu.Lock()
+		loop.q, loop.n = q, 2
+		loop.ewmaIter, loop.ewmaSnap, loop.ewmaTw = it, tc.stall, tw
+		loop.retuneLocked()
+		got := loop.interval
+		loop.mu.Unlock()
+		if got != tc.want {
+			t.Errorf("S = %v s: interval %d, want %d", tc.stall, got, tc.want)
+		}
+	}
+	chosen, alts, k := retuneCandidates(tw, it, q, 2, 9, 8, 1, 1000, 0.0042)
+	if !chosen.Eligible {
+		t.Errorf("f=9 priced over budget: %+v", chosen)
+	}
+	for _, a := range alts[:k] {
+		if a.Eligible != (a.Arg >= 9) {
+			t.Errorf("f=%d eligible = %v, want %v", a.Arg, a.Eligible, a.Arg >= 9)
+		}
+	}
+}
+
 // TestRetuneAllocatesNothing: with the observer chain attached, a retune
 // emits its 1 + K decision events and allocates nothing.
 func TestRetuneAllocatesNothing(t *testing.T) {

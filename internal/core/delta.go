@@ -180,11 +180,10 @@ var errDenseDelta = errors.New("core: delta record would not be smaller than the
 // diff collects the hashes and counts what a delta would have persisted. The
 // engine reuses one deltaPass under deltaMu, so a save allocates nothing here.
 //
-// Hashes are hash/maphash under a per-engine random seed; they live only in
-// DRAM (an attach starts with a keyframe), so they need not be stable. A
-// 64-bit collision (2^-64 per compared granule) would drop a changed granule
-// from a delta; trainers that cannot accept that feed the DirtyTracker,
-// whose marks never consult hashes.
+// Hashes are granuleHash under a per-engine random seed and live only in DRAM
+// (an attach starts with a keyframe). A 64-bit collision (2^-64 per compared
+// granule) drops a changed granule from a delta; trainers that cannot accept
+// that feed the DirtyTracker, whose marks never consult hashes.
 type deltaPass struct {
 	seed maphash.Seed
 	gran int
@@ -289,7 +288,7 @@ func (dp *deltaPass) diff(in []byte, off int64) int64 {
 			dp.next[i] = dp.old[i]
 			continue
 		}
-		dp.next[i] = maphash.Bytes(dp.seed, g)
+		dp.next[i] = granuleHash(dp.seed, g)
 		if !marked && (dp.trust || dp.next[i] == dp.old[i]) {
 			continue
 		}

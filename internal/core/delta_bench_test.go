@@ -42,10 +42,52 @@ func dirty5(p []byte, step int) {
 // -cpu 2 or more. The keyframe legs save a 64 MiB keyframe every time, whose
 // two writers hash and checksum what they persist; with evict, an untimed
 // copy and checksum of the payload into a sink between saves leaves it out
-// of cache, as a trainer's step would.
+// of cache, as a trainer's step would. The dense legs change every granule
+// of a 64 MiB payload between saves, so with delta mode on each save is a
+// keyframe whose writers also hash: what a dense trainer pays for delta mode.
 //
 //	go test -run '^$' -bench DeltaSave -cpu 1,2 ./internal/core/
 func BenchmarkDeltaSave(b *testing.B) {
+	for _, delta := range []bool{false, true} {
+		b.Run(fmt.Sprintf("dense/64MiB/delta=%v", delta), func(b *testing.B) {
+			const size = 64 << 20
+			cfg := Config{Concurrent: 2, SlotBytes: size, Writers: 2, ChunkBytes: 4 << 20, VerifyPayload: true}
+			if delta {
+				cfg.DeltaKeyframe = 8
+			}
+			c, err := New(storage.NewRAM(DeviceBytesFor(cfg)), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			p := payload(1, size)
+			rewrite := func() {
+				for j := 0; j < size; j += 1 << 10 {
+					p[j]++
+				}
+			}
+			ctx := context.Background()
+			for i := 0; i < 3; i++ { // warm: the first keyframe, then saves found dense
+				rewrite()
+				if _, err := c.Checkpoint(ctx, BytesSource(p)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rewrite()
+				b.StartTimer()
+				if _, err := c.Checkpoint(ctx, BytesSource(p)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if st := c.Stats(); st.DeltaSaves != 0 {
+				b.Fatalf("%d of the dense saves were deltas", st.DeltaSaves)
+			}
+		})
+	}
 	for _, evict := range []bool{true, false} {
 		b.Run(fmt.Sprintf("keyframe/64MiB/evict=%v", evict), func(b *testing.B) {
 			const size = 64 << 20

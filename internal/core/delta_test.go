@@ -49,89 +49,93 @@ func TestDeltaGranularityBounds(t *testing.T) {
 // multiples of 8·p and last granules are short; the cases grow, shrink, feed
 // trusted marks (some across a worker boundary, some outside the payload),
 // MarkAll, and diff a first save with no hashes, each as a delta and as a
-// keyframe. A diff at p = 2 allocates nothing.
+// keyframe, on 64 B granules and on 4 KiB ones, which granuleHash takes in
+// one call where maphash.Bytes would take 32. A diff at p = 2 allocates
+// nothing.
 func TestDiffWorkers(t *testing.T) {
-	const gran = 64
 	seed := maphash.MakeSeed()
-	prev := payload(1, 61*gran-5)
-	hashes := func(p []byte) []uint64 {
-		hs := make([]uint64, ceilDiv(int64(len(p)), gran))
-		for i := range hs {
-			hs[i] = maphash.Bytes(seed, p[i*gran:min((i+1)*gran, len(p))])
+	for _, gran := range []int{64, 4 << 10} {
+		prev := payload(1, 61*gran-5)
+		hashes := func(p []byte) []uint64 {
+			hs := make([]uint64, ceilDiv(int64(len(p)), gran))
+			for i := range hs {
+				hs[i] = granuleHash(seed, p[i*gran:min((i+1)*gran, len(p))])
+			}
+			return hs
 		}
-		return hs
-	}
-	evolve := func(size int) []byte {
-		p := append(append([]byte(nil), prev[:min(size, len(prev))]...), payload(2, max(0, size-len(prev)))...)
-		for _, off := range []int{3, 8*gran + 1, 17*gran - 1, 40 * gran} {
-			if off < len(p) {
-				p[off] ^= 0x5a
-			}
-		}
-		return p
-	}
-	marks := [][2]int64{{3, 1}, {7*gran + 10, 2 * gran}, {40 * gran, 1}, {-gran, gran + 1}, {1 << 40, 1}}
-	for _, tc := range []struct {
-		name       string
-		size       int
-		old        []uint64
-		marks      [][2]int64
-		all, trust bool
-	}{
-		{name: "same size", size: len(prev), old: hashes(prev)},
-		{name: "grow", size: 75*gran - 3, old: hashes(prev)},
-		{name: "shrink", size: 23*gran - 7, old: hashes(prev)},
-		{name: "short", size: 9*gran + 1, old: hashes(prev)},
-		{name: "one granule", size: 40, old: hashes(prev)},
-		{name: "empty", size: 0, old: hashes(prev)},
-		{name: "trusted marks", size: len(prev), old: hashes(prev), marks: marks, trust: true},
-		{name: "trusted marks, grow", size: 70 * gran, old: hashes(prev), marks: marks, trust: true},
-		{name: "MarkAll", size: len(prev), old: hashes(prev), all: true},
-		{name: "first save", size: 33*gran + 9},
-	} {
-		for _, filter := range []bool{true, false} {
-			next := evolve(tc.size)
-			diff := func(p int) *deltaPass {
-				dp := &deltaPass{seed: seed, gran: gran, filter: filter, old: tc.old, lastSize: int64(len(prev)),
-					marks: tc.marks, all: tc.all, trust: tc.trust}
-				dp.begin(int64(len(next)))
-				dp.diffAll(next, p)
-				return dp
-			}
-			ref := diff(1)
-			lastSize := int64(len(prev))
-			if tc.old == nil {
-				lastSize = 0
-			}
-			ds := computeDirty(next, gran, lastSize, chunkHashes(prev, gran), tc.marks, tc.all, tc.trust || tc.all)
-			if tc.old == nil {
-				ds = computeDirty(next, gran, lastSize, nil, nil, false, false)
-			}
-			want := int64(len(ref.head))
-			for i, d := range ds.dirty {
-				if ref.marked(i) != d {
-					t.Fatalf("%s (filter %v): granule %d marked %v, the reference encoder says %v", tc.name, filter, i, ref.marked(i), d)
-				}
-				if d {
-					want += int64(chunkLen(int64(len(next)), gran, i))
+		evolve := func(size int) []byte {
+			p := append(append([]byte(nil), prev[:min(size, len(prev))]...), payload(2, max(0, size-len(prev)))...)
+			for _, off := range []int{3, 8*gran + 1, 17*gran - 1, 40 * gran} {
+				if off < len(p) {
+					p[off] ^= 0x5a
 				}
 			}
-			if ref.recLen != want {
-				t.Fatalf("%s (filter %v): record length %d, want %d", tc.name, filter, ref.recLen, want)
-			}
-			for p := 2; p <= 4; p++ {
-				got := diff(p)
-				if !bytes.Equal(got.head, ref.head) || !slices.Equal(got.next, ref.next) || got.recLen != ref.recLen {
-					t.Fatalf("%s (filter %v): %d workers disagree with one: bitmap equal=%v hashes equal=%v record %d vs %d",
-						tc.name, filter, p, bytes.Equal(got.head, ref.head), slices.Equal(got.next, ref.next), got.recLen, ref.recLen)
+			return p
+		}
+		g := int64(gran)
+		marks := [][2]int64{{3, 1}, {7*g + 10, 2 * g}, {40 * g, 1}, {-g, g + 1}, {1 << 40, 1}}
+		for _, tc := range []struct {
+			name       string
+			size       int
+			old        []uint64
+			marks      [][2]int64
+			all, trust bool
+		}{
+			{name: "same size", size: len(prev), old: hashes(prev)},
+			{name: "grow", size: 75*gran - 3, old: hashes(prev)},
+			{name: "shrink", size: 23*gran - 7, old: hashes(prev)},
+			{name: "short", size: 9*gran + 1, old: hashes(prev)},
+			{name: "one granule", size: 40, old: hashes(prev)},
+			{name: "empty", size: 0, old: hashes(prev)},
+			{name: "trusted marks", size: len(prev), old: hashes(prev), marks: marks, trust: true},
+			{name: "trusted marks, grow", size: 70 * gran, old: hashes(prev), marks: marks, trust: true},
+			{name: "MarkAll", size: len(prev), old: hashes(prev), all: true},
+			{name: "first save", size: 33*gran + 9},
+		} {
+			for _, filter := range []bool{true, false} {
+				next := evolve(tc.size)
+				diff := func(p int) *deltaPass {
+					dp := &deltaPass{seed: seed, gran: gran, filter: filter, old: tc.old, lastSize: int64(len(prev)),
+						marks: tc.marks, all: tc.all, trust: tc.trust}
+					dp.begin(int64(len(next)))
+					dp.diffAll(next, p)
+					return dp
+				}
+				ref := diff(1)
+				lastSize := int64(len(prev))
+				if tc.old == nil {
+					lastSize = 0
+				}
+				ds := computeDirty(next, gran, lastSize, chunkHashes(prev, gran), tc.marks, tc.all, tc.trust || tc.all)
+				if tc.old == nil {
+					ds = computeDirty(next, gran, lastSize, nil, nil, false, false)
+				}
+				want := int64(len(ref.head))
+				for i, d := range ds.dirty {
+					if ref.marked(i) != d {
+						t.Fatalf("%s (%d B granules, filter %v): granule %d marked %v, the reference encoder says %v", tc.name, gran, filter, i, ref.marked(i), d)
+					}
+					if d {
+						want += int64(chunkLen(int64(len(next)), gran, i))
+					}
+				}
+				if ref.recLen != want {
+					t.Fatalf("%s (%d B granules, filter %v): record length %d, want %d", tc.name, gran, filter, ref.recLen, want)
+				}
+				for p := 2; p <= 4; p++ {
+					got := diff(p)
+					if !bytes.Equal(got.head, ref.head) || !slices.Equal(got.next, ref.next) || got.recLen != ref.recLen {
+						t.Fatalf("%s (%d B granules, filter %v): %d workers disagree with one: bitmap equal=%v hashes equal=%v record %d vs %d",
+							tc.name, gran, filter, p, bytes.Equal(got.head, ref.head), slices.Equal(got.next, ref.next), got.recLen, ref.recLen)
+					}
 				}
 			}
 		}
-	}
-	next := evolve(len(prev))
-	dp := &deltaPass{seed: seed, gran: gran, filter: true, old: hashes(prev), lastSize: int64(len(prev))}
-	if allocs := testing.AllocsPerRun(20, func() { dp.begin(int64(len(next))); dp.diffAll(next, 2) }); allocs != 0 {
-		t.Errorf("a diff on two workers makes %.1f allocations, want 0", allocs)
+		next := evolve(len(prev))
+		dp := &deltaPass{seed: seed, gran: gran, filter: true, old: hashes(prev), lastSize: int64(len(prev))}
+		if allocs := testing.AllocsPerRun(20, func() { dp.begin(int64(len(next))); dp.diffAll(next, 2) }); allocs != 0 {
+			t.Errorf("a diff on two workers makes %.1f allocations, want 0", allocs)
+		}
 	}
 	t.Run("keyframe writers", testKeyframeWriters)
 }

@@ -265,16 +265,17 @@ func TestDecisionEventsOnTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace JSON does not parse: %v", err)
 	}
-	// The decision group renders by name on the decisions track, the block
-	// on the loop track.
-	decided, blocks := map[string]string{}, 0
+	// The decision group renders by name on the decisions track, in the
+	// order it was emitted, the block on the loop track.
+	var decided []string
+	blocks := 0
 	for _, e := range doc.TraceEvents {
 		switch e.Name {
 		case "decision":
 			if e.TID != tidDecide {
 				t.Errorf("decision on track %d, want %d", e.TID, tidDecide)
 			}
-			decided[e.Args["action"].(string)] = fmt.Sprint(e.Args)
+			decided = append(decided, fmt.Sprint(e.Args))
 		case "slowdown-block":
 			blocks++
 			if e.TID != tidLoop || e.Args["dur_ns"] != 1200.0 {
@@ -285,12 +286,52 @@ func TestDecisionEventsOnTrace(t *testing.T) {
 	if len(decided) != 2 || blocks != 1 {
 		t.Fatalf("trace has %d decision events and %d slowdown blocks, want the group's 2 and 1", len(decided), blocks)
 	}
-	for action, want := range map[string]map[string]any{
-		"f=3": {"id": 7.0, "kind": "retune", "action": "f=3", "arg": 3.0, "outcome": "predicted", "cost_ns": 900.0},
-		"f=4": {"id": 7.0, "kind": "retune", "action": "f=4", "arg": 4.0, "rejected": 1.0, "eligible": true, "cost_ns": 700.0},
+	for i, want := range []map[string]any{
+		{"id": 7.0, "kind": "retune", "action": "f=3", "arg": 3.0, "outcome": "predicted", "cost_ns": 900.0},
+		{"id": 7.0, "kind": "retune", "action": "f=4", "arg": 4.0, "rejected": 1.0, "eligible": true, "cost_ns": 700.0},
 	} {
-		if decided[action] != fmt.Sprint(want) {
-			t.Errorf("decision %s args %v, want %v", action, decided[action], want)
+		if decided[i] != fmt.Sprint(want) {
+			t.Errorf("decision event %d args %v, want %v", i, decided[i], want)
+		}
+	}
+}
+
+// TestWriteTraceKeepsTiesInOrder: 64 events that share one timestamp leave
+// the export in the order they came in, also when other events with later
+// timestamps sit between them, as in a ring several goroutines emit into.
+func TestWriteTraceKeepsTiesInOrder(t *testing.T) {
+	const n = 64
+	var evs []Event
+	for i := 0; i < n; i++ {
+		evs = append(evs,
+			Event{Phase: PhaseRetune, TS: 1000, Value: int64(i + 1), Slot: -1, Writer: -1, Rank: -1},
+			Event{Phase: PhaseSave, TS: int64(2000 + i), Dur: 10, Counter: uint64(i + 1), Slot: -1, Writer: -1, Rank: -1})
+	}
+	var buf bytes.Buffer
+	if err := WriteTraceEvents(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace JSON does not parse: %v", err)
+	}
+	var got []int
+	for _, e := range doc.TraceEvents {
+		if e.Name == "retune" {
+			got = append(got, int(e.Args["value"].(float64)))
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("trace has %d of the %d events", len(got), n)
+	}
+	for i, v := range got {
+		if v != i+1 {
+			t.Fatalf("event %d of the export is input event %d; order: %v", i+1, v, got)
 		}
 	}
 }

@@ -128,11 +128,12 @@ func traceArgs(ev Event) map[string]any {
 }
 
 // WriteTraceEvents renders events as Chrome trace-event JSON. Timestamps
-// are rebased to the earliest event so Perfetto opens at t=0.
+// are rebased to the earliest event so Perfetto opens at t=0; events that
+// share a timestamp (a decision group does) keep their input order.
 func WriteTraceEvents(w io.Writer, events []Event) error {
 	sorted := make([]Event, len(events))
 	copy(sorted, events)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].TS < sorted[j].TS })
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].TS < sorted[j].TS })
 
 	var t0 int64
 	if len(sorted) > 0 {
