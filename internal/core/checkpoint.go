@@ -710,7 +710,7 @@ func (c *Checkpointer) writer(st *saveState, slot, w int) {
 			if st.dp != nil {
 				crc = st.dp.hashPiece(t.buf, t.off, c.cfg.VerifyPayload)
 			} else if c.cfg.VerifyPayload {
-				crc = crc32.ChecksumIEEE(t.buf)
+				crc = crc32Update(0, t.buf)
 			}
 			persistStart := c.obsNow()
 			err := c.writeRange(st.ctx, t.buf, base+t.off)

@@ -329,7 +329,7 @@ func (dp *deltaPass) hashPiece(in []byte, off int64, verify bool) (crc uint32) {
 		g := in[lo:min(lo+dp.gran, len(in))]
 		dirty += dp.diff(g, off+int64(lo))
 		if verify {
-			crc = crc32.Update(crc, crc32.IEEETable, g)
+			crc = crc32Update(crc, g)
 		}
 	}
 	dp.dirty.Add(dirty)

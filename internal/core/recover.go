@@ -246,7 +246,7 @@ func (p *pieces) read(dst []byte, off, n int64) error {
 		if err := p.dev.ReadAt(buf, off); err != nil {
 			return err
 		}
-		p.crc = crc32.Update(p.crc, crc32.IEEETable, buf)
+		p.crc = crc32Update(p.crc, buf)
 		dst = dst[min(len(dst), len(buf)):]
 		off, n, p.n = off+int64(len(buf)), n-int64(len(buf)), p.n+int64(len(buf))
 	}

@@ -371,9 +371,14 @@ func (d *PMEM) Close() error { return nil }
 //
 // Calls are atomic with respect to each other, as under one device-wide
 // lock, but calls on disjoint ranges copy in parallel: the address space is
-// cut into 1 MiB units hashed onto 64 lock stripes, and a call holds every
-// stripe its range touches for the whole copy (all at once, not stripe by
+// cut into 1 MiB units hashed onto 64 lock stripes, and a call takes every
+// stripe its range touches before it copies (all at once, not stripe by
 // stripe: a reader must never see half of a record that straddles a unit).
+// A write lets go of the stripes of its partly covered end units as soon as
+// those bytes are copied, so the next piece of a save, which shares one such
+// unit, waits for that unit rather than the whole call. No stripe is taken
+// after one is let go (two-phase locking), so calls still order as under one
+// lock.
 type RAM struct {
 	stripes [64]sync.RWMutex
 	data    []byte
@@ -417,8 +422,18 @@ func (d *RAM) WriteAt(p []byte, off int64) error {
 	for m := mask; m != 0; m &= m - 1 {
 		d.stripes[bits.TrailingZeros64(m)].Lock()
 	}
-	copy(d.data[off:], p)
-	for m := mask; m != 0; m &= m - 1 {
+	// The partly covered end units first; then their stripes go, unless an
+	// inner unit hashes onto one.
+	head := min(len(p), int(-off&(1<<20-1)))
+	tail := min(len(p)-head, int((off+int64(len(p)))&(1<<20-1)))
+	copy(d.data[off:], p[:head])
+	copy(d.data[off+int64(len(p)-tail):], p[len(p)-tail:])
+	inner := ramStripeMask(off+int64(head), len(p)-head-tail)
+	for m := mask &^ inner; m != 0; m &= m - 1 {
+		d.stripes[bits.TrailingZeros64(m)].Unlock()
+	}
+	copy(d.data[off+int64(head):], p[head:len(p)-tail])
+	for m := inner; m != 0; m &= m - 1 {
 		d.stripes[bits.TrailingZeros64(m)].Unlock()
 	}
 	return nil

@@ -328,3 +328,44 @@ func BenchmarkRAMParallelWrite(b *testing.B) {
 	}
 	wg.Wait()
 }
+
+// TestRAMEndUnitsReleasedInOrder races a write over three units — partly
+// covered ends, whose stripes it lets go before it copies the middle one —
+// against writes that overlap one end alone or an end and the middle. Each
+// overlap must hold one writer's bytes throughout; a write that let the
+// middle stripe go early would be overwritten by its own middle copy.
+func TestRAMEndUnitsReleasedInOrder(t *testing.T) {
+	const unit = 1 << 20
+	d := NewRAM(4 * unit)
+	long := [2]int64{unit - 48, 2*unit + 48} // [off, end)
+	for _, other := range [][2]int64{
+		{unit - 80, unit - 16},     // the head end alone
+		{2*unit + 16, 2*unit + 80}, // the tail end alone
+		{2*unit - 48, 2*unit + 16}, // the middle unit's last bytes and the tail end
+	} {
+		lo, hi := max(long[0], other[0]), min(long[1], other[1])
+		got := make([]byte, hi-lo)
+		for r := 0; r < 500; r++ {
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for w, rg := range [][2]int64{long, other} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if err := d.WriteAt(bytes.Repeat([]byte{byte(w<<7 | r&127)}, int(rg[1]-rg[0])), rg[0]); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if err := d.ReadAt(got, lo); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, bytes.Repeat(got[:1], len(got))) {
+				t.Fatalf("overlap [%d, %d) mixes the racing writes", lo, hi)
+			}
+		}
+	}
+}

@@ -43,7 +43,7 @@ func TestThrottleReserveOverflow(t *testing.T) {
 	if normal.Before(before) {
 		t.Fatalf("sane reservation %v is already in the past", normal)
 	}
-	huge := th.Reserve(math.MaxInt64)
+	huge := th.Reserve(math.MaxInt)
 	if huge.Before(normal) {
 		t.Fatalf("overflowing reservation %v regressed before the earlier deadline %v", huge, normal)
 	}

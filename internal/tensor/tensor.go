@@ -273,11 +273,12 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 		return nil, err
 	}
 	shape := make([]int, ndim)
-	vol := 1
-	const maxStreamVol = 1 << 31 // refuse absurd allocations from bad input
+	vol := int64(1)
+	// Refuse absurd allocations from bad input, and any 4*vol+4 an int cannot hold.
+	const maxStreamVol int64 = min(1<<31, (math.MaxInt-4)/4)
 	for i := range shape {
-		d := int(binary.LittleEndian.Uint32(dims[4*i:]))
-		shape[i] = d
+		d := int64(binary.LittleEndian.Uint32(dims[4*i:]))
+		shape[i] = int(d)
 		if d == 0 {
 			vol = 0
 			continue
