@@ -16,6 +16,7 @@ import (
 	"pccheck/internal/lfqueue"
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
+	"pccheck/internal/simd"
 	"pccheck/internal/storage"
 )
 
@@ -710,7 +711,7 @@ func (c *Checkpointer) writer(st *saveState, slot, w int) {
 			if st.dp != nil {
 				crc = st.dp.hashPiece(t.buf, t.off, c.cfg.VerifyPayload)
 			} else if c.cfg.VerifyPayload {
-				crc = crc32Update(0, t.buf)
+				crc = simd.CRC32Update(0, t.buf)
 			}
 			persistStart := c.obsNow()
 			err := c.writeRange(st.ctx, t.buf, base+t.off)

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"pccheck/internal/obs"
+	"pccheck/internal/simd"
 )
 
 const (
@@ -329,7 +330,7 @@ func (dp *deltaPass) hashPiece(in []byte, off int64, verify bool) (crc uint32) {
 		g := in[lo:min(lo+dp.gran, len(in))]
 		dirty += dp.diff(g, off+int64(lo))
 		if verify {
-			crc = crc32Update(crc, g)
+			crc = simd.CRC32Update(crc, g)
 		}
 	}
 	dp.dirty.Add(dirty)

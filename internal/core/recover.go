@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 
+	"pccheck/internal/simd"
 	"pccheck/internal/storage"
 )
 
@@ -246,7 +247,7 @@ func (p *pieces) read(dst []byte, off, n int64) error {
 		if err := p.dev.ReadAt(buf, off); err != nil {
 			return err
 		}
-		p.crc = crc32Update(p.crc, buf)
+		p.crc = simd.CRC32Update(p.crc, buf)
 		dst = dst[min(len(dst), len(buf)):]
 		off, n, p.n = off+int64(len(buf)), n-int64(len(buf)), p.n+int64(len(buf))
 	}

@@ -97,34 +97,3 @@ reduce:
 	PEXTRD    $1, X1, AX
 	MOVL      AX, ret+32(FP)
 	RET
-
-// func hasFoldCPU() bool
-TEXT ·hasFoldCPU(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JB   done
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x08080002, CX // PCLMULQDQ, SSE4.1, OSXSAVE
-	CMPL CX, $0x08080002
-	JNE  done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $16, BX         // AVX512F
-	JCC  done
-	BTL  $10, CX         // VPCLMULQDQ
-	JCC  done
-	XORL CX, CX
-	XGETBV
-	ANDL $0xe6, AX       // XCR0: the OS saves XMM, YMM, opmask and ZMM state
-	CMPL AX, $0xe6
-	JNE  done
-	MOVB $1, ret+0(FP)
-
-done:
-	RET

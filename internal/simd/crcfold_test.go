@@ -1,4 +1,4 @@
-package core
+package simd
 
 import (
 	"fmt"
@@ -9,28 +9,30 @@ import (
 
 func checkCRC32Update(t *testing.T, crc uint32, p []byte) {
 	t.Helper()
-	if got, want := crc32Update(crc, p), crc32.Update(crc, crc32.IEEETable, p); got != want {
-		t.Fatalf("crc32Update(%#x, %d bytes at %p) = %#x, hash/crc32 says %#x", crc, len(p), p, got, want)
+	if got, want := CRC32Update(crc, p), crc32.Update(crc, crc32.IEEETable, p); got != want {
+		t.Fatalf("CRC32Update(%#x, %d bytes at %p) = %#x, hash/crc32 says %#x", crc, len(p), p, got, want)
 	}
 }
 
 // TestCRC32Update holds the kernel to hash/crc32 at every length up to 4 KiB
 // (the fold starts at foldMin) at every alignment within a cache line.
 func TestCRC32Update(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	buf := make([]byte, 64+4096)
-	rng.Read(buf)
-	for _, crc := range []uint32{0, 0xdeadbeef} {
-		for align := 0; align < 64; align++ {
-			for n := 0; n <= 4096; n++ {
-				checkCRC32Update(t, crc, buf[align:align+n])
+	legs(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		buf := make([]byte, 64+4096)
+		rng.Read(buf)
+		for _, crc := range []uint32{0, 0xdeadbeef} {
+			for align := 0; align < 64; align++ {
+				for n := 0; n <= 4096; n++ {
+					checkCRC32Update(t, crc, buf[align:align+n])
+				}
 			}
 		}
-	}
-	big := make([]byte, 64<<20+17)
-	rng.Read(big)
-	checkCRC32Update(t, 0, big)
-	checkCRC32Update(t, 0xdeadbeef, big[3:])
+		big := make([]byte, 64<<20+17)
+		rng.Read(big)
+		checkCRC32Update(t, 0, big)
+		checkCRC32Update(t, 0xdeadbeef, big[3:])
+	})
 }
 
 func FuzzCRC32Update(f *testing.F) {
@@ -45,7 +47,7 @@ func FuzzCRC32Update(f *testing.F) {
 func TestCRC32UpdateAllocs(t *testing.T) {
 	p := make([]byte, 256<<10+5)
 	var crc uint32
-	if allocs := testing.AllocsPerRun(20, func() { crc = crc32Update(crc, p) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { crc = CRC32Update(crc, p) }); allocs != 0 {
 		t.Fatalf("crc32Update allocates %v per call", allocs)
 	}
 }
@@ -60,7 +62,7 @@ func BenchmarkCRC32Update(b *testing.B) {
 			fn   func(uint32, []byte) uint32
 		}{
 			{"stdlib", func(crc uint32, p []byte) uint32 { return crc32.Update(crc, crc32.IEEETable, p) }},
-			{"kernel", crc32Update},
+			{"kernel", CRC32Update},
 		} {
 			b.Run(fmt.Sprintf("%s/%dKiB", leg.name, size>>10), func(b *testing.B) {
 				b.SetBytes(int64(size))

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"pccheck/internal/pmem"
+	"pccheck/internal/simd"
 )
 
 // Kind identifies the persistence technology of a device.
@@ -379,6 +380,12 @@ func (d *PMEM) Close() error { return nil }
 // unit, waits for that unit rather than the whole call. No stripe is taken
 // after one is let go (two-phase locking), so calls still order as under one
 // lock.
+//
+// Each of a write's three copies (head, tail, inner units) that is 64 KiB
+// or more goes with streaming stores (simd.StreamCopy), fenced before its
+// stripes go: a checkpoint's bytes are not read back soon, and going around
+// the cache beats Go's copy into a cold slot. Reads keep copy, because every
+// reader checksums a piece right after it lands.
 type RAM struct {
 	stripes [64]sync.RWMutex
 	data    []byte
@@ -426,13 +433,13 @@ func (d *RAM) WriteAt(p []byte, off int64) error {
 	// inner unit hashes onto one.
 	head := min(len(p), int(-off&(1<<20-1)))
 	tail := min(len(p)-head, int((off+int64(len(p)))&(1<<20-1)))
-	copy(d.data[off:], p[:head])
-	copy(d.data[off+int64(len(p)-tail):], p[len(p)-tail:])
+	simd.StreamCopy(d.data[off:], p[:head])
+	simd.StreamCopy(d.data[off+int64(len(p)-tail):], p[len(p)-tail:])
 	inner := ramStripeMask(off+int64(head), len(p)-head-tail)
 	for m := mask &^ inner; m != 0; m &= m - 1 {
 		d.stripes[bits.TrailingZeros64(m)].Unlock()
 	}
-	copy(d.data[off+int64(head):], p[head:len(p)-tail])
+	simd.StreamCopy(d.data[off+int64(head):], p[head:len(p)-tail])
 	for m := inner; m != 0; m &= m - 1 {
 		d.stripes[bits.TrailingZeros64(m)].Unlock()
 	}

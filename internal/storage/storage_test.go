@@ -3,13 +3,16 @@ package storage
 import (
 	"bytes"
 	"math/bits"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pccheck/internal/pmem"
+	"pccheck/internal/simd"
 )
 
 func TestKindString(t *testing.T) {
@@ -327,6 +330,109 @@ func BenchmarkRAMParallelWrite(b *testing.B) {
 		}()
 	}
 	wg.Wait()
+}
+
+// withoutKernels runs fn with simd's kernels turned off: RAM.WriteAt then
+// copies with copy.
+func withoutKernels(fn func()) {
+	defer func(saved simd.Features) { simd.CPU = saved }(simd.CPU)
+	simd.CPU = simd.Features{}
+	fn()
+}
+
+// TestRAMWritesMatchCopy writes through a device whose memory starts 13
+// bytes past a page, so a write's head, inner and tail copies all start on
+// an unaligned dst, and compares every byte with a model kept by copy: pieces
+// as the engine cuts them, a write whose three parts are each long enough to
+// stream, short writes, and random ones up to 3 MiB.
+func TestRAMWritesMatchCopy(t *testing.T) {
+	const size, skew = 8 << 20, 13
+	run := func(t *testing.T) {
+		buf := make([]byte, skew+size+skew)
+		d, model := NewRAMFromBytes(buf[skew:skew+size]), make([]byte, size)
+		rng := rand.New(rand.NewSource(1))
+		writes := [][2]int64{
+			{320, 4 << 20}, {320 + 4<<20, 4<<20 - 320},
+			{1<<20 - 100<<10 - 3, 100<<10 + 3 + 2<<20 + 200<<10 + 5},
+			{0, 1}, {1<<20 - 1, 2}, {5, 64<<10 - 1}, {7, 64 << 10},
+		}
+		for i := 0; i < 40; i++ {
+			n := rng.Int63n(3 << 20)
+			writes = append(writes, [2]int64{rng.Int63n(size - n), n})
+		}
+		for _, w := range writes {
+			p := make([]byte, w[1])
+			rng.Read(p)
+			if err := d.WriteAt(p, w[0]); err != nil {
+				t.Fatal(err)
+			}
+			copy(model[w[0]:], p)
+			if !bytes.Equal(buf[skew:skew+size], model) {
+				t.Fatalf("after %d bytes at %d the device differs from copy", w[1], w[0])
+			}
+		}
+		if !bytes.Equal(buf[:skew], make([]byte, skew)) || !bytes.Equal(buf[skew+size:], make([]byte, skew)) {
+			t.Fatal("a write landed outside the device")
+		}
+	}
+	t.Run("kernel", run)
+	t.Run("copy", func(t *testing.T) { withoutKernels(func() { run(t) }) })
+}
+
+// BenchmarkRAMWrite persists one 64 MiB save per op as the engine cuts it:
+// 4 MiB pieces from a slot's payload offset (320 in the first slot), taken
+// in turn by 2 writers. Ops rotate over three slots, so the slot written is
+// not in cache. The copy leg turns the streaming kernel off; run with
+// -cpu 1,2.
+func BenchmarkRAMWrite(b *testing.B) {
+	const (
+		save, piece = 64 << 20, 4 << 20
+		stride      = 64 + save // slot header + payload
+		slots       = 3
+		writers     = 2
+	)
+	src := make([]byte, save)
+	rand.New(rand.NewSource(1)).Read(src)
+	d := NewRAM(320 + slots*stride)
+	payload := func(slot int) int64 { return 320 + int64(slot)*stride }
+	for slot := 0; slot < slots; slot++ { // fault the slots in
+		if err := d.WriteAt(src, payload(slot)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	saveOnce := func(b *testing.B, base int64) {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := next.Add(1) - 1; k < save/piece; k = next.Add(1) - 1 {
+					if err := d.WriteAt(src[k*piece:(k+1)*piece], base+k*piece); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for _, leg := range []string{"kernel", "copy"} {
+		b.Run(leg, func(b *testing.B) {
+			run := func() {
+				b.SetBytes(save)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					saveOnce(b, payload(i%slots))
+				}
+			}
+			if leg == "copy" {
+				withoutKernels(run)
+			} else {
+				run()
+			}
+		})
+	}
 }
 
 // TestRAMEndUnitsReleasedInOrder races a write over three units — partly
