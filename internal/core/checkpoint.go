@@ -16,7 +16,6 @@ import (
 	"pccheck/internal/lfqueue"
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
-	"pccheck/internal/simd"
 	"pccheck/internal/storage"
 )
 
@@ -706,15 +705,20 @@ func (c *Checkpointer) writer(st *saveState, slot, w int) {
 			// out whatever lane budget remains. The piece's effective rate is
 			// min(laneBW, device share), as on real hardware — not the series.
 			laneDeadline := lane.Reserve(len(t.buf))
-			// Checksum (a keyframe: and diff) the piece on its way to the device.
+			// Checksum the piece on its way to the device: a keyframe's
+			// writer diffs and folds it granule by granule first; any other
+			// folds it inside the write (storage.WriteAtCRC).
 			var crc uint32
+			var err error
 			if st.dp != nil {
 				crc = st.dp.hashPiece(t.buf, t.off, c.cfg.VerifyPayload)
-			} else if c.cfg.VerifyPayload {
-				crc = simd.CRC32Update(0, t.buf)
 			}
 			persistStart := c.obsNow()
-			err := c.writeRange(st.ctx, t.buf, base+t.off)
+			if st.dp == nil && c.cfg.VerifyPayload {
+				crc, err = c.writeRange(st.ctx, t.buf, base+t.off, true)
+			} else {
+				_, err = c.writeRange(st.ctx, t.buf, base+t.off, false)
+			}
 			if c.obsv != nil {
 				c.obsv.Emit(obs.Event{
 					TS: persistStart, Dur: time.Now().UnixNano() - persistStart,
@@ -887,7 +891,7 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 	stored := size
 	if dp != nil && dp.filter {
 		head := dp.finish(size)
-		if err := c.writeRange(ctx, head, base); err != nil {
+		if _, err := c.writeRange(ctx, head, base, false); err != nil {
 			return 0, 0, err
 		}
 		if c.cfg.VerifyPayload {
@@ -909,17 +913,22 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 }
 
 // writeRange writes p at device offset off under the retry policy; on PMEM
-// each writer fences its own stores (§4.1).
-func (c *Checkpointer) writeRange(ctx context.Context, p []byte, off int64) error {
-	return c.retryIO(ctx, func() error {
-		if err := c.dev.WriteAt(p, off); err != nil {
-			return err
+// each writer fences its own stores (§4.1). With fold it also returns
+// crc32.Update(0, p), taken by the attempt that succeeded: a RAM device folds
+// it inside its streaming stores, any other device checksums p first.
+func (c *Checkpointer) writeRange(ctx context.Context, p []byte, off int64, fold bool) (crc uint32, err error) {
+	err = c.retryIO(ctx, func() (err error) {
+		if fold {
+			crc, err = storage.WriteAtCRC(c.dev, p, off, 0)
+		} else {
+			err = c.dev.WriteAt(p, off)
 		}
-		if c.dev.Kind() == storage.KindPMEM {
-			return c.dev.Sync(off, int64(len(p)))
+		if err == nil && c.dev.Kind() == storage.KindPMEM {
+			err = c.dev.Sync(off, int64(len(p)))
 		}
-		return nil
+		return err
 	})
+	return crc, err
 }
 
 // persistRecord durably writes the pointer record for meta. Records are

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pccheck/internal/obs"
+	"pccheck/internal/simd"
 	"pccheck/internal/storage"
 )
 
@@ -179,9 +180,15 @@ func TestSavePiecesFillEveryLane(t *testing.T) {
 // VerifyPayload, at sizes that are no multiple of ChunkBytes (one under a
 // page), the slot header's payload CRC is the CRC of the stored bytes read
 // back (0 when off), and with VerifyPayload a byte flipped on the device in
-// the last piece makes Recover fail corrupt.
+// the last piece makes Recover fail corrupt. The "stream" legs cut full saves
+// into 1 MiB pieces, which straddle storage.RAM's 1 MiB units and are long
+// enough for the write that folds as it streams, with the kernels on and off.
 func TestWriterChecksums(t *testing.T) {
 	const chunk = 16 << 10
+	sources := []struct {
+		name string
+		of   func([]byte) Source
+	}{{"view", BytesSource}, {"staged", staged}}
 	for _, mode := range []struct {
 		name string
 		cfg  Config
@@ -192,10 +199,7 @@ func TestWriterChecksums(t *testing.T) {
 		{"keyframe", Config{DeltaKeyframe: 4, DeltaEvery: 1 << 30}, slotKindFull},
 		{"delta", Config{DeltaKeyframe: 4}, slotKindDelta},
 	} {
-		for _, src := range []struct {
-			name string
-			of   func([]byte) Source
-		}{{"view", BytesSource}, {"staged", staged}} {
+		for _, src := range sources {
 			for writers := 1; writers <= 3; writers++ {
 				for _, verify := range []bool{true, false} {
 					for _, size := range []int{3001, 5*chunk + 1234} {
@@ -203,41 +207,63 @@ func TestWriterChecksums(t *testing.T) {
 						t.Run(name, func(t *testing.T) {
 							cfg := mode.cfg
 							cfg.Concurrent, cfg.SlotBytes, cfg.Writers, cfg.ChunkBytes, cfg.VerifyPayload = 1, 256<<10, writers, chunk, verify
-							c, dev := deltaEngine(t, cfg)
-							defer c.Close()
-							p := sparsePayload(5, 0, size)
-							for step := uint64(0); step < 2; step++ {
-								if step > 0 {
-									mutateSparse(p, 5, step)
-								}
-								if _, err := c.Checkpoint(context.Background(), src.of(p)); err != nil {
-									t.Fatalf("save %d: %v", step, err)
-								}
-							}
-							hdr, stored := slotRecord(t, c, dev)
-							var want uint32
-							if verify {
-								want = crc32.ChecksumIEEE(stored)
-							}
-							if hdr.kind != mode.kind || hdr.hasCRC != verify || hdr.payloadCRC != want {
-								t.Fatalf("header kind %d hasCRC %v payloadCRC %#x, want kind %d, %v, %#x of the %d stored bytes",
-									hdr.kind, hdr.hasCRC, hdr.payloadCRC, mode.kind, verify, want, len(stored))
-							}
-							if !verify {
-								return
-							}
-							last := payloadBase(c.sb, c.checkAddr.Load().slot) + hdr.size - 1
-							if err := dev.WriteAt([]byte{stored[len(stored)-1] ^ 0x10}, last); err != nil {
-								t.Fatal(err)
-							}
-							if _, _, err := Recover(dev); !storage.IsCorrupt(err) {
-								t.Fatalf("recover of a flipped last piece: err = %v, want a corrupt-classified error", err)
-							}
+							checkWriterCRCs(t, cfg, src.of, size, mode.kind)
 						})
 					}
 				}
 			}
 		}
+	}
+	for _, kernels := range []bool{true, false} {
+		for _, src := range sources {
+			for writers := 1; writers <= 3; writers++ {
+				t.Run(fmt.Sprintf("stream/kernels=%v/%s/p=%d", kernels, src.name, writers), func(t *testing.T) {
+					if !kernels {
+						defer func(saved simd.Features) { simd.CPU = saved }(simd.CPU)
+						simd.CPU = simd.Features{}
+					}
+					cfg := Config{Concurrent: 1, SlotBytes: 4 << 20, Writers: writers, ChunkBytes: 1 << 20, VerifyPayload: true}
+					checkWriterCRCs(t, cfg, src.of, 3<<20+1234, slotKindFull)
+				})
+			}
+		}
+	}
+}
+
+// checkWriterCRCs makes two saves of a size-byte payload through of and
+// holds the second's slot header to the stored bytes (see
+// TestWriterChecksums).
+func checkWriterCRCs(t *testing.T, cfg Config, of func([]byte) Source, size int, kind uint8) {
+	t.Helper()
+	c, dev := deltaEngine(t, cfg)
+	defer c.Close()
+	p := sparsePayload(5, 0, size)
+	for step := uint64(0); step < 2; step++ {
+		if step > 0 {
+			mutateSparse(p, 5, step)
+		}
+		if _, err := c.Checkpoint(context.Background(), of(p)); err != nil {
+			t.Fatalf("save %d: %v", step, err)
+		}
+	}
+	hdr, stored := slotRecord(t, c, dev)
+	var want uint32
+	if cfg.VerifyPayload {
+		want = crc32.ChecksumIEEE(stored)
+	}
+	if hdr.kind != kind || hdr.hasCRC != cfg.VerifyPayload || hdr.payloadCRC != want {
+		t.Fatalf("header kind %d hasCRC %v payloadCRC %#x, want kind %d, %v, %#x of the %d stored bytes",
+			hdr.kind, hdr.hasCRC, hdr.payloadCRC, kind, cfg.VerifyPayload, want, len(stored))
+	}
+	if !cfg.VerifyPayload {
+		return
+	}
+	last := payloadBase(c.sb, c.checkAddr.Load().slot) + hdr.size - 1
+	if err := dev.WriteAt([]byte{stored[len(stored)-1] ^ 0x10}, last); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(dev); !storage.IsCorrupt(err) {
+		t.Fatalf("recover of a flipped last piece: err = %v, want a corrupt-classified error", err)
 	}
 }
 

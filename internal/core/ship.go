@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"pccheck/internal/simd"
 	"pccheck/internal/storage"
 )
 
@@ -68,8 +67,7 @@ func (c *copier) span(src storage.Device, from int64, dst storage.Device, to, n 
 func (c *copier) piece(w int, lo, hi int64) (crc uint32, err error) {
 	p := c.bufs[w][:hi-lo]
 	if err = c.src.ReadAt(p, c.from+lo); err == nil {
-		crc = simd.CRC32Update(0, p)
-		err = c.dst.WriteAt(p, c.to+lo)
+		crc, err = storage.WriteAtCRC(c.dst, p, c.to+lo, 0)
 	}
 	if err == nil && c.stop != nil && c.stop.Clobbered() {
 		err = errSuperseded

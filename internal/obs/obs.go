@@ -48,7 +48,9 @@ const (
 	PhaseChunkWait
 	// PhasePersist spans one writer goroutine persisting one chunk to the
 	// device. Writer is the writer index, Bytes the chunk length, Value
-	// the payload offset.
+	// the payload offset. With VerifyPayload a full save's span includes
+	// the chunk's CRC, which the write folds (inside its streaming stores
+	// on storage.RAM); a keyframe's writer folds before the span.
 	PhasePersist
 	// PhaseSync spans the single whole-payload sync on the SSD path
 	// (§4.1: "the main thread can call a single msync").

@@ -33,6 +33,46 @@ GLOBL r5<>(SB), RODATA, $8
 	VPXOR      X4, X1, X1; \
 	VPXOR      next, X1, X1
 
+// finish is both kernels' tail: it folds the four accumulators, which lie
+// 64 bytes apart in the message (Z0's four lanes 16 bytes apart), into one
+// 128-bit lane, then takes that to the 32-bit CRC register in AX with
+// hash/crc32's ieeeCLMUL finish (Barrett reduction). It clobbers X0–X8 and
+// clears the upper vector state.
+#define finish \
+	VBROADCASTI32X4 k512<>+0(SB), Z8; \
+	fold(Z0, Z4, Z1); \
+	fold(Z0, Z4, Z2); \
+	fold(Z0, Z4, Z3); \
+	VMOVDQU         k128<>+0(SB), X8; \
+	VMOVDQU         X0, X1; \
+	VEXTRACTI32X4   $1, Z0, X5; \
+	VEXTRACTI32X4   $2, Z0, X6; \
+	VEXTRACTI32X4   $3, Z0, X7; \
+	fold128(X5); \
+	fold128(X6); \
+	fold128(X7); \
+	VZEROUPPER; \
+	MOVOU     k128<>+0(SB), X0; \
+	PCMPEQB   X3, X3; \
+	PCLMULQDQ $1, X1, X0; \
+	PSRLDQ    $8, X1; \
+	PXOR      X0, X1; \
+	MOVOA     X1, X2; \
+	MOVQ      r5<>+0(SB), X0; \
+	PSRLQ     $32, X3; \
+	PSRLDQ    $4, X2; \
+	PAND      X3, X1; \
+	PCLMULQDQ $0, X0, X1; \
+	PXOR      X2, X1; \
+	MOVOU     rupoly<>+0(SB), X0; \
+	MOVOA     X1, X2; \
+	PAND      X3, X1; \
+	PCLMULQDQ $0x10, X0, X1; \
+	PAND      X3, X1; \
+	PCLMULQDQ $0, X0, X1; \
+	PXOR      X2, X1; \
+	PEXTRD    $1, X1, AX
+
 // func foldIEEE(crc uint32, p []byte) uint32
 TEXT ·foldIEEE(SB), NOSPLIT, $0-36
 	MOVL      crc+0(FP), AX
@@ -59,41 +99,56 @@ loop:
 	JNZ  loop
 
 reduce:
-	// The accumulators lie 64 bytes apart, Z0's four lanes 16 bytes apart.
-	VBROADCASTI32X4 k512<>+0(SB), Z8
-	fold(Z0, Z4, Z1)
-	fold(Z0, Z4, Z2)
-	fold(Z0, Z4, Z3)
-	VMOVDQU         k128<>+0(SB), X8
-	VMOVDQU         X0, X1
-	VEXTRACTI32X4   $1, Z0, X5
-	VEXTRACTI32X4   $2, Z0, X6
-	VEXTRACTI32X4   $3, Z0, X7
-	fold128(X5)
-	fold128(X6)
-	fold128(X7)
-	VZEROUPPER
+	finish
+	MOVL AX, ret+32(FP)
+	RET
 
-	// 128 → 32 bits: hash/crc32's ieeeCLMUL finish (Barrett reduction).
-	MOVOU     k128<>+0(SB), X0
-	PCMPEQB   X3, X3
-	PCLMULQDQ $1, X1, X0
-	PSRLDQ    $8, X1
-	PXOR      X0, X1
-	MOVOA     X1, X2
-	MOVQ      r5<>+0(SB), X0
-	PSRLQ     $32, X3
-	PSRLDQ    $4, X2
-	PAND      X3, X1
-	PCLMULQDQ $0, X0, X1
-	PXOR      X2, X1
-	MOVOU     rupoly<>+0(SB), X0
-	MOVOA     X1, X2
-	PAND      X3, X1
-	PCLMULQDQ $0x10, X0, X1
-	PAND      X3, X1
-	PCLMULQDQ $0, X0, X1
-	PXOR      X2, X1
-	PEXTRD    $1, X1, AX
-	MOVL      AX, ret+32(FP)
+// func copyFoldNT(dst, src []byte, crc uint32) uint32
+//
+// copyNT and foldIEEE in one pass over src: each step's four ZMM loads are
+// stored by VMOVNTDQ and folded from the same registers, so src is read once.
+// The SFENCE orders the streaming stores before the caller publishes dst.
+TEXT ·copyFoldNT(SB), NOSPLIT, $0-60
+	MOVQ      dst_base+0(FP), DI
+	MOVQ      src_base+24(FP), SI
+	MOVQ      dst_len+8(FP), CX
+	MOVL      crc+48(FP), AX
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 64(SI), Z1
+	VMOVDQU64 128(SI), Z2
+	VMOVDQU64 192(SI), Z3
+	VMOVNTDQ  Z0, (DI)
+	VMOVNTDQ  Z1, 64(DI)
+	VMOVNTDQ  Z2, 128(DI)
+	VMOVNTDQ  Z3, 192(DI)
+	VMOVD     AX, X4
+	VPXORQ    Z4, Z0, Z0
+	ADDQ      $256, SI
+	ADDQ      $256, DI
+	SUBQ      $256, CX
+	JZ        reduce
+	VBROADCASTI32X4 k2048<>+0(SB), Z8
+
+loop:
+	VMOVDQU64 (SI), Z9
+	VMOVDQU64 64(SI), Z10
+	VMOVDQU64 128(SI), Z11
+	VMOVDQU64 192(SI), Z12
+	VMOVNTDQ  Z9, (DI)
+	VMOVNTDQ  Z10, 64(DI)
+	VMOVNTDQ  Z11, 128(DI)
+	VMOVNTDQ  Z12, 192(DI)
+	fold(Z0, Z4, Z9)
+	fold(Z1, Z5, Z10)
+	fold(Z2, Z6, Z11)
+	fold(Z3, Z7, Z12)
+	ADDQ      $256, SI
+	ADDQ      $256, DI
+	SUBQ      $256, CX
+	JNZ       loop
+
+reduce:
+	SFENCE
+	finish
+	MOVL AX, ret+56(FP)
 	RET

@@ -42,3 +42,9 @@ func foldIEEE(crc uint32, p []byte) uint32
 //
 //go:noescape
 func copyNT(dst, src []byte)
+
+// copyFoldNT is copyNT that also advances the raw IEEE CRC register over src
+// (as foldIEEE does) from the registers it stores.
+//
+//go:noescape
+func copyFoldNT(dst, src []byte, crc uint32) uint32

@@ -3,6 +3,7 @@ package simd
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -147,5 +148,154 @@ func BenchmarkStreamCopy(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// copyCRC is the copy under test: the kernel path itself when both features
+// are on (it also runs below streamMin, which StreamCopyCRC would not reach),
+// StreamCopyCRC otherwise.
+func copyCRC(dst, src []byte, crc uint32) uint32 {
+	if CPU.Stream && CPU.Fold {
+		return streamCopyCRC(dst[:len(src)], src, crc)
+	}
+	_, crc = StreamCopyCRC(dst, src, crc)
+	return crc
+}
+
+// TestStreamCopyCRC holds StreamCopyCRC to copy plus crc32.Update at every
+// length up to 4 KiB for every dst offset within a cache line and src offsets
+// 0, 5 and 64, and across streamMin at odd offsets; initial CRCs 0 and
+// 0xdeadbeef.
+func TestStreamCopyCRC(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	src := make([]byte, 64+4096)
+	for i := range src {
+		src[i] = byte(1 + rng.Intn(255))
+	}
+	crcLegs(t, func(t *testing.T) {
+		dst := make([]byte, pad+64+4096+pad)
+		for _, crc := range []uint32{0, 0xdeadbeef} {
+			for _, s := range []int{0, 5, 64} {
+				want := crc // crc32.Update over src[s:s+n], one byte on per n
+				for n := 0; n <= 4096; n++ {
+					if n > 0 {
+						want = crc32.Update(want, crc32.IEEETable, src[s+n-1:s+n])
+					}
+					for d := 0; d < 64; d++ {
+						if got := copyCRC(dst[pad+d:pad+d+n], src[s:s+n], crc); got != want {
+							t.Fatalf("%d bytes from src offset %d to dst offset %d, crc %#x: CRC %#x, want %#x", n, s, d, crc, got, want)
+						}
+						checkCopied(t, dst, pad+d, src[s:s+n])
+						clear(dst[pad+d : pad+d+n])
+					}
+				}
+			}
+		}
+		for _, c := range []struct{ n, d, s int }{
+			{64<<10 - 1, 3, 1},
+			{64 << 10, 1, 5},
+			{64<<10 + 300, 7, 0},
+			{1<<20 + 17, 33, 7},
+			{64<<20 + 17, 13, 51},
+		} {
+			big := make([]byte, c.s+c.n)
+			rng.Read(big)
+			dst := make([]byte, pad+c.d+c.n+pad)
+			for _, crc := range []uint32{0, 0xdeadbeef} {
+				n, got := StreamCopyCRC(dst[pad+c.d:pad+c.d+c.n], big[c.s:], crc)
+				if want := crc32.Update(crc, crc32.IEEETable, big[c.s:]); n != c.n || got != want {
+					t.Fatalf("StreamCopyCRC of %d bytes, crc %#x: returned %d, %#x, want %d, %#x", c.n, crc, n, got, c.n, want)
+				}
+				checkCopied(t, dst, pad+c.d, big[c.s:])
+			}
+		}
+	})
+}
+
+// TestStreamCopyCRCOverlap: overlapping slices move as under copy, and the
+// CRC is of the bytes copied.
+func TestStreamCopyCRCOverlap(t *testing.T) {
+	crcLegs(t, func(t *testing.T) {
+		for _, shift := range []int{-1, 1, 300} {
+			buf := make([]byte, 2<<20)
+			rand.New(rand.NewSource(2)).Read(buf)
+			want := bytes.Clone(buf)
+			lo, hi := 300, 300+shift
+			wantCRC := crc32.ChecksumIEEE(want[lo : lo+1<<20])
+			copy(want[hi:], want[lo:lo+1<<20])
+			if _, crc := StreamCopyCRC(buf[hi:], buf[lo:lo+1<<20], 0); crc != wantCRC || !bytes.Equal(buf, want) {
+				t.Fatalf("copy shifted by %d: CRC %#x, want %#x, or bytes differ", shift, crc, wantCRC)
+			}
+		}
+	})
+}
+
+func FuzzStreamCopyCRC(f *testing.F) {
+	for _, n := range []int{255, 256, 511, 4096 + 63} {
+		p := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(p)
+		f.Add(p, uint8(n), uint8(n/3), uint32(n))
+	}
+	all := CPU
+	f.Fuzz(func(t *testing.T, p []byte, dOff, sOff uint8, crc uint32) {
+		defer func() { CPU = all }()
+		d, src := int(dOff%64), p[min(len(p), int(sOff%64)):]
+		want := crc32.Update(crc, crc32.IEEETable, src)
+		for _, f := range []Features{all, {}, {Stream: all.Stream}, {Fold: all.Fold}} {
+			CPU = f
+			dst := make([]byte, pad+d+len(src)+pad)
+			if got := copyCRC(dst[pad+d:pad+d+len(src)], src, crc); got != want {
+				t.Fatalf("features %+v: CRC %#x, want %#x", f, got, want)
+			}
+			checkCopied(t, dst, pad+d, src)
+		}
+	})
+}
+
+func TestStreamCopyCRCAllocs(t *testing.T) {
+	src, dst := make([]byte, 1<<20+5), make([]byte, 1<<20+5)
+	crcLegs(t, func(t *testing.T) {
+		var crc uint32
+		if allocs := testing.AllocsPerRun(20, func() { _, crc = StreamCopyCRC(dst, src, crc) }); allocs != 0 {
+			t.Fatalf("StreamCopyCRC allocates %v per call", allocs)
+		}
+	})
+}
+
+// BenchmarkStreamCopyCRC: CRC32Update then StreamCopy (two reads of the
+// piece) against StreamCopyCRC (one), and StreamCopy alone for what the fold
+// adds, on 4 MiB pieces that are in no cache: each call reads the next piece
+// of one 64 MiB region and writes the next of another.
+func BenchmarkStreamCopyCRC(b *testing.B) {
+	const region, size = 64 << 20, 4 << 20
+	src, dst := make([]byte, region), make([]byte, region)
+	rand.New(rand.NewSource(1)).Read(src)
+	for _, leg := range []struct {
+		name string
+		fn   func(dst, src []byte, crc uint32) uint32
+	}{
+		{"stream", func(dst, src []byte, crc uint32) uint32 {
+			StreamCopy(dst, src)
+			return crc
+		}},
+		{"crc+stream", func(dst, src []byte, crc uint32) uint32 {
+			crc = CRC32Update(crc, src)
+			StreamCopy(dst, src)
+			return crc
+		}},
+		{"fused", func(dst, src []byte, crc uint32) uint32 {
+			_, crc = StreamCopyCRC(dst, src, crc)
+			return crc
+		}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.SetBytes(size)
+			var crc uint32
+			for i := 0; i < b.N; i++ {
+				off := i * size % region
+				crc = leg.fn(dst[off:off+size], src[off:off+size], crc)
+			}
+			crcSink = crc
+		})
 	}
 }

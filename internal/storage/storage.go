@@ -372,24 +372,29 @@ func (d *PMEM) Close() error { return nil }
 //
 // Calls are atomic with respect to each other, as under one device-wide
 // lock, but calls on disjoint ranges copy in parallel: the address space is
-// cut into 1 MiB units hashed onto 64 lock stripes, and a call takes every
+// cut into 1 MiB units hashed onto 256 lock stripes, and a call takes every
 // stripe its range touches before it copies (all at once, not stripe by
 // stripe: a reader must never see half of a record that straddles a unit).
-// A write lets go of the stripes of its partly covered end units as soon as
-// those bytes are copied, so the next piece of a save, which shares one such
-// unit, waits for that unit rather than the whole call. No stripe is taken
-// after one is let go (two-phase locking), so calls still order as under one
-// lock.
+// A write copies its partly covered end units first, the tail before the
+// head, and lets each one's stripe go as soon as its bytes are in, so the
+// next piece of a save, which starts in this one's tail unit, waits for a
+// short copy rather than the whole call. No stripe is taken after one is let
+// go (two-phase locking), so calls still order as under one lock.
 //
 // Each of a write's three copies (head, tail, inner units) that is 64 KiB
 // or more goes with streaming stores (simd.StreamCopy), fenced before its
 // stripes go: a checkpoint's bytes are not read back soon, and going around
-// the cache beats Go's copy into a cold slot. Reads keep copy, because every
+// the cache beats Go's copy into a cold slot. WriteAtCRC also folds the
+// CRC of the head and inner units inside those stores (simd.StreamCopyCRC),
+// so a save's writer reads its piece once. Reads keep copy, because every
 // reader checksums a piece right after it lands.
 type RAM struct {
-	stripes [64]sync.RWMutex
+	stripes [ramStripes]sync.RWMutex
 	data    []byte
 }
+
+// ramStripes is how many lock stripes a RAM device has.
+const ramStripes = 256
 
 // NewRAM allocates a zeroed volatile device.
 func NewRAM(size int64) *RAM { return &RAM{data: make([]byte, size)} }
@@ -399,51 +404,110 @@ func NewRAM(size int64) *RAM { return &RAM{data: make([]byte, size)} }
 // device owns data from here on.
 func NewRAMFromBytes(data []byte) *RAM { return &RAM{data: data} }
 
-// ramStripeMask returns the stripes covering [off, off+n) as a bit set. The
-// unit index is hashed (Fibonacci multiply, top six bits) rather than taken
-// modulo 64: checkpoint slots are a payload apart, so a modulus would put the
-// same relative offset of every slot on the same stripe and writers moving
-// through two slots in step would still serialise.
-func ramStripeMask(off int64, n int) uint64 {
+// stripeSet is a set of a RAM device's lock stripes, one bit each.
+type stripeSet [ramStripes / 64]uint64
+
+// each calls f on every stripe in s, in ascending index.
+func (s stripeSet) each(f func(i int)) {
+	for w, m := range s {
+		for ; m != 0; m &= m - 1 {
+			f(w<<6 | bits.TrailingZeros64(m))
+		}
+	}
+}
+
+// minus returns the stripes of s that are not in o.
+func (s stripeSet) minus(o stripeSet) stripeSet {
+	for w := range s {
+		s[w] &^= o[w]
+	}
+	return s
+}
+
+// union returns the stripes in s or o.
+func (s stripeSet) union(o stripeSet) stripeSet {
+	for w := range s {
+		s[w] |= o[w]
+	}
+	return s
+}
+
+// ramStripeMask returns the stripes covering [off, off+n). The unit index is
+// hashed (Fibonacci multiply, top eight bits) rather than taken modulo the
+// stripe count: checkpoint slots are a payload apart, so a modulus would put
+// the same relative offset of every slot on the same stripe and writers
+// moving through two slots in step would still serialise.
+func ramStripeMask(off int64, n int) (s stripeSet) {
 	if n == 0 {
-		return 0
+		return s
 	}
 	first, last := uint64(off)>>20, uint64(off+int64(n)-1)>>20
-	if last-first >= 62 { // 63 units or more: every stripe
-		return ^uint64(0)
+	if last-first >= ramStripes-2 { // 255 units or more: every stripe
+		for w := range s {
+			s[w] = ^uint64(0)
+		}
+		return s
 	}
-	var mask uint64
 	for u := first; u <= last; u++ {
-		mask |= 1 << (u * 0x9E3779B97F4A7C15 >> 58)
+		i := u * 0x9E3779B97F4A7C15 >> 56
+		s[i>>6] |= 1 << (i & 63)
 	}
-	return mask
+	return s
 }
 
 // WriteAt implements Device. Stripes are taken in ascending index, so calls
 // with overlapping stripe sets cannot deadlock.
 func (d *RAM) WriteAt(p []byte, off int64) error {
+	_, err := d.write(p, off, 0, false)
+	return err
+}
+
+// WriteAtCRC is WriteAt that also returns crc32.Update(crc,
+// crc32.IEEETable, p), folded from the registers that store p wherever a
+// copy streams. Callers reach it through storage.WriteAtCRC, which every
+// other device answers with a checksum, then WriteAt.
+func (d *RAM) WriteAtCRC(p []byte, off int64, crc uint32) (uint32, error) {
+	return d.write(p, off, crc, true)
+}
+
+// write is WriteAt, and with fold WriteAtCRC. The partly covered end units
+// go first, each stripe let go as soon as this call's bytes under it are in:
+// the tail (streamed unfolded) before the head, because the next piece of a
+// save starts in this one's tail unit and usually asks for it a moment after
+// this call took it. Then the inner units. The CRC runs in order: the head
+// is folded as it streams (crc → c1), the inner units as they stream
+// (c1 → c2), and the tail last from p (c2 → crc), at most 1 MiB.
+func (d *RAM) write(p []byte, off int64, crc uint32, fold bool) (uint32, error) {
 	if err := checkRange(int64(len(d.data)), off, len(p)); err != nil {
-		return err
+		return crc, err
 	}
-	mask := ramStripeMask(off, len(p))
-	for m := mask; m != 0; m &= m - 1 {
-		d.stripes[bits.TrailingZeros64(m)].Lock()
-	}
-	// The partly covered end units first; then their stripes go, unless an
-	// inner unit hashes onto one.
 	head := min(len(p), int(-off&(1<<20-1)))
 	tail := min(len(p)-head, int((off+int64(len(p)))&(1<<20-1)))
-	simd.StreamCopy(d.data[off:], p[:head])
-	simd.StreamCopy(d.data[off+int64(len(p)-tail):], p[len(p)-tail:])
+	tailOff := off + int64(len(p)-tail)
+	headS, tailS := ramStripeMask(off, head), ramStripeMask(tailOff, tail)
 	inner := ramStripeMask(off+int64(head), len(p)-head-tail)
-	for m := mask &^ inner; m != 0; m &= m - 1 {
-		d.stripes[bits.TrailingZeros64(m)].Unlock()
+	mask := headS.union(tailS).union(inner)
+	mask.each(func(i int) { d.stripes[i].Lock() })
+	simd.StreamCopy(d.data[tailOff:], p[len(p)-tail:])
+	tailS.minus(headS).minus(inner).each(func(i int) { d.stripes[i].Unlock() })
+	crc = d.put(p[:head], off, crc, fold)
+	headS.minus(inner).each(func(i int) { d.stripes[i].Unlock() })
+	crc = d.put(p[head:len(p)-tail], off+int64(head), crc, fold)
+	inner.each(func(i int) { d.stripes[i].Unlock() })
+	if fold {
+		crc = simd.CRC32Update(crc, p[len(p)-tail:])
 	}
-	simd.StreamCopy(d.data[off+int64(head):], p[head:len(p)-tail])
-	for m := inner; m != 0; m &= m - 1 {
-		d.stripes[bits.TrailingZeros64(m)].Unlock()
+	return crc, nil
+}
+
+// put streams p to off, folding it into crc when fold is set.
+func (d *RAM) put(p []byte, off int64, crc uint32, fold bool) uint32 {
+	if fold {
+		_, crc = simd.StreamCopyCRC(d.data[off:], p, crc)
+	} else {
+		simd.StreamCopy(d.data[off:], p)
 	}
-	return nil
+	return crc
 }
 
 // ReadAt implements Device; it shares its stripes with other readers.
@@ -452,13 +516,9 @@ func (d *RAM) ReadAt(p []byte, off int64) error {
 		return err
 	}
 	mask := ramStripeMask(off, len(p))
-	for m := mask; m != 0; m &= m - 1 {
-		d.stripes[bits.TrailingZeros64(m)].RLock()
-	}
+	mask.each(func(i int) { d.stripes[i].RLock() })
 	copy(p, d.data[off:])
-	for m := mask; m != 0; m &= m - 1 {
-		d.stripes[bits.TrailingZeros64(m)].RUnlock()
-	}
+	mask.each(func(i int) { d.stripes[i].RUnlock() })
 	return nil
 }
 
@@ -479,8 +539,28 @@ func (d *RAM) Kind() Kind { return KindRAM }
 // Close implements io.Closer.
 func (d *RAM) Close() error { return nil }
 
+// crcWriter is a device that folds the CRC of what it writes while it
+// stores it. Only *RAM is one; a wrapper that embeds a Device is not.
+type crcWriter interface {
+	WriteAtCRC(p []byte, off int64, crc uint32) (uint32, error)
+}
+
+// WriteAtCRC writes p at off on d and returns crc32.Update(crc,
+// crc32.IEEETable, p) (meaningless when the write fails). A RAM device folds
+// the CRC inside its streaming stores, so p is read once; every other
+// device, and every wrapper around a RAM device, checksums p and then
+// writes it.
+func WriteAtCRC(d Device, p []byte, off int64, crc uint32) (uint32, error) {
+	if w, ok := d.(crcWriter); ok {
+		return w.WriteAtCRC(p, off, crc)
+	}
+	crc = simd.CRC32Update(crc, p)
+	return crc, d.WriteAt(p, off)
+}
+
 var (
-	_ Device = (*SSD)(nil)
-	_ Device = (*PMEM)(nil)
-	_ Device = (*RAM)(nil)
+	_ Device    = (*SSD)(nil)
+	_ Device    = (*PMEM)(nil)
+	_ Device    = (*RAM)(nil)
+	_ crcWriter = (*RAM)(nil)
 )

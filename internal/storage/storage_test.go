@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/bits"
 	"math/rand"
 	"path/filepath"
@@ -288,21 +289,28 @@ func TestRAMStripesDoNotAlias(t *testing.T) {
 		for b := a + 1; b < 3; b++ {
 			for off := int64(0); off < slotBytes; off += piece {
 				ma, mb := ramStripeMask(payloadBase(a)+off, piece), ramStripeMask(payloadBase(b)+off, piece)
-				if ma&mb != 0 {
-					t.Errorf("piece at %d MiB of slots %d and %d share stripes %#x", off>>20, a, b, ma&mb)
+				if both := ma.minus(ma.minus(mb)); both != (stripeSet{}) {
+					t.Errorf("piece at %d MiB of slots %d and %d share stripes %#x", off>>20, a, b, both)
 				}
 			}
 		}
 	}
-	if got := ramStripeMask(12345, 0); got != 0 {
+	if got := ramStripeMask(12345, 0); got != (stripeSet{}) {
 		t.Errorf("empty range takes stripes %#x", got)
 	}
-	if got := ramStripeMask(1<<20-1, 2); bits.OnesCount64(got) != 2 {
+	if got := ramStripeMask(1<<20-1, 2); stripeCount(got) != 2 {
 		t.Errorf("two bytes across a unit boundary take stripes %#x, want two", got)
 	}
-	if got := ramStripeMask(0, 63<<20); got != ^uint64(0) {
-		t.Errorf("a range of 63 units takes stripes %#x, want all", got)
+	if got := ramStripeMask(0, 255<<20); stripeCount(got) != ramStripes {
+		t.Errorf("a range of 255 units takes stripes %#x, want all", got)
 	}
+}
+
+func stripeCount(s stripeSet) (n int) {
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // BenchmarkRAMParallelWrite writes disjoint 4 MiB ranges of one RAM device
@@ -344,7 +352,8 @@ func withoutKernels(fn func()) {
 // bytes past a page, so a write's head, inner and tail copies all start on
 // an unaligned dst, and compares every byte with a model kept by copy: pieces
 // as the engine cuts them, a write whose three parts are each long enough to
-// stream, short writes, and random ones up to 3 MiB.
+// stream, short writes, and random ones up to 3 MiB. Each case is written by
+// WriteAt and again by WriteAtCRC, whose CRC must be crc32.Update's.
 func TestRAMWritesMatchCopy(t *testing.T) {
 	const size, skew = 8 << 20, 13
 	run := func(t *testing.T) {
@@ -361,14 +370,27 @@ func TestRAMWritesMatchCopy(t *testing.T) {
 			writes = append(writes, [2]int64{rng.Int63n(size - n), n})
 		}
 		for _, w := range writes {
-			p := make([]byte, w[1])
-			rng.Read(p)
-			if err := d.WriteAt(p, w[0]); err != nil {
-				t.Fatal(err)
-			}
-			copy(model[w[0]:], p)
-			if !bytes.Equal(buf[skew:skew+size], model) {
-				t.Fatalf("after %d bytes at %d the device differs from copy", w[1], w[0])
+			for _, fold := range []bool{false, true} {
+				p := make([]byte, w[1])
+				rng.Read(p)
+				if !fold {
+					if err := d.WriteAt(p, w[0]); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					crc := rng.Uint32()
+					got, err := d.WriteAtCRC(p, w[0], crc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := crc32.Update(crc, crc32.IEEETable, p); got != want {
+						t.Fatalf("WriteAtCRC of %d bytes at %d: CRC %#x, want %#x", w[1], w[0], got, want)
+					}
+				}
+				copy(model[w[0]:], p)
+				if !bytes.Equal(buf[skew:skew+size], model) {
+					t.Fatalf("after %d bytes at %d (fold %v) the device differs from copy", w[1], w[0], fold)
+				}
 			}
 		}
 		if !bytes.Equal(buf[:skew], make([]byte, skew)) || !bytes.Equal(buf[skew+size:], make([]byte, skew)) {
@@ -379,11 +401,60 @@ func TestRAMWritesMatchCopy(t *testing.T) {
 	t.Run("copy", func(t *testing.T) { withoutKernels(func() { run(t) }) })
 }
 
+// TestWriteAtCRCWrappers: storage.WriteAtCRC through a device that wraps a
+// RAM device (or is not one) checksums and then writes, with the same bytes
+// and CRC as a bare RAM device.
+func TestWriteAtCRCWrappers(t *testing.T) {
+	const size = 4 << 20
+	for _, tc := range []struct {
+		name string
+		dev  func(t *testing.T) Device
+	}{
+		{"ram", func(*testing.T) Device { return NewRAM(size) }},
+		{"fault", func(*testing.T) Device { return NewFaultDevice(NewRAM(size)) }},
+		{"crash", func(*testing.T) Device { return NewCrashDevice(size, KindRAM) }},
+		{"tiered", func(t *testing.T) Device {
+			td, err := NewTiered([]Device{NewRAM(size), NewRAM(size)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return td
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.dev(t)
+			defer d.Close()
+			rng := rand.New(rand.NewSource(4))
+			for _, w := range [][2]int64{{320, 2<<20 + 5}, {1<<20 - 7, 64 << 10}, {3, 100}} {
+				p := make([]byte, w[1])
+				rng.Read(p)
+				crc := rng.Uint32()
+				got, err := WriteAtCRC(d, p, w[0], crc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := crc32.Update(crc, crc32.IEEETable, p); got != want {
+					t.Fatalf("%d bytes at %d: CRC %#x, want %#x", w[1], w[0], got, want)
+				}
+				back := make([]byte, w[1])
+				if err := d.ReadAt(back, w[0]); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(back, p) {
+					t.Fatalf("%d bytes at %d read back differently", w[1], w[0])
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRAMWrite persists one 64 MiB save per op as the engine cuts it:
 // 4 MiB pieces from a slot's payload offset (320 in the first slot), taken
 // in turn by 2 writers. Ops rotate over three slots, so the slot written is
-// not in cache. The copy leg turns the streaming kernel off; run with
-// -cpu 1,2.
+// not in cache. The copy leg turns the streaming kernel off; the crc legs
+// also checksum each piece, crc+write as simd.CRC32Update then WriteAt (what
+// WriteAtCRC does through any wrapper) and crc through RAM.WriteAtCRC. Run
+// with -cpu 1,2.
 func BenchmarkRAMWrite(b *testing.B) {
 	const (
 		save, piece = 64 << 20, 4 << 20
@@ -400,25 +471,41 @@ func BenchmarkRAMWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	saveOnce := func(b *testing.B, base int64) {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for k := next.Add(1) - 1; k < save/piece; k = next.Add(1) - 1 {
-					if err := d.WriteAt(src[k*piece:(k+1)*piece], base+k*piece); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
+	var crcs [save / piece]uint32
+	legs := []struct {
+		name  string
+		write func(k int64, p []byte, off int64) error
+	}{
+		{"kernel", func(_ int64, p []byte, off int64) error { return d.WriteAt(p, off) }},
+		{"copy", func(_ int64, p []byte, off int64) error { return d.WriteAt(p, off) }},
+		{"crc+write", func(k int64, p []byte, off int64) error {
+			crcs[k] = simd.CRC32Update(0, p)
+			return d.WriteAt(p, off)
+		}},
+		{"crc", func(k int64, p []byte, off int64) (err error) {
+			crcs[k], err = d.WriteAtCRC(p, off, 0)
+			return err
+		}},
 	}
-	for _, leg := range []string{"kernel", "copy"} {
-		b.Run(leg, func(b *testing.B) {
+	for _, leg := range legs {
+		saveOnce := func(b *testing.B, base int64) {
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for k := next.Add(1) - 1; k < save/piece; k = next.Add(1) - 1 {
+						if err := leg.write(k, src[k*piece:(k+1)*piece], base+k*piece); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		b.Run(leg.name, func(b *testing.B) {
 			run := func() {
 				b.SetBytes(save)
 				b.ResetTimer()
@@ -426,7 +513,7 @@ func BenchmarkRAMWrite(b *testing.B) {
 					saveOnce(b, payload(i%slots))
 				}
 			}
-			if leg == "copy" {
+			if leg.name == "copy" {
 				withoutKernels(run)
 			} else {
 				run()
@@ -471,6 +558,43 @@ func TestRAMEndUnitsReleasedInOrder(t *testing.T) {
 			}
 			if !bytes.Equal(got, bytes.Repeat(got[:1], len(got))) {
 				t.Fatalf("overlap [%d, %d) mixes the racing writes", lo, hi)
+			}
+		}
+	}
+}
+
+// TestRAMEndUnitsWrittenBeforeReleased races a write with long partly
+// covered end units against reads of one end alone. A write lets an end's
+// stripe go early, but only once its bytes are in: a read that gets the
+// stripe must see one version of the whole end, never a copy in progress.
+func TestRAMEndUnitsWrittenBeforeReleased(t *testing.T) {
+	const unit, end = 1 << 20, 768 << 10
+	d := NewRAM(4 * unit)
+	long := [2]int64{unit - end, 2*unit + end} // [off, end): head, one inner unit, tail
+	for _, read := range [][2]int64{{long[0], unit}, {2 * unit, long[1]}} {
+		got := make([]byte, read[1]-read[0])
+		for r := 1; r <= 500; r++ {
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := d.WriteAt(bytes.Repeat([]byte{byte(r)}, int(long[1]-long[0])), long[0]); err != nil {
+					t.Error(err)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := d.ReadAt(got, read[0]); err != nil {
+					t.Error(err)
+				}
+			}()
+			close(start)
+			wg.Wait()
+			if !bytes.Equal(got, bytes.Repeat(got[:1], len(got))) {
+				t.Fatalf("a read of [%d, %d) saw a write in progress", read[0], read[1])
 			}
 		}
 	}
