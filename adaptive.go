@@ -2,11 +2,11 @@ package pccheck
 
 import (
 	"context"
-	"math"
 	"sync"
 	"time"
 
 	"pccheck/internal/obs"
+	"pccheck/internal/perfmodel"
 )
 
 // AdaptiveLoop is the frequency-adaptation extension sketched at the end of
@@ -19,11 +19,9 @@ import (
 // Tick calls, the snapshot stall left out), the synchronous snapshot stall S
 // and the per-checkpoint write time Tw (from completed Saves), all as
 // exponentially weighted moving averages, and picks the smallest interval f
-// whose slowdown s(f) = (max(Tw/N, f·t) + S)/(f·t) stays within q:
-//
-//	f* = max(ceil((Tw/N + S) / (q · t)), ceil(S / ((q − 1) · t)))
-//
-// which is Eq. (3), f* = ceil(Tw / (N · q · t)), when the snapshot is free.
+// whose slowdown s(f) = (max(Tw/N, f·t) + S)/(f·t) stays within q
+// (perfmodel.IntervalModel.FStar), which is Eq. (3),
+// f* = ceil(Tw / (N · q · t)), when the snapshot is free.
 // So the checkpointing overhead tracks the target q even as iteration
 // times drift (input pipeline contention, activation offload), the device
 // slows under external load, or the snapshot outlasts an iteration.
@@ -250,15 +248,14 @@ func (l *AdaptiveLoop) retuneLocked() {
 	if l.ewmaIter <= 0 || tw <= 0 {
 		return
 	}
-	t, stall, n := l.ewmaIter, l.ewmaSnap, float64(l.n)
-	f := max(int(math.Ceil((tw+n*stall)/(n*l.q*t))), int(math.Ceil(stall/((l.q-1)*t))))
+	model := perfmodel.IntervalModel{T: l.ewmaIter, Tw: tw, S: l.ewmaSnap, N: l.n}
 	prev := l.interval
-	l.interval = clampInt(f, l.minInterval, l.maxInterval)
+	l.interval = clampInt(model.FStar(l.q), l.minInterval, l.maxInterval)
 	l.adjusts++
 	if l.obsv == nil {
 		return
 	}
-	chosen, rejected, k := retuneCandidates(tw, t, l.q, l.n, l.interval, prev, l.minInterval, l.maxInterval, stall)
+	chosen, rejected, k := retuneCandidates(model, l.q, l.interval, prev, l.minInterval, l.maxInterval)
 	obs.EmitDecision(l.obsv, obs.NewDecisionID(), obs.DecisionRetune, 0, obs.OutPredicted, chosen, rejected[:k]...)
 	if l.interval != prev {
 		// Instant on the loop track: the controller re-derived f. Value
@@ -270,31 +267,17 @@ func (l *AdaptiveLoop) retuneLocked() {
 	}
 }
 
-// failureRate is λ, the per-second failure probability weighting a retune
-// candidate's staleness into its cost: one failure every five minutes, the
-// harsh end of the paper's §5.2.3 preemption traces.
-const failureRate = 1.0 / 300
-
 // retuneCandidates prices the interval chosen by a retune and up to
 // obs.MaxRejected rejected ones — the previous interval and f±1, 2f,
 // ⌈f/2⌉ (then f±2, f±3, … until two exist), clamped and cheapest first —
-// with the §3.4 model at the measured (tw, t) and snapshot stall S (the
-// optional last argument; none means 0): slowdown
-// s(f) = (max(tw/N, f·t) + S)/(f·t), per-iteration overhead (s−1)·t, plus λ
-// times the Eq. (4) lost work f·t + min(N·f·t, tw). A candidate is
-// eligible when s(f) ≤ q. It allocates nothing.
-func retuneCandidates(tw, t, q float64, n, chosen, prev, minI, maxI int, stall ...float64) (obs.Choice, [8]obs.Choice, int) {
-	var snap float64
-	if len(stall) > 0 {
-		snap = stall[0]
-	}
+// with the interval model m the retune picked by: a candidate's cost is its
+// Eq. (4) lost work, its overhead (s(f)−1)·t, and it is eligible when
+// m.Eligible(f, q). The chosen f is the smallest eligible one, so no
+// eligible candidate is cheaper. It allocates nothing.
+func retuneCandidates(m perfmodel.IntervalModel, q float64, chosen, prev, minI, maxI int) (obs.Choice, [8]obs.Choice, int) {
 	price := func(f int) obs.Choice {
-		nft := float64(n*f) * t
-		s := (max(tw, nft) + float64(n)*snap) / nft
-		over := (s - 1) * t
-		cost := over + failureRate*(float64(f)*t+min(nft, tw))
-		return obs.Choice{Action: obs.ActInterval, Arg: int32(f), Cost: int64(cost * 1e9),
-			Over: int64(over * 1e9), Eligible: s <= q+1e-9}
+		return obs.Choice{Action: obs.ActInterval, Arg: int32(f), Cost: int64(m.LostWork(f) * 1e9),
+			Over: int64((m.Slowdown(f) - 1) * m.T * 1e9), Eligible: m.Eligible(f, q)}
 	}
 	var alts [8]obs.Choice
 	k := 0

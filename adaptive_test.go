@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"pccheck/internal/obs"
+	"pccheck/internal/perfmodel"
+	"pccheck/internal/tuner"
 )
 
 func TestAdaptiveLoopValidation(t *testing.T) {
@@ -299,7 +301,7 @@ func TestRetunePricesSnapshotStall(t *testing.T) {
 			t.Errorf("S = %v s: interval %d, want %d", tc.stall, got, tc.want)
 		}
 	}
-	chosen, alts, k := retuneCandidates(tw, it, q, 2, 9, 8, 1, 1000, 0.0042)
+	chosen, alts, k := retuneCandidates(perfmodel.IntervalModel{T: it, Tw: tw, S: 0.0042, N: 2}, q, 9, 8, 1, 1000)
 	if !chosen.Eligible {
 		t.Errorf("f=9 priced over budget: %+v", chosen)
 	}
@@ -388,10 +390,12 @@ func TestAdaptiveDecisionsScored(t *testing.T) {
 	}
 }
 
-// TestRetuneCandidateSet: the rejected intervals are distinct, priced sanely,
+// TestRetuneCandidateSet: the rejected intervals are distinct, priced by
+// the interval model (cost the Eq. (4) lost work, overhead (s−1)·t),
 // include the previous interval, and mark budget breaches ineligible.
 func TestRetuneCandidateSet(t *testing.T) {
-	chosen, alts, k := retuneCandidates(0.02, 0.001, 1.05, 2, 3, 5, 1, 100)
+	m := perfmodel.IntervalModel{T: 0.001, Tw: 0.02, N: 2}
+	chosen, alts, k := retuneCandidates(m, 1.05, 3, 5, 1, 100)
 	if chosen.Arg != 3 {
 		t.Fatalf("chosen f=%d, want f=3", chosen.Arg)
 	}
@@ -399,13 +403,17 @@ func TestRetuneCandidateSet(t *testing.T) {
 		t.Fatalf("rejected candidates = %d, want ≥ 2", k)
 	}
 	seen := map[int32]bool{chosen.Arg: true}
-	for _, a := range alts[:k] {
-		if seen[a.Arg] {
+	for _, a := range append([]obs.Choice{chosen}, alts[:k]...) {
+		if a != chosen && seen[a.Arg] {
 			t.Errorf("duplicate candidate f=%d", a.Arg)
 		}
 		seen[a.Arg] = true
-		if a.Cost < a.Over || a.Over < 0 {
-			t.Errorf("candidate f=%d cost %d over %d: want 0 ≤ overhead ≤ cost", a.Arg, a.Cost, a.Over)
+		f := int(a.Arg)
+		if want := int64(m.LostWork(f) * 1e9); a.Cost != want {
+			t.Errorf("candidate f=%d cost %d, want its lost work %d", f, a.Cost, want)
+		}
+		if want := int64((m.Slowdown(f) - 1) * m.T * 1e9); a.Over != want || a.Over < 0 {
+			t.Errorf("candidate f=%d overhead %d, want (s−1)·t = %d ≥ 0", f, a.Over, want)
 		}
 	}
 	if !seen[5] {
@@ -413,7 +421,7 @@ func TestRetuneCandidateSet(t *testing.T) {
 	}
 	// With a tight budget the small intervals are ineligible: at N=1 with
 	// tw ≫ t, f near 1 slows training far beyond q.
-	_, tight, k := retuneCandidates(0.5, 0.001, 1.01, 1, 2, 2, 1, 1000)
+	_, tight, k := retuneCandidates(perfmodel.IntervalModel{T: 0.001, Tw: 0.5, N: 1}, 1.01, 2, 2, 1, 1000)
 	ineligible := false
 	for _, a := range tight[:k] {
 		ineligible = ineligible || !a.Eligible
@@ -422,7 +430,7 @@ func TestRetuneCandidateSet(t *testing.T) {
 		t.Error("no ineligible candidate under a tight q with a huge Tw")
 	}
 	// The clamp collapses candidates; the fill still finds two when it can.
-	if _, _, k := retuneCandidates(0.02, 0.001, 1.05, 2, 1, 1, 1, 10); k < 2 {
+	if _, _, k := retuneCandidates(m, 1.05, 1, 1, 1, 10); k < 2 {
 		t.Errorf("clamped-at-min candidates = %d, want ≥ 2", k)
 	}
 }
@@ -430,14 +438,15 @@ func TestRetuneCandidateSet(t *testing.T) {
 // TestRetuneCandidatesCheapestFirst: when more intervals are priced than a
 // decision carries, the cut to obs.MaxRejected keeps the cheapest, in order.
 func TestRetuneCandidatesCheapestFirst(t *testing.T) {
-	const tw, it, q, n, minI, maxI = 0.02, 0.001, 1.05, 2, 1, 100
+	const q, minI, maxI = 1.05, 1, 100
+	m := perfmodel.IntervalModel{T: 0.001, Tw: 0.02, N: 2}
 	chosen, prev := 6, 20
-	_, alts, k := retuneCandidates(tw, it, q, n, chosen, prev, minI, maxI)
+	_, alts, k := retuneCandidates(m, q, chosen, prev, minI, maxI)
 	// Price every interval the policy considers on its own: as the chosen
 	// one, retuneCandidates returns its price.
 	var all []obs.Choice
 	for _, f := range []int{prev, chosen - 1, chosen + 1, 2 * chosen, (chosen + 1) / 2} {
-		c, _, _ := retuneCandidates(tw, it, q, n, f, prev, minI, maxI)
+		c, _, _ := retuneCandidates(m, q, f, prev, minI, maxI)
 		all = append(all, c)
 	}
 	if len(all) <= obs.MaxRejected || k != obs.MaxRejected {
@@ -447,6 +456,104 @@ func TestRetuneCandidatesCheapestFirst(t *testing.T) {
 	for i, a := range alts[:k] {
 		if a.Arg != all[i].Arg || a.Cost != all[i].Cost {
 			t.Errorf("kept candidate %d = f=%d cost %d, want f=%d cost %d", i, a.Arg, a.Cost, all[i].Arg, all[i].Cost)
+		}
+	}
+}
+
+// TestIntervalModelAgreement: over a grid of (Tw, t, N, q, S) the retune,
+// the interval model and, at S = 0, tuner.Analyze pick the same f, which
+// is Eq. (3)'s ⌈Tw/(N·q·t)⌉ when S = 0; the chosen f is priced eligible and
+// f − 1 never is.
+func TestIntervalModelAgreement(t *testing.T) {
+	loop, _, _ := decisionLoop(t, LedgerConfig{})
+	loop.mu.Lock()
+	defer loop.mu.Unlock()
+	loop.minInterval, loop.maxInterval = 1, perfmodel.MaxFStar
+	for _, tw := range []float64{0.0005, 0.00261, 0.025, 1.3} {
+		for _, it := range []float64{0.0005, 0.00222, 0.04} {
+			for _, n := range []int{1, 2, 3, 8} {
+				for _, q := range []float64{1.01, 1.05, 1.25, 2} {
+					for _, stall := range []float64{0, 0.0003, 0.0042} {
+						name := fmt.Sprintf("Tw=%v t=%v N=%d q=%v S=%v", tw, it, n, q, stall)
+						m := perfmodel.IntervalModel{T: it, Tw: tw, S: stall, N: n}
+						if stall == 0 {
+							// Analyze at N* = n: one writer lane (1 GB/s) is a
+							// 16th of the device, so Tw/N falls with every N.
+							res, err := tuner.Analyze(tuner.Input{
+								IterTime: time.Duration(it * 1e9), CheckpointBytes: int64(tw * 1e9),
+								MaxOverhead: q, MaxN: n, Writers: 1,
+							}, 16e9, 1e9)
+							if err != nil || res.N != n || res.Tw != time.Duration(tw*1e9) {
+								t.Fatalf("%s: Analyze = %+v, %v; want N* = %d, Tw = %v s", name, res, err, n, tw)
+							}
+							if eq3 := math.Ceil(tw / (float64(n) * q * it)); res.Interval != int(eq3) {
+								t.Errorf("%s: Analyze f* = %d, Eq. (3) %v", name, res.Interval, eq3)
+							}
+							if m.Tw = res.Tw.Seconds(); res.Interval != m.FStar(q) {
+								t.Errorf("%s: Analyze f* = %d, model %d", name, res.Interval, m.FStar(q))
+							}
+						}
+						want := m.FStar(q)
+						loop.q, loop.n = q, n
+						loop.ewmaIter, loop.ewmaSnap, loop.ewmaTw = it, stall, m.Tw
+						loop.retuneLocked()
+						if loop.interval != want {
+							t.Errorf("%s: retune f = %d, model f* = %d", name, loop.interval, want)
+						}
+						chosen, alts, k := retuneCandidates(m, q, want, want, 1, perfmodel.MaxFStar)
+						if !chosen.Eligible {
+							t.Errorf("%s: chosen f = %d priced ineligible", name, want)
+						}
+						for _, a := range alts[:k] {
+							if int(a.Arg) == want-1 && a.Eligible {
+								t.Errorf("%s: f − 1 = %d priced eligible", name, a.Arg)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRetuneRegretAtConvergence feeds one retune at the goodput scenario's
+// converged estimates (t = 2.22 ms, Tw = 2.61 ms, S = 4.2 ms, N = 2,
+// q = 1.25: f = 8, s(8) = 1.237, s(7) = 1.270) and one slowdown block. A
+// block that shows the predicted overhead scores regret 0; one that shows
+// 80 % of it, where f = 7 would have fit, scores f = 7's lower lost work as
+// regret.
+func TestRetuneRegretAtConvergence(t *testing.T) {
+	const it, tw, stall, q = 0.00222, 0.00261, 0.0042, 1.25
+	m := perfmodel.IntervalModel{T: it, Tw: tw, S: stall, N: 2}
+	for _, tc := range []struct {
+		measured float64 // share of the predicted overhead the block shows
+		best     string
+		regret   float64
+	}{{1, "", 0}, {0.8, "f=7", m.LostWork(8) - m.LostWork(7)}} {
+		loop, led, rec := decisionLoop(t, LedgerConfig{
+			SlowdownBudget: q, BaselineIterTime: time.Duration(it * 1e9), Window: 4,
+		})
+		loop.mu.Lock()
+		loop.q, loop.n = q, 2
+		loop.ewmaIter, loop.ewmaSnap, loop.ewmaTw = it, stall, tw
+		loop.retuneLocked()
+		got := loop.interval
+		loop.mu.Unlock()
+		if got != 8 {
+			t.Fatalf("retune picked f = %d, want 8", got)
+		}
+		mean := it * (1 + tc.measured*(m.Slowdown(8)-1))
+		for i := 0; i < 4; i++ {
+			led.IterDone(time.Duration(mean*1e9), i == 0)
+		}
+		ds := retunes(rec)
+		if len(ds) != 1 {
+			t.Fatalf("retune decisions = %d, want 1", len(ds))
+		}
+		d := ds[0]
+		if d.Outcome != "ledger-join" || d.BestAlt != tc.best || math.Abs(d.Regret-tc.regret) > 1e-9 {
+			t.Errorf("block at %v× the predicted overhead: scored %+v, want best %q regret %v",
+				tc.measured, d, tc.best, tc.regret)
 		}
 	}
 }

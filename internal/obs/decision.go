@@ -99,8 +99,8 @@ var decisionIDs atomic.Uint64
 func NewDecisionID() uint64 { return decisionIDs.Add(1) }
 
 // Choice is one action of a decision group: Cost in ns, and for a retune
-// Over, the overhead part of Cost. Eligible marks a rejected action that
-// may count as the cheaper alternative.
+// Over, its predicted overhead per iteration in ns. Eligible marks a
+// rejected action that may count as the cheaper alternative.
 type Choice struct {
 	Action     DecisionAction
 	Arg        int32
@@ -154,10 +154,12 @@ type Decision struct {
 
 // Decisions scores the decision groups in evs (any order-preserving event
 // tail). A group whose chosen event is missing is dropped; of groups
-// sharing an id the last one wins. Retune costs are per iteration: a
-// retune joins the next PhaseSlowdownBlock, or else the last one before
-// it, whose measured overhead (mean − baseline) calibrates the rejected
-// overheads by measured/predicted, clamped to [0.25, 4].
+// sharing an id the last one wins. A retune is priced by the Eq. (4) lost
+// work of its intervals and joins the next PhaseSlowdownBlock, or else the
+// last one before it. The block's measured overhead (mean − baseline)
+// calibrates the predicted overheads by measured/predicted, clamped to
+// [0.25, 4], and a rejected interval is eligible when its calibrated
+// overhead fits the block's budget, (q − 1)·baseline.
 func Decisions(evs []Event) []Decision {
 	type group struct {
 		at  int
@@ -200,7 +202,7 @@ func score(g []Event, at int, evs []Event, blocks []int) Decision {
 	d := Decision{ID: c.Counter, TS: c.TS, Ref: c.Bytes, Measured: secs(c.Dur), Scored: true,
 		Kind: name(kindNames, int64(c.Slot), 0), Chosen: name(actionNames, c.Value>>32, arg),
 		Outcome: name(outcomeNames, int64(c.Writer), arg)}
-	calib, retune := 1.0, false
+	calib, budget := 1.0, -1.0 // budget < 0: the emitted Eligible flags stand
 	switch {
 	case c.Phase == PhaseSlotWait:
 		d.ID, d.Ref, d.Kind, d.Chosen, d.Outcome = 0, int64(c.Counter), kindNames[DecisionSlotAdmission], "wait-for-slot", "admitted"
@@ -213,28 +215,29 @@ func score(g []Event, at int, evs []Event, blocks []int) Decision {
 		} else if k > 0 {
 			k, d.Scored, d.Outcome = k-1, true, "drain-join"
 		}
-		if retune = d.Scored; retune {
-			over := 0.0
-			if b := evs[blocks[k]]; b.Value > 0 {
-				over = max(0, secs(b.Dur-b.Value))
-			} else {
-				d.Outcome = "no-baseline"
-			}
-			if c.Bytes > 0 && over > 1e-12 {
+		if !d.Scored {
+			break
+		}
+		b := evs[blocks[k]]
+		if base, q := secs(b.Value), secs(b.Bytes); base <= 0 {
+			d.Outcome = "no-baseline"
+		} else if q > 1 {
+			// s ≤ q with s − 1 = overhead/t: the model's Eligible, with the
+			// measured baseline for t.
+			budget = (q - 1 + 1e-9) * base
+			if over := secs(b.Dur - b.Value); c.Bytes > 0 && over > 1e-12 {
 				calib = min(4, max(0.25, over/secs(c.Bytes)))
 			}
-			// The block measures the overhead part; staleness stays predicted.
-			d.Measured = over + secs(c.Dur-c.Bytes)
 		}
 	default:
 		d.Scored = c.Writer != int32(OutStalled)
 	}
 	for _, r := range g[1:] {
-		cost := secs(r.Dur)
-		if retune {
-			cost = calib*secs(r.Bytes) + secs(r.Dur-r.Bytes)
+		eligible := r.Writer == 1
+		if budget >= 0 {
+			eligible = calib*secs(r.Bytes) <= budget
 		}
-		d.Rejected = append(d.Rejected, Alternative{name(actionNames, r.Value>>32, int32(r.Value)), cost, r.Writer == 1})
+		d.Rejected = append(d.Rejected, Alternative{name(actionNames, r.Value>>32, int32(r.Value)), secs(r.Dur), eligible})
 	}
 	if !d.Scored {
 		d.Measured = 0

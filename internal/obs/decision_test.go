@@ -10,8 +10,10 @@ import (
 // ms is a millisecond count in ns.
 func ms(v float64) int64 { return int64(math.Round(v * 1e6)) }
 
-func block(r *Recorder, mean, base int64) {
-	r.Emit(Event{Phase: PhaseSlowdownBlock, Dur: mean, Value: base, Slot: -1, Writer: -1, Rank: -1})
+// block emits a ledger's slowdown block: mean iteration time, baseline,
+// budget q (0: untracked).
+func block(r *Recorder, mean, base int64, q float64) {
+	r.Emit(Event{Phase: PhaseSlowdownBlock, Dur: mean, Value: base, Bytes: int64(math.Round(q * 1e9)), Slot: -1, Writer: -1, Rank: -1})
 }
 
 func interval(f int32, cost, over int64, eligible bool) Choice {
@@ -20,9 +22,12 @@ func interval(f int32, cost, over int64, eligible bool) Choice {
 
 // TestDecisionsScoring is the scorer's table: each row is a decision as a
 // site emits it and the (kind, chosen, best alternative, measured, regret,
-// outcome) it scores to. Retune costs are per iteration; the rows carry no
-// staleness part (cost = overhead) except RetuneStaleness. RetuneLedgerJoin:
-// an ineligible cheaper candidate never wins. FinalizeDrainJoin: a retune
+// outcome) it scores to. A retune's cost is its Eq. (4) lost work; the
+// block's budget (q − 1)·baseline re-judges each rejected interval's
+// calibrated overhead. RetuneLedgerJoin: a cheaper interval that fits once
+// calibrated wins, one that still does not never does. RetuneStaleness: a
+// larger interval never wins on its lower overhead. RetuneNoBaseline and
+// RetuneNoBudget: the emitted flags stand. FinalizeDrainJoin: a retune
 // after the last block joins it. DegradedOpenResolve: a committed stall is
 // re-emitted under its id with the stall as regret.
 func TestDecisionsScoring(t *testing.T) {
@@ -38,34 +43,40 @@ func TestDecisionsScoring(t *testing.T) {
 		want want
 	}{
 		{"RetuneLedgerJoin", func(r *Recorder) {
-			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(2, ms(0.4), ms(0.4), false),
-				interval(4, ms(0.2), ms(0.2), true), interval(8, ms(0.02), ms(0.02), false))
-			// measured 0.2 ms over; calibration 0.2/0.4 puts f=4 at 0.1 ms.
-			block(r, ms(1.2), ms(1))
-		}, want{"retune", "f=2", "f=4", 0.0002, 0.0001, true, "ledger-join"}},
+			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(4, ms(12), ms(0.2), true),
+				interval(2, ms(6), ms(0.6), false), interval(3, ms(9), ms(0.3), false), interval(8, ms(24), ms(0.05), true))
+			// measured 0.1 ms over: calibration 0.1/0.2 puts f=3 at 0.15 ms,
+			// inside the 0.25 ms budget, and f=2 at 0.3 ms, outside it.
+			block(r, ms(1.1), ms(1), 1.25)
+		}, want{"retune", "f=4", "f=3", 0.012, 0.003, true, "ledger-join"}},
 		{"RetuneCalibrationClamp", func(r *Recorder) {
-			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(2, ms(0.001), ms(0.001), false),
-				interval(3, ms(1), ms(1), true))
-			// measured 10 ms over: raw calibration 10⁴ → 4, f=3 at 4 ms.
-			block(r, ms(11), ms(1))
-		}, want{"retune", "f=2", "f=3", 0.01, 0.006, true, "ledger-join"}},
+			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(2, ms(6), ms(0.001), true),
+				interval(1, ms(3), ms(0.05), false))
+			// measured 10 ms over: raw calibration 10⁴ → 4, f=1 at 0.2 ms.
+			block(r, ms(11), ms(1), 1.25)
+		}, want{"retune", "f=2", "f=1", 0.006, 0.003, true, "ledger-join"}},
 		{"RetuneStaleness", func(r *Recorder) {
-			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(2, ms(0.5), ms(0.4), false),
-				interval(4, ms(0.25), ms(0.2), true))
-			block(r, ms(1.2), ms(1)) // measured 0.2 + 0.1; f=4: 0.1 + 0.05
-		}, want{"retune", "f=2", "f=4", 0.0003, 0.00015, true, "ledger-join"}},
+			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(4, ms(12), ms(0.2), true),
+				interval(8, ms(24), 0, true))
+			block(r, ms(1.2), ms(1), 1.25) // as predicted
+		}, want{"retune", "f=4", "", 0.012, 0, true, "ledger-join"}},
 		{"RetuneNoBaseline", func(r *Recorder) {
-			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(2, ms(1), ms(1), false),
-				interval(1, ms(2), ms(2), true))
-			block(r, ms(1.2), 0)
-		}, want{"retune", "f=2", "", 0, 0, true, "no-baseline"}},
+			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(4, ms(12), ms(0.2), true),
+				interval(3, ms(9), ms(0.3), false))
+			block(r, ms(1.1), 0, 1.25)
+		}, want{"retune", "f=4", "", 0.012, 0, true, "no-baseline"}},
+		{"RetuneNoBudget", func(r *Recorder) {
+			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(4, ms(12), ms(0.2), true),
+				interval(3, ms(9), ms(0.3), false))
+			block(r, ms(1.1), ms(1), 0)
+		}, want{"retune", "f=4", "", 0.012, 0, true, "ledger-join"}},
 		{"RetuneNoMeasurement", func(r *Recorder) {
 			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(2, ms(1), ms(1), false))
 		}, want{"retune", "f=2", "", 0, 0, false, "no-measurement"}},
 		{"FinalizeDrainJoin", func(r *Recorder) {
-			block(r, ms(1.2), ms(1))
+			block(r, ms(1.2), ms(1), 1.25)
 			EmitDecision(r, 1, DecisionRetune, 0, OutPredicted, interval(2, ms(1), ms(1), false))
-		}, want{"retune", "f=2", "", 0.0002, 0, true, "drain-join"}},
+		}, want{"retune", "f=2", "", 0.001, 0, true, "drain-join"}},
 		{"SlotWaitAdmission", func(r *Recorder) {
 			r.Emit(Event{Phase: PhaseSlotWait, Dur: ms(3), Value: 1, Counter: 5, Slot: 0, Writer: -1, Rank: -1})
 			r.Emit(Event{Phase: PhaseSlotWait, Dur: ms(1), Counter: 6, Slot: 1, Writer: -1, Rank: -1}) // no wait
@@ -153,7 +164,7 @@ func TestEmitDecisionAllocatesNothing(t *testing.T) {
 // The ledger emits each completed slowdown block downstream.
 func TestLedgerEmitsSlowdownBlocks(t *testing.T) {
 	r := NewRecorder(64)
-	led := NewLedger(LedgerConfig{BaselineIterTime: time.Millisecond, Window: 4}, r)
+	led := NewLedger(LedgerConfig{BaselineIterTime: time.Millisecond, Window: 4, SlowdownBudget: 1.25}, r)
 	for i := 0; i < 9; i++ {
 		led.IterDone(1500*time.Microsecond, false)
 	}
@@ -163,8 +174,8 @@ func TestLedgerEmitsSlowdownBlocks(t *testing.T) {
 			blocks = append(blocks, ev)
 		}
 	}
-	if len(blocks) != 2 || blocks[1].Dur != ms(1.5) || blocks[1].Value != ms(1) || blocks[1].Counter != 8 {
-		t.Fatalf("blocks %+v, want two of mean 1.5 ms over a 1 ms baseline", blocks)
+	if len(blocks) != 2 || blocks[1].Dur != ms(1.5) || blocks[1].Value != ms(1) || blocks[1].Counter != 8 || blocks[1].Bytes != 1.25e9 {
+		t.Fatalf("blocks %+v, want two of mean 1.5 ms over a 1 ms baseline, budget 1.25", blocks)
 	}
 }
 

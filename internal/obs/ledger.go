@@ -430,7 +430,7 @@ func (l *Ledger) IterDone(d time.Duration, checkpointed bool) {
 		l.next.Emit(Event{
 			TS: time.Now().UnixNano(), Dur: l.blockNS / int64(l.blockIters),
 			Value: int64(math.Round(base * 1e9)), Counter: l.iters, Phase: PhaseSlowdownBlock,
-			Slot: -1, Writer: -1, Rank: -1,
+			Bytes: int64(math.Round(l.cfg.SlowdownBudget * 1e9)), Slot: -1, Writer: -1, Rank: -1,
 		})
 	}
 	l.blockNS, l.blockIters = 0, 0

@@ -130,9 +130,9 @@ const (
 	//	Slot     DecisionKind                  the same kind
 	//	Value    DecisionAction<<32 | uint32(argument), both events
 	//	Dur      cost, ns: measured (a retune  predicted cost, ns
-	//	         predicts it until scored)
-	//	Bytes    a retune's overhead part of Dur; else the checkpoint
-	//	         counter or coordination round
+	//	         predicts its Eq. (4) lost work)
+	//	Bytes    a retune's predicted overhead per iteration; else the
+	//	         checkpoint counter or coordination round
 	//	Writer   DecisionOutcome               1 if eligible, else 0
 	//
 	// A slot admission is never emitted: the PhaseSlotWait event with
@@ -182,7 +182,8 @@ const (
 	// PhaseSlowdownBlock marks a goodput ledger's completed slowdown block
 	// (instant): Dur is the block's mean iteration time, Value the learned
 	// no-checkpoint baseline (0 while unknown), Counter the iterations so
-	// far. A retune decision is scored against it.
+	// far, Bytes the ledger's budget q in billionths (0 when untracked). A
+	// retune decision is scored against it.
 	PhaseSlowdownBlock
 
 	// PhaseCount is the number of defined phases.

@@ -1,7 +1,8 @@
-// Package perfmodel implements the paper's analytic performance model:
-// the runtime equations of §3.4, the optimal checkpoint interval f* (Eq. 3),
-// the recovery-time bounds of §4.2 (Eq. 4), and the memory/storage footprint
-// comparison of Table 1.
+// Package perfmodel implements the paper's analytic performance model: the
+// interval model of §3.4 (slowdown, the minimum checkpoint interval f* of
+// Eq. 3, the lost work of Eq. 4), the recovery-time bounds of §4.2, the
+// MTBF goodput search, and the memory/storage footprint comparison of
+// Table 1.
 //
 // The simulator (internal/sim) and the analytic model are developed
 // independently and cross-validated in tests: where the model makes a
@@ -11,7 +12,6 @@ package perfmodel
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -88,79 +88,34 @@ func (p Params) validate() error {
 	return nil
 }
 
-// EffectiveWriteBW is the bandwidth one checkpoint's p writers achieve: p
-// per-thread lanes, capped by the device and by contention with the other
-// N−1 in-flight checkpoints (which get an equal share).
-func (p Params) EffectiveWriteBW() float64 {
-	bw := p.StorageBW
-	if p.PerThreadBW > 0 {
-		lane := float64(p.P) * p.PerThreadBW
-		if lane < bw {
-			bw = lane
-		}
-	}
-	return bw
-}
-
 // Tw is the worst-case time to write one checkpoint when all N checkpoints
 // are in flight and contending (§3.4): the device bandwidth divides N ways,
 // but no checkpoint can exceed its own p-thread lane.
 func (p Params) Tw() time.Duration {
-	share := p.StorageBW / float64(p.N)
-	bw := p.EffectiveWriteBW()
-	if share < bw {
-		bw = share
+	bw := p.StorageBW / float64(p.N)
+	if p.PerThreadBW > 0 {
+		bw = min(bw, float64(p.P)*p.PerThreadBW)
 	}
 	return time.Duration(float64(p.CheckpointBytes) / bw * float64(time.Second))
 }
 
-// Runtime0 is the no-checkpoint runtime for A iterations: A·t.
-func (p Params) Runtime0(a int) time.Duration {
-	return time.Duration(a) * p.IterTime
+// Model is p's interval model: the contended Tw of N in-flight checkpoints
+// and a free snapshot (S = 0), as Eq. (3) assumes.
+func (p Params) Model() IntervalModel {
+	return IntervalModel{T: p.IterTime.Seconds(), Tw: p.Tw().Seconds(), N: p.N}
 }
 
-// RuntimeN is the paper's runtime₂ (its runtime₁ is the N=1 special case):
-//
-//	N·f·t + max(Tw, N·f·t) · (A/(f·N) − 1) + Tw
-//
-// assuming for simplicity that N·f divides A, as the paper does. The paper
-// writes the leading term as f·t; we use N·f·t so that the estimate counts
-// all A iterations for N > 1 and never falls below the no-checkpoint
-// runtime (for N = 1 the two agree exactly).
-func (p Params) RuntimeN(a int) (time.Duration, error) {
-	if err := p.validate(); err != nil {
-		return 0, err
-	}
-	ft := time.Duration(p.Interval) * p.IterTime
-	nft := time.Duration(p.N) * ft
-	tw := p.Tw()
-	period := nft
-	if tw > period {
-		period = tw
-	}
-	groups := float64(a) / float64(p.Interval*p.N)
-	if groups < 1 {
-		groups = 1
-	}
-	return nft + time.Duration(float64(period)*(groups-1)) + tw, nil
-}
-
-// Slowdown is the asymptotic (A→∞) runtime inflation over no checkpointing:
-// max(Tw, N·f·t)/(N·f·t). 1.0 means checkpointing is fully hidden.
+// Slowdown is the model's s(f) at p.Interval; 1.0 means checkpointing is
+// fully hidden.
 func (p Params) Slowdown() (float64, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
-	nft := float64(p.N*p.Interval) * p.IterTime.Seconds()
-	tw := p.Tw().Seconds()
-	if tw <= nft {
-		return 1, nil
-	}
-	return tw / nft, nil
+	return p.Model().Slowdown(p.Interval), nil
 }
 
-// FStar is Eq. (3): the minimum checkpoint interval keeping the asymptotic
-// slowdown within q: f* = ceil(Tw / (N·q·t)). q must exceed 1; at q = 1
+// FStar is Eq. (3): the model's minimum interval keeping the slowdown
+// within q, f* = ceil(Tw / (N·q·t)). q must exceed 1; at q = 1
 // checkpointing must be entirely free, which no finite interval guarantees
 // when Tw > 0, so FStar returns an error.
 func (p Params) FStar(q float64) (int, error) {
@@ -170,11 +125,68 @@ func (p Params) FStar(q float64) (int, error) {
 	if q <= 1 {
 		return 0, fmt.Errorf("perfmodel: overhead budget q must be > 1, got %v", q)
 	}
-	f := math.Ceil(p.Tw().Seconds() / (float64(p.N) * q * p.IterTime.Seconds()))
-	if f < 1 {
-		f = 1
+	return p.Model().FStar(q), nil
+}
+
+// IntervalModel is §3.4's model of the checkpoint interval f, in seconds:
+// the iteration time T, the write time Tw of one checkpoint with N in
+// flight, and the synchronous snapshot stall S that the N overlapping
+// writes cannot hide. Every site that prices f (Params, the tuner,
+// pccheck-plan, AdaptiveLoop and its retune decisions) goes through it.
+type IntervalModel struct {
+	T, Tw, S float64
+	N        int
+}
+
+// MaxFStar is where FStar saturates when no smaller interval is eligible.
+const MaxFStar = 1 << 30
+
+// eligibleSlack absorbs float rounding when s(f) lands on q exactly.
+const eligibleSlack = 1e-9
+
+// Slowdown is s(f) = (max(Tw/N, f·t) + S)/(f·t), the asymptotic runtime
+// inflation over no checkpointing at interval f. It never rises with f,
+// also in floating point.
+func (m IntervalModel) Slowdown(f int) float64 {
+	ft := float64(f) * m.T
+	return max(m.Tw/float64(m.N)/ft, 1) + m.S/ft
+}
+
+// Eligible reports whether interval f keeps the slowdown within the budget
+// q. It is the one budget test: FStar picks by it and a retune's rejected
+// intervals are flagged by it.
+func (m IntervalModel) Eligible(f int, q float64) bool {
+	return m.Slowdown(f) <= q+eligibleSlack
+}
+
+// FStar is the smallest f ≥ 1 that Eligible accepts: Eq. (3),
+// ceil(Tw/(N·q·t)), when S = 0, and max(ceil((Tw/N + S)/(q·t)),
+// ceil(S/((q−1)·t))) otherwise. Since s(f) never rises with f, it doubles f
+// until f is eligible and bisects the last step, saturating at MaxFStar.
+func (m IntervalModel) FStar(q float64) int {
+	lo, hi := 0, 1 // lo is ineligible (0: none yet), hi the candidate
+	for !m.Eligible(hi, q) {
+		if hi == MaxFStar {
+			return hi
+		}
+		lo, hi = hi, 2*hi
 	}
-	return int(f), nil
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; m.Eligible(mid, q) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// LostWork is Eq. (4)'s bound on the training lost to a failure at
+// interval f: f·t + min(N·f·t, Tw), the iterations since the newest
+// checkpoint plus the ones still being persisted.
+func (m IntervalModel) LostWork(f int) float64 {
+	ft := float64(f) * m.T
+	return ft + min(float64(m.N)*ft, m.Tw)
 }
 
 // LoadTime is l, the time to read one checkpoint back during recovery.
@@ -206,13 +218,7 @@ func (p Params) MaxRecovery(algo Algorithm) (time.Duration, error) {
 	case CheckFreq, Gemini:
 		return l + 2*ft, nil
 	case PCcheck:
-		nft := time.Duration(p.N) * ft
-		tw := p.Tw()
-		extra := nft
-		if tw < extra {
-			extra = tw
-		}
-		return l + ft + extra, nil
+		return l + ft + min(time.Duration(p.N)*ft, p.Tw()), nil
 	default:
 		return 0, fmt.Errorf("perfmodel: unknown algorithm %v", algo)
 	}
@@ -268,11 +274,7 @@ func MaxConcurrent(storageBytes, checkpointBytes int64) int {
 	if checkpointBytes <= 0 {
 		return 0
 	}
-	n := int(storageBytes/checkpointBytes) - 1
-	if n < 0 {
-		n = 0
-	}
-	return n
+	return max(0, int(storageBytes/checkpointBytes)-1)
 }
 
 // GoodputAt estimates training goodput (useful iterations per second) for

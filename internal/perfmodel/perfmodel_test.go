@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -28,7 +29,7 @@ func TestValidate(t *testing.T) {
 		{IterTime: time.Second, CheckpointBytes: 1, StorageBW: 1}, // N=P=f=0
 	}
 	for i, p := range bad {
-		if _, err := p.RuntimeN(100); err == nil {
+		if _, err := p.Slowdown(); err == nil {
 			t.Fatalf("case %d: invalid params accepted", i)
 		}
 	}
@@ -62,24 +63,6 @@ func TestTwContentionGrowsWithN(t *testing.T) {
 	ratio := float64(t4) / float64(t2)
 	if ratio < 1.8 || ratio > 2.2 {
 		t.Fatalf("Tw(4)/Tw(2) = %v, want ≈2 under full contention", ratio)
-	}
-}
-
-func TestRuntimeNReducesToRuntime0WhenHidden(t *testing.T) {
-	// Long interval ⇒ checkpointing fully hidden ⇒ runtime ≈ A·t (up to the
-	// trailing Tw term).
-	p := opt13bParams(2, 4, 200)
-	const iters = 12000
-	rn, err := p.RuntimeN(iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0 := p.Runtime0(iters)
-	if rn < r0 {
-		t.Fatalf("runtime with checkpointing %v below ideal %v", rn, r0)
-	}
-	if overhead := rn.Seconds()/r0.Seconds() - 1; overhead > 0.02 {
-		t.Fatalf("hidden checkpointing cost %.1f%%, want <2%%", overhead*100)
 	}
 }
 
@@ -341,4 +324,80 @@ func TestGoodputDegenerateRegimes(t *testing.T) {
 	if _, _, err := p.OptimalInterval(PCcheck, time.Hour, 0, 0); err == nil {
 		t.Fatal("maxF=0 accepted")
 	}
+}
+
+// TestIntervalModel checks the model's three functions by hand at the
+// goodput scenario's converged estimates (t = 2.22 ms, Tw = 2.61 ms,
+// S = 4.2 ms, N = 2, q = 1.25), where f* = max(⌈(Tw/N + S)/(q·t)⌉,
+// ⌈S/((q−1)·t)⌉) = max(2, 8) = 8.
+func TestIntervalModel(t *testing.T) {
+	m := IntervalModel{T: 0.00222, Tw: 0.00261, S: 0.0042, N: 2}
+	for _, c := range []struct {
+		m    IntervalModel
+		f    int
+		want float64
+	}{
+		{m, 7, (7*0.00222 + 0.0042) / (7 * 0.00222)},
+		{m, 8, (8*0.00222 + 0.0042) / (8 * 0.00222)},
+		{IntervalModel{T: 0.001, Tw: 0.01, S: 0.002, N: 2}, 2, (0.005 + 0.002) / 0.002}, // Tw/N > f·t
+	} {
+		if got := c.m.Slowdown(c.f); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%+v: s(%d) = %v, want %v", c.m, c.f, got, c.want)
+		}
+	}
+	if f := m.FStar(1.25); f != 8 || !m.Eligible(8, 1.25) || m.Eligible(7, 1.25) {
+		t.Errorf("f* = %d (s(8) = %v, s(7) = %v), want 8", f, m.Slowdown(8), m.Slowdown(7))
+	}
+	// Eq. (4): f·t plus the N·f·t in flight, capped by Tw.
+	if got, want := m.LostWork(8), 8*0.00222+0.00261; math.Abs(got-want) > 1e-15 {
+		t.Errorf("lost work at f=8 = %v, want %v", got, want)
+	}
+	if got, want := (IntervalModel{T: 1, Tw: 100, N: 2}).LostWork(3), 3.0+6; got != want {
+		t.Errorf("lost work with Tw > N·f·t = %v, want %v", got, want)
+	}
+	// s(f) lands on q exactly at Tw/(N·q·t) = 8: the slack keeps f* = 8.
+	if f := (IntervalModel{T: 0.001, Tw: 0.02, N: 2}).FStar(1.25); f != 8 {
+		t.Errorf("f* at an exact boundary = %d, want 8", f)
+	}
+	// No interval below 2^30 keeps a 10 s stall on 1 s iterations within
+	// q = 1 + 1e-12: s(f) − 1 = 10/f.
+	if f := (IntervalModel{T: 1, Tw: 1, S: 10, N: 1}).FStar(1 + 1e-12); f != MaxFStar {
+		t.Errorf("unreachable budget: f* = %d, want the %d saturation", f, MaxFStar)
+	}
+}
+
+// FuzzIntervalModel: for t, Tw > 0, N ∈ [1, 16], S ≥ 0 and q ∈ (1, 4],
+// FStar(q) is eligible, f* − 1 is not, and with S = 0 f* is Eq. (3)'s
+// ⌈Tw/(N·q·t)⌉ up to the eligibility slack. Times are kept within
+// [1e-200, 1e200] s so no intermediate leaves the normal float range, and
+// inputs whose f* saturates at MaxFStar are skipped.
+func FuzzIntervalModel(f *testing.F) {
+	f.Add(0.00222, 0.00261, uint8(1), 0.0042, 1.25)
+	f.Add(0.65, 40.5, uint8(1), 0.0, 1.05)
+	f.Add(0.001, 0.02, uint8(1), 0.0, 1.25)
+	f.Add(0.002, 0.0025, uint8(1), 0.0042, 1.25)
+	f.Add(1e-6, 3600.0, uint8(15), 0.0, 1.0001)
+	f.Fuzz(func(t *testing.T, it, tw float64, n uint8, stall, q float64) {
+		in := func(v float64) bool { return v >= 1e-200 && v <= 1e200 }
+		if !in(it) || !in(tw) || !(stall == 0 || in(stall)) || !(q > 1 && q <= 4) {
+			t.Skip()
+		}
+		m := IntervalModel{T: it, Tw: tw, S: stall, N: int(n%16) + 1}
+		fs := m.FStar(q)
+		if fs == MaxFStar && !m.Eligible(fs, q) {
+			t.Skip()
+		}
+		if fs < 1 || !m.Eligible(fs, q) {
+			t.Fatalf("%+v q=%v: f* = %d is not eligible (s = %v)", m, q, fs, m.Slowdown(fs))
+		}
+		if fs > 1 && m.Eligible(fs-1, q) {
+			t.Fatalf("%+v q=%v: f* − 1 = %d is eligible too (s = %v)", m, q, fs-1, m.Slowdown(fs-1))
+		}
+		if stall == 0 {
+			x := tw / float64(m.N) / it / q
+			if float64(fs-1) >= x*(1+1e-12) || float64(fs) < x*(1-2e-9) {
+				t.Fatalf("%+v q=%v: f* = %d, Eq. (3) ⌈%v⌉", m, q, fs, x)
+			}
+		}
+	})
 }

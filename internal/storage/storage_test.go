@@ -599,3 +599,43 @@ func TestRAMEndUnitsWrittenBeforeReleased(t *testing.T) {
 		}
 	}
 }
+
+// TestRAMHeadSharesStripeWithInnerUnit: units 4 and 148 hash onto one
+// stripe (120), the nearest such pair. A write whose head unit is 4 and
+// whose inner units reach 148 must keep that stripe until the inner copy
+// is in, so a reader that sees the new head also sees the new unit 148.
+func TestRAMHeadSharesStripeWithInnerUnit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a 150 MiB device and a 145 MiB write: too much shadow memory under -race")
+	}
+	const unit = 1 << 20
+	off := int64(4*unit + unit/2) // [off, off+len(p)): head unit 4, inner 5..148, tail 149
+	if ramStripeMask(4*unit, 1) != ramStripeMask(148*unit, 1) {
+		t.Fatal("units 4 and 148 no longer share a stripe")
+	}
+	d := NewRAM(150 * unit)
+	p := make([]byte, 145*unit)
+	head, inner := make([]byte, unit/2), make([]byte, unit)
+	for r := 1; r <= 5; r++ {
+		p[0] = byte(r)
+		for n := 1; n < len(p); n *= 2 {
+			copy(p[n:], p[:n])
+		}
+		done := make(chan error)
+		go func() { done <- d.WriteAt(p, off) }()
+		for head[0] != byte(r) { // until the head shows this round's write
+			if err := d.ReadAt(head, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.ReadAt(inner, 148*unit); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(head, bytes.Repeat([]byte{byte(r)}, len(head))) || !bytes.Equal(inner, bytes.Repeat([]byte{byte(r)}, len(inner))) {
+			t.Fatalf("round %d: the new head was readable before unit 148 was written (unit 148 reads %d)", r, inner[0])
+		}
+	}
+}

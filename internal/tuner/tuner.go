@@ -3,7 +3,8 @@
 // workload parameters (checkpoint size m, iteration time t), it empirically
 // measures the per-checkpoint write time Tw for candidate numbers of
 // concurrent checkpoints N, picks N* minimising Tw/N, and derives the
-// minimum checkpoint interval f* = ceil(Tw / (N*·q·t)) — Eq. (3).
+// minimum checkpoint interval f* = ceil(Tw / (N*·q·t)) — Eq. (3), from
+// perfmodel's interval model with a free snapshot (S = 0).
 //
 // Profiling is real: each candidate N is exercised by running N concurrent
 // checkpoints of m bytes against the actual device, so device- and
@@ -74,7 +75,7 @@ type Result struct {
 	// ChunkBytes is b.
 	ChunkBytes int
 	// Interval is f*, the minimum checkpoint interval in iterations that
-	// keeps slowdown within q.
+	// keeps slowdown within q when the snapshot is free (S = 0).
 	Interval int
 	// Tw is the measured worst-case checkpoint write time at N.
 	Tw time.Duration
@@ -92,15 +93,7 @@ func Profile(dev storage.Device, in Input) (Result, error) {
 		return Result{}, err
 	}
 	m := in.CheckpointBytes
-	maxN := in.MaxN
-	if maxN <= 0 {
-		maxN = 8
-	}
-	if in.StorageBudget > 0 {
-		if cap := perfmodel.MaxConcurrent(in.StorageBudget, m); cap < maxN {
-			maxN = cap
-		}
-	}
+	maxN := in.maxN()
 	for maxN > 0 && dev.Size() < core.DeviceBytes(maxN, m) {
 		maxN--
 	}
@@ -137,30 +130,44 @@ func Profile(dev storage.Device, in Input) (Result, error) {
 		}
 	}
 
-	res := Result{Writers: writers, ChunkBytes: chunk, Profile: make(map[int]time.Duration)}
-	bestTwOverN := time.Duration(math.MaxInt64)
+	return choose(in, maxN, writers, chunk, func(n int) (time.Duration, error) {
+		return measureTw(dev, in, m, n, writers, chunk, rounds)
+	})
+}
+
+// maxN is the top of the N search: MaxN (default 8), capped by the
+// storage budget.
+func (in Input) maxN() int {
+	maxN := in.MaxN
+	if maxN <= 0 {
+		maxN = 8
+	}
+	if in.StorageBudget > 0 {
+		maxN = min(maxN, perfmodel.MaxConcurrent(in.StorageBudget, in.CheckpointBytes))
+	}
+	return maxN
+}
+
+// choose is §3.4's search over N = 1..maxN, given tw(n), the write time of
+// one checkpoint with n in flight: N* minimises Tw/N, preferring the
+// smaller N within 5 % (fewer concurrent checkpoints means less rollback on
+// failure, §5.2.3), and f* is the interval model's at N*. The tuner has no
+// snapshot stall to price, so f* assumes a free snapshot (S = 0).
+func choose(in Input, maxN, writers, chunk int, tw func(n int) (time.Duration, error)) (Result, error) {
+	res := Result{Writers: writers, ChunkBytes: chunk, Profile: make(map[int]time.Duration),
+		TwOverN: time.Duration(math.MaxInt64)}
 	for n := 1; n <= maxN; n++ {
-		tw, err := measureTw(dev, in, m, n, writers, chunk, rounds)
+		d, err := tw(n)
 		if err != nil {
 			return Result{}, err
 		}
-		res.Profile[n] = tw
-		twOverN := tw / time.Duration(n)
-		// Prefer smaller N on ties (within 5%): fewer concurrent
-		// checkpoints means less rollback on failure (§5.2.3).
-		if float64(twOverN) < 0.95*float64(bestTwOverN) {
-			bestTwOverN = twOverN
-			res.N = n
-			res.Tw = tw
+		res.Profile[n] = d
+		if perN := d / time.Duration(n); float64(perN) < 0.95*float64(res.TwOverN) {
+			res.N, res.Tw, res.TwOverN = n, d, perN
 		}
 	}
-	res.TwOverN = bestTwOverN
-
-	f := math.Ceil(res.Tw.Seconds() / (float64(res.N) * in.MaxOverhead * in.IterTime.Seconds()))
-	if f < 1 {
-		f = 1
-	}
-	res.Interval = int(f)
+	model := perfmodel.IntervalModel{T: in.IterTime.Seconds(), Tw: res.Tw.Seconds(), N: res.N}
+	res.Interval = model.FStar(in.MaxOverhead)
 	return res, nil
 }
 
@@ -229,15 +236,7 @@ func Analyze(in Input, storageBW, perThreadBW float64) (Result, error) {
 	if storageBW <= 0 {
 		return Result{}, fmt.Errorf("tuner: storage bandwidth must be positive")
 	}
-	maxN := in.MaxN
-	if maxN <= 0 {
-		maxN = 8
-	}
-	if in.StorageBudget > 0 {
-		if cap := perfmodel.MaxConcurrent(in.StorageBudget, in.CheckpointBytes); cap < maxN {
-			maxN = cap
-		}
-	}
+	maxN := in.maxN()
 	if maxN < 1 {
 		return Result{}, fmt.Errorf("tuner: storage budget below one checkpoint")
 	}
@@ -245,16 +244,11 @@ func Analyze(in Input, storageBW, perThreadBW float64) (Result, error) {
 	if writers <= 0 {
 		writers = 1
 		if perThreadBW > 0 {
-			writers = int(math.Ceil(storageBW / perThreadBW))
-			if writers > 4 {
-				writers = 4
-			}
+			writers = min(4, int(math.Ceil(storageBW/perThreadBW)))
 		}
 	}
-	res := Result{Writers: writers, ChunkBytes: in.ChunkBytes, Profile: make(map[int]time.Duration)}
-	bestTwOverN := time.Duration(math.MaxInt64)
-	for n := 1; n <= maxN; n++ {
-		params := perfmodel.Params{
+	return choose(in, maxN, writers, in.ChunkBytes, func(n int) (time.Duration, error) {
+		return perfmodel.Params{
 			IterTime:        in.IterTime,
 			CheckpointBytes: in.CheckpointBytes,
 			StorageBW:       storageBW,
@@ -262,21 +256,6 @@ func Analyze(in Input, storageBW, perThreadBW float64) (Result, error) {
 			N:               n,
 			P:               writers,
 			Interval:        1,
-		}
-		tw := params.Tw()
-		res.Profile[n] = tw
-		twOverN := tw / time.Duration(n)
-		if float64(twOverN) < 0.95*float64(bestTwOverN) {
-			bestTwOverN = twOverN
-			res.N = n
-			res.Tw = tw
-		}
-	}
-	res.TwOverN = bestTwOverN
-	f := math.Ceil(res.Tw.Seconds() / (float64(res.N) * in.MaxOverhead * in.IterTime.Seconds()))
-	if f < 1 {
-		f = 1
-	}
-	res.Interval = int(f)
-	return res, nil
+		}.Tw(), nil
+	})
 }

@@ -57,6 +57,18 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+func TestPlatformByName(t *testing.T) {
+	for _, name := range []string{"a100-gcp-ssd", "rtx-pmem", "h100-azure-nvme"} {
+		p, err := PlatformByName(name)
+		if err != nil || p.Name != name {
+			t.Fatalf("PlatformByName(%q): %v", name, err)
+		}
+	}
+	if _, err := PlatformByName("tpu-v9"); err == nil {
+		t.Fatal("unknown platform accepted")
+	}
+}
+
 func TestDistributedPartitioning(t *testing.T) {
 	bloom, _ := ByName("BLOOM-7B")
 	if bloom.Nodes != 6 {

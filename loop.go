@@ -208,7 +208,8 @@ type TuneResult struct {
 
 // Tune profiles the device at path (writing scratch checkpoints of
 // CheckpointBytes) and returns the configuration PCcheck's tool would pick:
-// the N minimising Tw/N, 1–4 writers, and f* = ceil(Tw/(N·q·t)). The file
+// the N minimising Tw/N, 1–4 writers, and f* = ceil(Tw/(N·q·t)), which
+// assumes a free snapshot (AdaptiveLoop prices a measured one). The file
 // is formatted for the chosen configuration afterwards, ready for Create.
 func Tune(path string, in TuneInput) (TuneResult, error) {
 	// Profile against a device sized for the largest candidate.
