@@ -47,39 +47,34 @@ func run(w io.Writer, args []string) error {
 		profile  = fs.String("profile", "", "path of a scratch file on the target device to profile")
 		platform = fs.String("platform", "", "analytic mode: platform name (a100-gcp-ssd, rtx-pmem, h100-azure-nvme)")
 		model    = fs.String("model", "", "analytic mode: model name from Table 3 (e.g. OPT-1.3B)")
-		sizeStr  = fs.String("size", "", "checkpoint size for -profile mode (e.g. 64MB, 1GB)")
 		iterStr  = fs.Duration("iter", 0, "iteration time for -profile mode (e.g. 250ms)")
 		overhead = fs.Float64("overhead", 1.05, "acceptable slowdown q (> 1)")
-		dram     = fs.String("dram", "", "staging DRAM budget M (default 2× checkpoint size)")
-		storage  = fs.String("storage", "", "persistent storage budget S (default unlimited)")
+
+		size, dram, storage int64
 	)
+	bytesFlag := func(dst *int64, name, usage string) {
+		fs.Func(name, usage, func(s string) (err error) { *dst, err = cliutil.ParseBytes(s); return err })
+	}
+	bytesFlag(&size, "size", "checkpoint size for -profile mode (e.g. 64MB, 1GB)")
+	bytesFlag(&dram, "dram", "staging DRAM budget M (default 2× checkpoint size)")
+	bytesFlag(&storage, "storage", "persistent storage budget S (default unlimited)")
 	fs.Parse(args)
 
 	switch {
 	case *profile != "":
-		size, err := cliutil.ParseBytes(*sizeStr)
-		if err != nil || size <= 0 {
-			return fmt.Errorf("need -size for profile mode: %v", err)
+		if size <= 0 {
+			return errors.New("need -size for profile mode")
 		}
 		if *iterStr <= 0 {
 			return errors.New("need -iter for profile mode")
 		}
-		in := pccheck.TuneInput{
+		res, err := pccheck.Tune(*profile, pccheck.TuneInput{
 			IterTime:        *iterStr,
 			CheckpointBytes: size,
 			MaxOverhead:     *overhead,
-		}
-		if *dram != "" {
-			if in.DRAMBudget, err = cliutil.ParseBytes(*dram); err != nil {
-				return fmt.Errorf("bad -dram: %v", err)
-			}
-		}
-		if *storage != "" {
-			if in.StorageBudget, err = cliutil.ParseBytes(*storage); err != nil {
-				return fmt.Errorf("bad -storage: %v", err)
-			}
-		}
-		res, err := pccheck.Tune(*profile, in)
+			DRAMBudget:      dram,
+			StorageBudget:   storage,
+		})
 		if err != nil {
 			return err
 		}
@@ -108,6 +103,8 @@ func run(w io.Writer, args []string) error {
 			IterTime:        t,
 			CheckpointBytes: m.PartitionBytes(),
 			MaxOverhead:     *overhead,
+			DRAMBudget:      dram,
+			StorageBudget:   storage,
 		}, p.StorageWriteBW, p.PerThreadWriteBW)
 		if err != nil {
 			return err

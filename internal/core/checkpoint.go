@@ -8,12 +8,12 @@ import (
 	"hash/maphash"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pccheck/internal/chunkpool"
-	"pccheck/internal/lfqueue"
 	"pccheck/internal/obs"
 	"pccheck/internal/obs/blackbox"
 	"pccheck/internal/storage"
@@ -66,7 +66,7 @@ type Checkpointer struct {
 
 	gCounter  atomic.Uint64
 	checkAddr atomic.Pointer[checkMeta] // latest *persisted* checkpoint
-	freeSpace *lfqueue.Queue[int]
+	slots     *slots                    // every slot's lifecycle (slots.go)
 	pool      *chunkpool.Pool
 	closed    atomic.Bool
 
@@ -75,28 +75,17 @@ type Checkpointer struct {
 	// adaptive controller) can model or react to device contention.
 	perWriterBW atomic.Uint64
 
-	// slotSeq is a per-slot seqlock: odd while a checkpoint is writing the
-	// slot, even when quiescent. Readers (ReadLatest/ReadVersion) use it to
-	// detect that the slot they were reading was recycled and overwritten
-	// mid-read — a published checkpoint's slot can be freed by a newer
-	// publication and immediately reused while a stale reader still holds
-	// its metadata.
-	slotSeq []atomic.Uint64
-
 	// recordMu serializes persistent pointer-record writes. Under it,
 	// recordHighest enforces that records are persisted in strictly
 	// increasing counter order (a delayed writer whose counter was already
 	// superseded skips the write — the newer durable record subsumes it),
 	// and recordSeq alternates the two on-device record locations so the
 	// previous durable record is always intact while the next one is being
-	// written, even when published counters share parity. pendingFree
-	// parks slots that may still be referenced by the durable record after
-	// a record-persist failure; they rejoin the free queue once a newer
-	// record lands durably.
+	// written, even when published counters share parity. A record that
+	// lands frees the slots parked behind an earlier failed one.
 	recordMu      sync.Mutex
 	recordHighest uint64
 	recordSeq     uint64
-	pendingFree   []int
 	recordBuf     [recordSize]byte // encode scratch, under recordMu
 	saves         []saveState      // per-slot save plumbing
 
@@ -117,22 +106,21 @@ type Checkpointer struct {
 	// Delta-mode state (sb.deltaKeyframe > 0), all under deltaMu: saves are
 	// serialized because each delta is diffed against the save before it.
 	// chain holds the pinned keyframe→delta slots, keyframe first, with the
-	// tip also published through checkAddr; those slots stay out of the
-	// free queue until the next keyframe supersedes the whole chain. hashes
+	// tip also published through checkAddr; those slots stay held until the
+	// next keyframe supersedes the whole chain. hashes
 	// is the per-granule hash state of the tip (nil forces the next save to
 	// be a keyframe, e.g. right after Open), lastSize the tip's logical
 	// size, saveSeq the DeltaEvery cadence counter (published saves only),
 	// dense whether the tip would not have won as a delta, and pass the
 	// reusable hash/diff stage, whose next array double-buffers hashes.
-	deltaMu     sync.Mutex
-	chain       []checkMeta
-	deltasSince int
-	hashes      []uint64
-	lastSize    int64
-	saveSeq     uint64
-	dense       bool
-	pass        deltaPass
-	tracker     *DirtyTracker
+	deltaMu  sync.Mutex
+	chain    []checkMeta
+	hashes   []uint64
+	lastSize int64
+	saveSeq  uint64
+	dense    bool
+	pass     deltaPass
+	tracker  *DirtyTracker
 
 	stats Stats
 }
@@ -331,14 +319,14 @@ func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, la
 	if err != nil {
 		return nil, err
 	}
+	// The published slot is never free (§4.1), nor any slot of its chain.
 	c := &Checkpointer{
-		dev:       dev,
-		cfg:       cfg,
-		sb:        sb,
-		freeSpace: lfqueue.New[int](),
-		pool:      pool,
-		slotSeq:   make([]atomic.Uint64, sb.slots),
-		obsv:      cfg.Observer,
+		dev:   dev,
+		cfg:   cfg,
+		sb:    sb,
+		slots: newSlots(sb.slots, chain),
+		pool:  pool,
+		obsv:  cfg.Observer,
 	}
 	c.committer, _ = dev.(storage.CheckpointCommitter)
 	c.saves = make([]saveState, sb.slots)
@@ -350,23 +338,12 @@ func attach(dev storage.Device, cfg Config, sb superblock, chain []checkMeta, la
 		st.fan.build(func(w int) { c.writer(st, slot, w) }, int64(pieces))
 	}
 	c.perWriterBW.Store(math.Float64bits(cfg.PerWriterBW))
-	// The published slot is never free (§4.1), nor any slot of its chain.
-	pinned := make(map[int]bool)
-	for _, m := range chain {
-		pinned[m.slot] = true
-	}
 	var latest *checkMeta
 	if len(chain) > 0 {
 		tip := chain[len(chain)-1]
 		latest = &tip
 		if sb.deltaKeyframe > 0 {
 			c.chain = chain
-			c.deltasSince = len(chain) - 1
-		}
-	}
-	for i := 0; i < sb.slots; i++ {
-		if !pinned[i] {
-			c.freeSpace.Enq(i)
 		}
 	}
 	if sb.deltaKeyframe > 0 {
@@ -475,7 +452,7 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 	counter := c.gCounter.Add(1)
 
 	// Lines 6–11: obtain a free slot.
-	slot, err := c.claimSlot(ctx, counter, obsStart)
+	slot, err := c.acquireSlot(ctx, counter, obsStart)
 	if err != nil {
 		return 0, err
 	}
@@ -502,14 +479,7 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 			err := c.persistRecord(ctx, *cur)
 			c.span(obs.PhaseBarrier, barrierStart, counter, slot, 0, 0)
 			if lastCheck != nil {
-				if err != nil {
-					// The durable on-device record may still reference the
-					// slot we were about to free; park it until a newer
-					// record lands so recovery never chases a recycled slot.
-					c.deferFree(lastCheck.slot)
-				} else {
-					c.freeSpace.Enq(lastCheck.slot)
-				}
+				c.retire(lastCheck.slot, err)
 			}
 			if err != nil {
 				c.stats.FailedSaves.Add(1)
@@ -530,45 +500,25 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 			continue
 		}
 		// A more recent checkpoint was registered (lines 29–31): make sure
-		// its pointer is durable, then recycle our never-published slot.
+		// its pointer is durable, then recycle our never-published slot —
+		// always safe, so failing the barrier must not leak it.
 		barrierStart := c.obsNow()
-		if err := c.persistRecord(ctx, *check); err != nil {
-			// Our slot was never published, so it is always safe to
-			// recycle — failing the barrier must not leak it.
-			c.freeSpace.Enq(slot)
+		err := c.persistRecord(ctx, *check)
+		c.slots.move(slot, stateHeld, stateFree)
+		if err != nil {
 			c.stats.FailedSaves.Add(1)
 			c.instant(obs.PhaseSaveFailed, counter, slot, 0, 0)
 			return 0, err
 		}
 		c.span(obs.PhaseBarrier, barrierStart, counter, slot, 0, 0)
-		c.freeSpace.Enq(slot)
 		c.stats.Obsolete.Add(1)
 		c.saveDone(obs.PhaseObsolete, start, obsStart, counter, slot, size, size)
 		return counter, nil
 	}
 }
 
-// claimSlot is lines 6–11 of Listing 1: dequeue a free slot, spinning like
-// the paper's deq loop, account the wait and open the slot's seqlock.
-func (c *Checkpointer) claimSlot(ctx context.Context, counter uint64, obsStart int64) (int, error) {
-	slot, waited, err := c.acquireSlot(ctx)
-	if err != nil {
-		c.stats.FailedSaves.Add(1)
-		c.instant(obs.PhaseSaveFailed, counter, -1, 0, 0)
-		return 0, err
-	}
-	var didWait int64
-	if waited {
-		didWait = 1
-		c.stats.SlotWaits.Add(1)
-	}
-	c.span(obs.PhaseSlotWait, obsStart, counter, slot, 0, didWait)
-	c.slotSeq[slot].Add(1) // odd: slot contents unstable
-	return slot, nil
-}
-
-// sealSlot is lines 16–18: persist the slot header over a durable payload
-// and close the seqlock. On failure the slot is abandoned (failSlot).
+// sealSlot is lines 16–18: persist the slot header over a durable payload;
+// the slot is then held. On failure the slot is abandoned (failSlot).
 func (c *Checkpointer) sealSlot(ctx context.Context, slot int, hdr slotHeader) error {
 	hdrStart := c.obsNow()
 	hdr.hasCRC, hdr.epoch = c.cfg.VerifyPayload, c.sb.epoch
@@ -580,7 +530,7 @@ func (c *Checkpointer) sealSlot(ctx context.Context, slot int, hdr slotHeader) e
 		return err
 	}
 	c.span(obs.PhaseHeader, hdrStart, hdr.counter, slot, slotHeaderSize, 0)
-	c.slotSeq[slot].Add(1) // even: slot stable until recycled
+	c.slots.move(slot, stateWriting, stateHeld)
 	return nil
 }
 
@@ -593,44 +543,50 @@ func (c *Checkpointer) saveDone(outcome obs.Phase, start time.Time, obsStart int
 	c.span(obs.PhaseSave, obsStart, counter, slot, stored, 0)
 }
 
-// failSlot abandons an unpublished slot after a persist failure: the seqlock
-// returns to even (contents settled, albeit garbage), the slot rejoins the
-// free queue, and the failure is counted. Slot accounting must balance on
-// every error path — a leaked slot permanently lowers the engine's effective
-// concurrency.
+// failSlot abandons an unpublished slot after a persist failure: the slot
+// goes free (contents settled, albeit garbage) and the failure is counted.
+// Slot accounting must balance on every error path — a leaked slot
+// permanently lowers the engine's effective concurrency.
 func (c *Checkpointer) failSlot(slot int, counter uint64) {
-	c.slotSeq[slot].Add(1)
-	c.freeSpace.Enq(slot)
+	c.slots.move(slot, stateWriting, stateFree)
 	c.stats.FailedSaves.Add(1)
 	c.instant(obs.PhaseSaveFailed, counter, slot, 0, 0)
 }
 
-// deferFree parks a slot that the durable pointer record may still
-// reference. It is released by the next successful persistRecord, whose
-// newer record subsumes any stale reference.
-func (c *Checkpointer) deferFree(slot int) {
-	c.recordMu.Lock()
-	c.pendingFree = append(c.pendingFree, slot)
-	c.recordMu.Unlock()
+// retire releases a held slot that a newer publication superseded, once the
+// newer pointer record's persist returned recordErr. After a failure the
+// durable record may still name the slot, so it is parked until a newer
+// record lands and recovery never chases a recycled slot.
+func (c *Checkpointer) retire(slot int, recordErr error) {
+	if recordErr != nil {
+		c.slots.move(slot, stateHeld, stateParked)
+	} else {
+		c.slots.move(slot, stateHeld, stateFree)
+	}
 }
 
-// acquireSlot dequeues a free slot, spinning until one appears (the paper's
-// while-true deq loop) or ctx is cancelled. An empty queue can also mean a
-// slot is parked behind a failed pointer-record barrier; in that case the
-// barrier is re-driven so the spin either frees a slot or fails fast.
-func (c *Checkpointer) acquireSlot(ctx context.Context) (slot int, waited bool, err error) {
-	if s, ok := c.freeSpace.Deq(); ok {
-		return s, false, nil
-	}
+// acquireSlot is lines 6–11 of Listing 1: claim a free slot for writing,
+// spinning until one appears (the paper's while-true deq loop) or ctx is
+// cancelled, and account the wait. No free slot can also mean a slot is
+// parked behind a failed pointer-record barrier; the spin re-drives the
+// barrier, so it either frees a slot or fails fast.
+func (c *Checkpointer) acquireSlot(ctx context.Context, counter uint64, obsStart int64) (int, error) {
 	for spin := 0; ; spin++ {
-		if s, ok := c.freeSpace.Deq(); ok {
-			return s, true, nil
+		if slot, ok := c.slots.claim(); ok {
+			if spin > 0 {
+				c.stats.SlotWaits.Add(1)
+			}
+			c.span(obs.PhaseSlotWait, obsStart, counter, slot, 0, int64(min(spin, 1)))
+			return slot, nil
 		}
-		if err := ctx.Err(); err != nil {
-			return 0, true, err
+		err := ctx.Err()
+		if err == nil {
+			err = c.redriveRecord(ctx)
 		}
-		if err := c.redriveRecord(ctx); err != nil {
-			return 0, true, err
+		if err != nil {
+			c.stats.FailedSaves.Add(1)
+			c.instant(obs.PhaseSaveFailed, counter, -1, 0, 0)
+			return 0, err
 		}
 		if spin < 100 {
 			runtime.Gosched()
@@ -641,23 +597,16 @@ func (c *Checkpointer) acquireSlot(ctx context.Context) (slot int, waited bool, 
 }
 
 // redriveRecord retries the pointer-record barrier for the currently
-// published checkpoint when earlier failures left slots parked in
-// pendingFree. Success releases those slots back to the free queue (via
-// persistRecord); a device that still cannot persist records returns the
-// error so a waiting Save fails fast instead of spinning forever —
-// essential at Concurrent=1, where the parked slot is the only spare.
+// published checkpoint when earlier failures left slots parked. Success
+// frees them (via persistRecord); a device that still cannot persist
+// records returns the error so a waiting Save fails fast instead of
+// spinning forever — essential at Concurrent=1, where the parked slot is
+// the only spare.
 func (c *Checkpointer) redriveRecord(ctx context.Context) error {
-	c.recordMu.Lock()
-	parked := len(c.pendingFree) > 0
-	c.recordMu.Unlock()
-	if !parked {
-		return nil
+	if m := c.checkAddr.Load(); m != nil && c.slots.count(stateParked) > 0 {
+		return c.persistRecord(ctx, *m)
 	}
-	m := c.checkAddr.Load()
-	if m == nil {
-		return nil
-	}
-	return c.persistRecord(ctx, *m)
+	return nil
 }
 
 // task is piece i of a payload on its way to a writer: buf lands at off in the
@@ -671,7 +620,7 @@ type task struct {
 }
 
 // saveState is one slot's save plumbing, built once at attach: a save owns
-// its slot from claimSlot until it publishes or fails, so nothing here is
+// its slot from acquireSlot until it publishes or fails, so nothing here is
 // shared between saves and a save allocates none of it.
 type saveState struct {
 	tasks chan task            // producer → writers, capacity p; never closed
@@ -938,8 +887,8 @@ func (c *Checkpointer) writeRange(ctx context.Context, p []byte, off int64, fold
 // the BARRIER(CHECK_ADDR) of Listing 1: when it returns with nil, a pointer
 // with counter ≥ meta.counter is durable. Transient device faults are
 // retried per the policy; on success, slots parked by earlier record
-// failures rejoin the free queue — the newer durable record subsumes any
-// stale reference to them.
+// failures go free — the newer durable record subsumes any stale reference
+// to them.
 func (c *Checkpointer) persistRecord(ctx context.Context, meta checkMeta) error {
 	c.recordMu.Lock()
 	defer c.recordMu.Unlock()
@@ -976,10 +925,9 @@ func (c *Checkpointer) persistRecordLocked(ctx context.Context, meta checkMeta) 
 	}
 	c.recordSeq++
 	c.recordHighest = meta.counter
-	for _, s := range c.pendingFree {
-		c.freeSpace.Enq(s)
+	for i := range c.sb.slots {
+		c.slots.move(i, stateParked, stateFree) // the new record names none of them
 	}
-	c.pendingFree = c.pendingFree[:0]
 	// Commit notification: a tiered device ships a checkpoint downward once
 	// its pointer record is durable at tier 0 — which is exactly now.
 	if c.committer != nil {
@@ -988,29 +936,19 @@ func (c *Checkpointer) persistRecordLocked(ctx context.Context, meta checkMeta) 
 	return nil
 }
 
-// FreeSlots reports how many checkpoint slots are currently in the free
-// queue. With no checkpoint in flight it must equal
+// FreeSlots reports how many checkpoint slots are currently free. With no
+// checkpoint in flight and none parked it must equal
 // TotalSlots()-PinnedSlots() — the slot-conservation invariant the fault
 // tests and the bench's -faults mode check after every failure.
-func (c *Checkpointer) FreeSlots() int { return c.freeSpace.Len() }
+func (c *Checkpointer) FreeSlots() int { return c.slots.count(stateFree) }
 
 // TotalSlots reports the device's slot count: N+1, plus K in delta mode.
 func (c *Checkpointer) TotalSlots() int { return c.sb.slots }
 
-// PinnedSlots reports how many slots are held out of the free queue by
-// published state: the keyframe→delta chain in delta mode, the single
-// published slot otherwise (0 when nothing has been published).
-func (c *Checkpointer) PinnedSlots() int {
-	if c.sb.deltaKeyframe > 0 {
-		c.deltaMu.Lock()
-		defer c.deltaMu.Unlock()
-		return len(c.chain)
-	}
-	if c.checkAddr.Load() != nil {
-		return 1
-	}
-	return 0
-}
+// PinnedSlots reports how many slots are held: at quiescence the
+// keyframe→delta chain in delta mode, the single published slot otherwise
+// (0 when nothing has been published).
+func (c *Checkpointer) PinnedSlots() int { return c.slots.count(stateHeld) }
 
 // Latest returns the newest published checkpoint's counter and logical
 // (reconstructed) size.
@@ -1027,8 +965,9 @@ func (c *Checkpointer) Latest() (counter uint64, size int64, ok bool) {
 //
 // Reads are safe against concurrent checkpointing: the published slot can be
 // recycled by newer publications while the read is in flight, so the read
-// validates the slot's seqlock and retries with fresh metadata when the
-// contents moved under it. In delta mode deltaMu keeps saves out as well.
+// samples the slot's generation around it and retries with fresh metadata
+// when the contents moved under it. In delta mode deltaMu keeps saves out as
+// well.
 func (c *Checkpointer) ReadLatest(dst []byte) (uint64, int64, error) {
 	if c.sb.deltaKeyframe > 0 {
 		c.deltaMu.Lock()
@@ -1047,22 +986,16 @@ func (c *Checkpointer) ReadLatest(dst []byte) (uint64, int64, error) {
 		if c.sb.deltaKeyframe == 0 {
 			chain = []checkMeta{*m}
 		}
-		s1 := c.slotSeq[m.slot].Load()
-		if s1%2 == 1 {
-			// The slot is being rewritten, so m is stale; a newer
-			// publication exists — reload.
-			runtime.Gosched()
-			continue
-		}
+		g := c.slots.gen(m.slot)
 		err := stream(c.dev, c.sb, chain, dst[:size], nil, 0)
-		if c.slotSeq[m.slot].Load() != s1 {
+		if !c.slots.stable(m.slot, g) {
 			runtime.Gosched()
-			continue // recycled mid-read; retry against the newer state
+			continue // recycled before or during the read: m is stale, retry against the newer state
 		}
 		if err != nil {
-			// The seqlock sample above happens after the checkAddr load, so
-			// a full recycle of m's slot in that window leaves the seqlock
-			// looking stable while the header holds a newer counter. If a
+			// The generation sample above happens after the checkAddr load,
+			// so a full recycle of m's slot in that window leaves it looking
+			// stable while the header holds a newer counter. If a
 			// newer publication exists, m was simply stale — retry; with no
 			// newer publication the mismatch is real on-device damage.
 			if errors.Is(err, errSlotRecycled) && c.checkAddr.Load() != m {
@@ -1077,30 +1010,27 @@ func (c *Checkpointer) ReadLatest(dst []byte) (uint64, int64, error) {
 }
 
 // ReadVersion reads the checkpoint with the given counter if the slots still
-// hold it (see RecoverVersion). The per-slot seqlock rejects reads torn by a
-// concurrent checkpoint recycling a slot; in delta mode deltaMu keeps it out.
+// hold it (see RecoverVersion). The slot generations sampled around it reject
+// reads torn by a concurrent checkpoint recycling a slot; in delta mode
+// deltaMu keeps it out.
 func (c *Checkpointer) ReadVersion(counter uint64) ([]byte, error) {
 	if c.sb.deltaKeyframe > 0 {
 		c.deltaMu.Lock()
 		defer c.deltaMu.Unlock()
 	}
-	seqs := make([]uint64, len(c.slotSeq))
-attempts:
+	gens := make([]uint64, c.sb.slots)
 	for attempt := 0; attempt < 1000; attempt++ {
-		for i := range c.slotSeq {
-			seqs[i] = c.slotSeq[i].Load()
+		for i := range gens {
+			gens[i] = c.slots.gen(i)
 		}
 		payload, chain, err := loadVersion(c.dev, c.sb, counter)
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range chain {
-			if seqs[m.slot]%2 == 1 || c.slotSeq[m.slot].Load() != seqs[m.slot] {
-				runtime.Gosched()
-				continue attempts
-			}
+		if !slices.ContainsFunc(chain, func(m checkMeta) bool { return !c.slots.stable(m.slot, gens[m.slot]) }) {
+			return payload, nil
 		}
-		return payload, nil
+		runtime.Gosched()
 	}
 	return nil, fmt.Errorf("core: ReadVersion starved by concurrent checkpoint churn")
 }

@@ -3,12 +3,12 @@
 //
 // The engine keeps N+1 checkpoint slots on a persistent device. Up to N
 // checkpoints may be in flight concurrently; the (N+1)-th slot always holds
-// the latest fully persisted checkpoint, which is never in the free queue
-// and therefore can never be overwritten. Coordination follows Listing 1 of
-// the paper:
+// the latest fully persisted checkpoint, which is never free and therefore
+// can never be overwritten. Coordination follows Listing 1 of the paper:
 //
 //   - a global atomic counter orders checkpoint attempts;
-//   - a lock-free queue (internal/lfqueue) hands out free slots;
+//   - one atomic state word per slot (slots.go) hands out free slots, one
+//     CAS per claim;
 //   - each checkpoint writes its payload with p parallel writer goroutines,
 //     optionally pipelined through bounded DRAM chunks
 //     (internal/chunkpool);

@@ -224,8 +224,8 @@ func TestConcurrentCheckpointers(t *testing.T) {
 	if !bytes.Equal(got[:size], want) {
 		t.Fatalf("latest checkpoint %d corrupted", counter)
 	}
-	// All slots except the published one must be back in the free queue.
-	if free := c.freeSpace.Len(); free != c.sb.slots-1 {
+	// All slots except the published one must be free again.
+	if free := c.FreeSlots(); free != c.sb.slots-1 {
 		t.Fatalf("free slots = %d, want %d", free, c.sb.slots-1)
 	}
 }
@@ -381,16 +381,16 @@ func TestReformatDestroysOldCheckpoints(t *testing.T) {
 
 func TestContextCancelDuringSlotWait(t *testing.T) {
 	c := ramEngine(t, Config{Concurrent: 1, SlotBytes: 1024})
-	// Drain both slots so the next checkpoint must wait.
-	s1, _ := c.freeSpace.Deq()
-	s2, _ := c.freeSpace.Deq()
+	// Claim both slots so the next checkpoint must wait.
+	s1, _ := c.slots.claim()
+	s2, _ := c.slots.claim()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.Checkpoint(ctx, BytesSource(payload(1, 100))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	c.freeSpace.Enq(s1)
-	c.freeSpace.Enq(s2)
+	c.slots.move(s1, stateWriting, stateFree)
+	c.slots.move(s2, stateWriting, stateFree)
 }
 
 func TestDeviceBytesFootprint(t *testing.T) {

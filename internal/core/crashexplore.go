@@ -562,6 +562,9 @@ func reattachProbe(dev storage.Device, recovered uint64) error {
 	if free, want := eng.FreeSlots(), eng.TotalSlots()-eng.PinnedSlots(); free != want {
 		return fmt.Errorf("slot conservation broken: %d free slots, want %d", free, want)
 	}
+	if err := eng.checkSlots(); err != nil {
+		return fmt.Errorf("slot lifecycle: %w", err)
+	}
 	got, rc, err := Recover(dev)
 	if err != nil {
 		return fmt.Errorf("recover after re-attach: %w", err)

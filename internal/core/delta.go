@@ -461,7 +461,7 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	size := src.Size()
 	counter := c.gCounter.Add(1)
 
-	slot, err := c.claimSlot(ctx, counter, obsStart)
+	slot, err := c.acquireSlot(ctx, counter, obsStart)
 	if err != nil {
 		return 0, err
 	}
@@ -476,7 +476,7 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	dp := &c.pass
 	dp.old, dp.lastSize = c.hashes, c.lastSize
 	dp.marks, dp.all, dp.trust = marks, all, fed && !all
-	dp.filter = c.hashes != nil && !c.dense && c.deltasSince < c.cfg.DeltaKeyframe &&
+	dp.filter = c.hashes != nil && !c.dense && len(c.chain) <= c.cfg.DeltaKeyframe &&
 		(c.cfg.DeltaEvery <= 1 || (c.saveSeq+1)%uint64(c.cfg.DeltaEvery) == 0)
 	if dp.filter {
 		dp.base = c.chain[len(c.chain)-1].counter
@@ -507,13 +507,10 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	// the tip is ours by construction.
 	oldChain := c.chain
 	c.checkAddr.Store(cur)
-	if cur.kind == slotKindDelta {
-		c.chain = append(c.chain, *cur)
-		c.deltasSince++
-	} else {
-		c.chain = []checkMeta{*cur}
-		c.deltasSince = 0
+	if cur.kind == slotKindFull {
+		c.chain = nil // oldChain keeps the superseded links for the barrier below
 	}
+	c.chain = append(c.chain, *cur)
 	// The tip moved, so the diff state follows it even if the pointer
 	// record below fails — the next save diffs against what is in the
 	// slots, not against what is durably pointed at.
@@ -526,21 +523,15 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	rerr := c.persistRecord(ctx, *cur)
 	c.span(obs.PhaseBarrier, barrierStart, counter, slot, 0, 0)
 	if cur.kind == slotKindFull {
-		// A keyframe supersedes the whole previous chain. If the record
-		// failed, the durable pointer may still reference the old chain —
-		// park its slots until a newer record lands (same invariant as the
-		// concurrent path's deferFree).
+		// A keyframe supersedes the whole previous chain; if the record
+		// failed, the durable pointer may still reference it.
 		for _, m := range oldChain {
-			if rerr != nil {
-				c.deferFree(m.slot)
-			} else {
-				c.freeSpace.Enq(m.slot)
-			}
+			c.retire(m.slot, rerr)
 		}
 	}
 	if rerr != nil {
 		// Delta case: nothing is freed — the old record points into a chain
-		// prefix whose slots are all still pinned in c.chain.
+		// prefix whose slots are all still held in c.chain.
 		c.stats.FailedSaves.Add(1)
 		c.instant(obs.PhaseSaveFailed, counter, slot, 0, 0)
 		return 0, rerr

@@ -309,6 +309,9 @@ func TestDeltaRecordsMatchOracle(t *testing.T) {
 					if free, wantFree := c.FreeSlots(), c.TotalSlots()-c.PinnedSlots(); free != wantFree {
 						t.Fatalf("save %d (%s): %d free slots, want %d", i, name, free, wantFree)
 					}
+					if err := c.checkSlots(); err != nil {
+						t.Fatalf("save %d (%s): %v", i, name, err)
+					}
 					prev, prevCounter = append(prev[:0], p...), hdr.counter
 				}
 				if deltas == 0 {

@@ -47,7 +47,7 @@ func TestWriteFaultDuringPayload(t *testing.T) {
 	if _, err := c.Checkpoint(context.Background(), BytesSource(payload(3, 3000))); err != nil {
 		t.Fatalf("post-fault checkpoint: %v", err)
 	}
-	if free := c.freeSpace.Len(); free != c.sb.slots-1 {
+	if free := c.FreeSlots(); free != c.sb.slots-1 {
 		t.Fatalf("slot leaked after fault: free = %d", free)
 	}
 }
@@ -156,7 +156,7 @@ func TestConcurrentCheckpointsWithSporadicFaults(t *testing.T) {
 	if ok == 0 || failed == 0 {
 		t.Fatalf("test degenerate: ok=%d failed=%d", ok, failed)
 	}
-	if free := c.freeSpace.Len(); free != c.sb.slots-1 {
+	if free := c.FreeSlots(); free != c.sb.slots-1 {
 		t.Fatalf("slots leaked: free = %d, want %d", free, c.sb.slots-1)
 	}
 }

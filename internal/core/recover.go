@@ -436,7 +436,7 @@ func RecoverVersion(dev storage.Device, counter uint64) ([]byte, error) {
 	return payload, err
 }
 
-// loadVersion also reports the chain read, for a live reader's seqlock check.
+// loadVersion also reports the chain read, for a live reader's slot-generation check.
 func loadVersion(dev storage.Device, sb superblock, counter uint64) ([]byte, []checkMeta, error) {
 	if counter == 0 {
 		return nil, nil, ErrNoCheckpoint // resolve would read 0 as "the newest"

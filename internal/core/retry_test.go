@@ -67,6 +67,7 @@ func TestCheckpointSurvivesScheduledTransientFaults(t *testing.T) {
 	if free := c.FreeSlots(); free != c.TotalSlots()-1 {
 		t.Fatalf("free slots = %d, want %d", free, c.TotalSlots()-1)
 	}
+	mustCheckSlots(t, c)
 }
 
 // Permanent faults must fail the Save without a single retry, leak no slot,
@@ -93,6 +94,7 @@ func TestPermanentFaultFailsFastWithoutRetry(t *testing.T) {
 	if free := c.FreeSlots(); free != c.TotalSlots()-1 {
 		t.Fatalf("slot leaked: free = %d, want %d", free, c.TotalSlots()-1)
 	}
+	mustCheckSlots(t, c)
 	got, counter, err := Recover(ram)
 	if err != nil || counter != 1 || !bytes.Equal(got, want) {
 		t.Fatalf("previous checkpoint lost: counter=%d err=%v", counter, err)
@@ -127,6 +129,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if free := c.FreeSlots(); free != c.TotalSlots()-1 {
 		t.Fatalf("slot leaked: free = %d", free)
 	}
+	mustCheckSlots(t, c)
 }
 
 // Transient faults on the slot-header and pointer-record Persist calls are
@@ -155,6 +158,7 @@ func TestTransientFaultOnHeaderAndRecordPersist(t *testing.T) {
 	if s := c.Stats(); s.IORetries != 2 || s.TransientFaults != 2 {
 		t.Fatalf("retries=%d transient=%d, want 2/2", s.IORetries, s.TransientFaults)
 	}
+	mustCheckSlots(t, c)
 }
 
 // A permanent pointer-record failure after a won CAS must not recycle the
@@ -178,13 +182,14 @@ func TestRecordPersistFailureDefersSlotFree(t *testing.T) {
 	if free := c.FreeSlots(); free != c.TotalSlots()-2 {
 		t.Fatalf("free slots = %d, want %d (referenced slot must stay parked)", free, c.TotalSlots()-2)
 	}
+	mustCheckSlots(t, c)
 	// ...which keeps the crash image recoverable to checkpoint 1.
 	got, counter, err := Recover(ram)
 	if err != nil || counter != 1 || !bytes.Equal(got, first) {
 		t.Fatalf("recovery broken after record failure: counter=%d err=%v", counter, err)
 	}
 	// A later successful publication supersedes the stale reference and
-	// returns the parked slot to the free queue: no leak.
+	// frees the parked slot: no leak.
 	third := payload(13, 3500)
 	if _, err := c.Checkpoint(context.Background(), BytesSource(third)); err != nil {
 		t.Fatal(err)
@@ -192,6 +197,7 @@ func TestRecordPersistFailureDefersSlotFree(t *testing.T) {
 	if free := c.FreeSlots(); free != c.TotalSlots()-1 {
 		t.Fatalf("parked slot leaked: free = %d, want %d", free, c.TotalSlots()-1)
 	}
+	mustCheckSlots(t, c)
 	got, counter, err = Recover(ram)
 	if err != nil || !bytes.Equal(got, third) {
 		t.Fatalf("recovery after requited record: counter=%d err=%v", counter, err)
@@ -217,10 +223,11 @@ func TestRetryBackoffHonorsContext(t *testing.T) {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
 	dev.Clear()
-	// Nothing was ever published, so every slot must be back in the queue.
+	// Nothing was ever published, so every slot must be free again.
 	if free := c.FreeSlots(); free != c.TotalSlots() {
 		t.Fatalf("slot leaked on cancellation: free = %d, want %d", free, c.TotalSlots())
 	}
+	mustCheckSlots(t, c)
 }
 
 // Corrupt payloads classify as such so callers can tell "retry later" from

@@ -479,7 +479,7 @@ func (s *scrubber) scrubRecords() {
 
 // healthyCopy searches the lower tiers of a tiered device for an intact
 // copy of checkpoint m and returns it as that tier holds it (heldAt), with a
-// header slotHeld accepts and a verifying payload. Tiers are probed
+// header stateHeld accepts and a verifying payload. Tiers are probed
 // nearest-first, so the newest healthy copy wins.
 func (s *scrubber) healthyCopy(m checkMeta) (src storage.Device, at checkMeta, tier int, ok bool) {
 	td, ok := s.c.dev.(tieredScrub)
@@ -517,8 +517,8 @@ func quarantineSlot(dev storage.Device, sb superblock, m checkMeta) error {
 // published slot otherwise. A damaged slot is rebuilt from the nearest
 // healthy lower-tier copy, or tombstoned when there is none. In delta mode
 // deltaMu is held throughout, which lets a link be rewritten in place.
-// Otherwise the slot seqlock and checkAddr are sampled around the read, so a
-// concurrent recycle reads as "stale", never as damage, and the repair
+// Otherwise the slot's generation and checkAddr are sampled around the read,
+// so a concurrent recycle reads as "stale", never as damage, and the repair
 // re-publishes (under deltaMu the samples simply hold).
 func (s *scrubber) scrubCommitted() {
 	c := s.c
@@ -536,13 +536,10 @@ func (s *scrubber) scrubCommitted() {
 		chain = []checkMeta{*m}
 	}
 	for i, link := range chain {
-		s1 := c.slotSeq[link.slot].Load()
-		if s1%2 == 1 {
-			return // slot being rewritten: m is already superseded
-		}
+		g := c.slots.gen(link.slot)
 		verr := stream(s.front, c.sb, chain[i:i+1], nil, s.piece, 0)
-		if c.slotSeq[link.slot].Load() != s1 || c.checkAddr.Load() != m {
-			return // recycled or superseded mid-verify: stale, not damage
+		if !c.slots.stable(link.slot, g) || c.checkAddr.Load() != m {
+			return // recycled or superseded before or during the verify: stale, not damage
 		}
 		s.st.BytesVerified += uint64(slotHeaderSize + link.size)
 		if verr == nil || errors.Is(verr, errSlotQuarantined) {
@@ -557,19 +554,22 @@ func (s *scrubber) scrubCommitted() {
 			s.heal(rec, ScrubRepaired, action, over, []obs.DecisionAction{obs.ActQuarantine}, func(rec *ScrubRecord) error {
 				rec.Tier = int32(tier)
 				if delta {
-					return s.copy.link(src, c.sb, at, c.dev, link.slot, nil)
+					_, err := c.slots.rewrite(link.slot, g, func() error { return s.copy.link(src, c.sb, at, c.dev, link.slot, nil) })
+					return err
 				}
 				return s.republish(m, src, at)
 			})
 			continue
 		}
 		s.heal(rec, ScrubQuarantined, obs.ActQuarantine, []obs.DecisionAction{action}, ignore, func(*ScrubRecord) error {
-			// The seqlock goes odd around the header write so concurrent
+			// The generation goes odd around the header write so concurrent
 			// readers retry instead of tearing, then read the tombstone and
-			// fail classified-corrupt — never garbage.
-			c.slotSeq[link.slot].Add(1)
-			defer c.slotSeq[link.slot].Add(1)
-			err := quarantineSlot(c.dev, c.sb, link)
+			// fail classified-corrupt — never garbage. A slot a newer
+			// publication freed meanwhile is no longer the damage to contain.
+			held, err := c.slots.rewrite(link.slot, g, func() error { return quarantineSlot(c.dev, c.sb, link) })
+			if !held {
+				return errRepairSuperseded
+			}
 			if td, ok := c.dev.(tieredScrub); ok && err == nil {
 				// healthyCopy has just failed every lower tier's copy, so a
 				// tier still names a payload known to be bad and would not
@@ -600,32 +600,27 @@ var errRepairSuperseded = errors.New("core: repair superseded by a newer checkpo
 // new location (why never in place: see the file comment).
 func (s *scrubber) republish(old *checkMeta, src storage.Device, at checkMeta) error {
 	c := s.c
-	slot, ok := c.freeSpace.Deq()
+	slot, ok := c.slots.claim()
 	if !ok {
 		return errors.New("core: no free slot for repair")
 	}
-	c.slotSeq[slot].Add(1)
-	err := s.copy.link(src, c.sb, at, c.dev, slot, nil)
-	c.slotSeq[slot].Add(1)
-	if err != nil {
-		c.freeSpace.Enq(slot)
+	if err := s.copy.link(src, c.sb, at, c.dev, slot, nil); err != nil {
+		c.slots.move(slot, stateWriting, stateFree)
 		return err
 	}
+	c.slots.move(slot, stateWriting, stateHeld)
 	nm := *old
 	nm.slot = slot
 	if !c.checkAddr.CompareAndSwap(old, &nm) {
-		c.freeSpace.Enq(slot)
+		c.slots.move(slot, stateHeld, stateFree)
 		return errRepairSuperseded
 	}
-	if err := c.forceRecord(context.Background(), nm); err != nil {
-		// The durable record may still name the damaged slot; park it until
-		// a newer record lands. The in-memory publish stands — readers are
-		// already served from the healthy copy.
-		c.deferFree(old.slot)
-		return err
-	}
-	c.freeSpace.Enq(old.slot)
-	return nil
+	// If the record fails, the durable one may still name the damaged slot.
+	// The in-memory publish stands — readers are already served from the
+	// healthy copy.
+	err := c.forceRecord(context.Background(), nm)
+	c.retire(old.slot, err)
+	return err
 }
 
 // --- black box --------------------------------------------------------------

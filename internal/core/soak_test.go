@@ -75,6 +75,7 @@ func TestSoakCrashStorm(t *testing.T) {
 		crashed := region.CloneDurable()
 		close(stop)
 		wg.Wait()
+		mustCheckSlots(t, eng)
 
 		p, counter, err := Recover(storage.NewPMEM(crashed))
 		if err != nil {
@@ -184,9 +185,10 @@ func TestSoakMixedFaultsAndReaders(t *testing.T) {
 		t.Fatalf("soak too weak: ok=%d failed=%d reads=%d", okSaves.Load(), failedSaves.Load(), reads.Load())
 	}
 	// No slots leaked across hundreds of mixed successes and failures.
-	if free := eng.freeSpace.Len(); free != eng.sb.slots-1 {
+	if free := eng.FreeSlots(); free != eng.sb.slots-1 {
 		t.Fatalf("slots leaked: free=%d want %d", free, eng.sb.slots-1)
 	}
+	mustCheckSlots(t, eng)
 }
 
 // TestSoakTransientFaultStorm hammers a retry-enabled engine with concurrent
@@ -271,4 +273,5 @@ func TestSoakTransientFaultStorm(t *testing.T) {
 	if free := eng.FreeSlots(); free != eng.TotalSlots()-1 {
 		t.Fatalf("slots leaked: free=%d want %d (ok=%d failed=%d)", free, eng.TotalSlots()-1, okSaves.Load(), failedSaves.Load())
 	}
+	mustCheckSlots(t, eng)
 }
